@@ -36,8 +36,8 @@ int main() {
       const auto t0 = std::chrono::steady_clock::now();
       int me_frames = 0;
       for (std::size_t i = 1; i < clips[0].frames.size(); i += 6) {
-        searcher.search_frame(clips[0].frames[i].image.y,
-                              clips[0].frames[i - 1].image.y);
+        (void)searcher.search_frame(clips[0].frames[i].image.y,
+                                    clips[0].frames[i - 1].image.y);
         ++me_frames;
       }
       const double me_ms = std::chrono::duration<double, std::milli>(

@@ -1,13 +1,11 @@
 // Microbenchmarks of the codec substrate (google-benchmark): transform,
 // quantization, SAD kernels (scalar vs. SIMD dispatch), the five
-// motion-search methods, full frame encode/decode, and the pipelined
-// overlap schedule.
+// motion-search methods, and full frame encode/decode.
 //
-// Besides the google-benchmark suite, main() emits three machine-readable
+// Besides the google-benchmark suite, main() emits four machine-readable
 // records (bench_record.h, schema-checked in CI):
 //   BENCH_micro_sad.json      scalar vs. dispatched SAD kernel timing
 //   BENCH_micro_sse.json      scalar vs. dispatched PSNR/SSE kernel timing
-//   BENCH_micro_overlap.json  per-frame encode time, overlap off vs. on
 //   BENCH_micro_hme.json      hierarchical pyramid search vs. the other
 //                             methods on a synthetic driving pan (time +
 //                             PSNR), plus the SKIP rate on static frames
@@ -257,18 +255,6 @@ void BM_EncodeToTarget(benchmark::State& state) {
   codec::Encoder enc({.width = 256, .height = 128});
   enc.encode(textured_frame(256, 128, 9), 26);
   const auto frame = textured_frame(256, 128, 10);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.encode_to_target(frame, 6000));
-  }
-}
-BENCHMARK(BM_EncodeToTarget);
-
-void BM_EncodeToTargetReuse(benchmark::State& state) {
-  codec::Encoder enc({.width = 256,
-                      .height = 128,
-                      .reuse_trials = state.range(0) != 0});
-  enc.encode(textured_frame(256, 128, 9), 26);
-  const auto frame = textured_frame(256, 128, 10);
   int trials = 0, full_passes = 0, iters = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(enc.encode_to_target(frame, 6000));
@@ -280,40 +266,8 @@ void BM_EncodeToTargetReuse(benchmark::State& state) {
       static_cast<double>(trials) / std::max(iters, 1);
   state.counters["full_passes/frame"] =
       static_cast<double>(full_passes) / std::max(iters, 1);
-  state.SetLabel(state.range(0) != 0 ? "reuse" : "no-reuse");
 }
-BENCHMARK(BM_EncodeToTargetReuse)->Arg(0)->Arg(1);
-
-// End-to-end pipelined schedule: encode a moving sequence with the
-// next-frame lookahead hint on vs. off. Arg(0) = threads, Arg(1) = hint.
-// With >=2 worker lanes the hinted run overlaps frame N+1's motion
-// search with frame N's serial bitstream emission.
-void BM_EncodeOverlap(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const bool hint = state.range(1) != 0;
-  std::vector<video::Frame> seq;
-  for (int i = 0; i < 8; ++i)
-    seq.push_back(textured_frame(256, 128, 40 + static_cast<std::uint64_t>(i)));
-  for (auto _ : state) {
-    state.PauseTiming();
-    codec::Encoder enc({.width = 256, .height = 128, .threads = threads});
-    state.ResumeTiming();
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      const video::Frame* next =
-          (hint && i + 1 < seq.size()) ? &seq[i + 1] : nullptr;
-      benchmark::DoNotOptimize(enc.encode(seq[i], 26, nullptr, nullptr, next));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(seq.size()));
-  state.SetLabel(hint ? "overlap" : "serial-schedule");
-}
-BENCHMARK(BM_EncodeOverlap)
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1});
+BENCHMARK(BM_EncodeToTarget);
 
 void BM_Decode(benchmark::State& state) {
   codec::Encoder enc({.width = 256, .height = 128});
@@ -402,34 +356,6 @@ void emit_sse_record() {
               dive::video::to_string(dive::video::active_sse_kernel()),
           simd_ns, "ns/call");
   rec.add("sse_plane.speedup", simd_ns > 0 ? scalar_ns / simd_ns : 0.0, "x");
-  rec.write();
-}
-
-/// BENCH_micro_overlap.json: per-frame encode time of an 8-frame moving
-/// sequence with the pipelined lookahead hint off vs. on, at 1/2/4
-/// worker lanes. On a single-core host the overlap win collapses (the
-/// prefetch thread shares the core); the record still captures that.
-void emit_overlap_record() {
-  std::vector<video::Frame> seq;
-  for (int i = 0; i < 8; ++i)
-    seq.push_back(textured_frame(256, 128, 40 + static_cast<std::uint64_t>(i)));
-  dive::bench::BenchRecorder rec("micro_overlap");
-  for (const int threads : {1, 2, 4}) {
-    for (const bool hint : {false, true}) {
-      const double seq_ns = timed_ns(3, [&] {
-        codec::Encoder enc({.width = 256, .height = 128, .threads = threads});
-        for (std::size_t i = 0; i < seq.size(); ++i) {
-          const video::Frame* next =
-              (hint && i + 1 < seq.size()) ? &seq[i + 1] : nullptr;
-          benchmark::DoNotOptimize(
-              enc.encode(seq[i], 26, nullptr, nullptr, next));
-        }
-      });
-      rec.add("encode.t" + std::to_string(threads) +
-                  (hint ? ".overlap" : ".serial"),
-              seq_ns / 1e6 / static_cast<double>(seq.size()), "ms/frame");
-    }
-  }
   rec.write();
 }
 
@@ -598,7 +524,6 @@ void emit_obs_record() {
 int main(int argc, char** argv) {
   emit_sad_record();
   emit_sse_record();
-  emit_overlap_record();
   emit_hme_record();
   emit_obs_record();
   if (const char* only = std::getenv("DIVE_BENCH_RECORDS_ONLY");

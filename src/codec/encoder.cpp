@@ -165,10 +165,6 @@ Encoder::Encoder(EncoderConfig config)
     pool_ = std::make_unique<util::ThreadPool>(config_.threads);
 }
 
-Encoder::~Encoder() {
-  if (prefetch_) prefetch_->lane.wait();
-}
-
 void Encoder::set_obs(obs::ObsContext* obs) {
   obs_ = obs;
   obs_handles_ = {};
@@ -180,9 +176,6 @@ void Encoder::set_obs(obs::ObsContext* obs) {
   obs_handles_.trials_encoded = &m.counter("codec.rc.trials_encoded");
   obs_handles_.trials_reused = &m.counter("codec.rc.trials_reused");
   obs_handles_.full_passes = &m.counter("codec.rc.full_transform_passes");
-  obs_handles_.prefetch_launched = &m.counter("codec.prefetch.launched");
-  obs_handles_.prefetch_hits = &m.counter("codec.prefetch.hits");
-  obs_handles_.prefetch_misses = &m.counter("codec.prefetch.misses");
   obs_handles_.skip_skipped_mbs = &m.counter("codec.skip.skipped_mbs");
   obs_handles_.skip_inter_mbs = &m.counter("codec.skip.inter_mbs");
   obs_handles_.scene_cuts = &m.counter("codec.scene_cuts");
@@ -193,67 +186,12 @@ void Encoder::set_obs(obs::ObsContext* obs) {
 }
 
 MotionField Encoder::analyze_motion(const video::Frame& src) const {
-  if (!has_reference_) {
-    discard_prefetch();
-    return {};
-  }
+  if (!has_reference_) return {};
   DIVE_OBS_SPAN(span, obs_, "codec.motion_search", obs::kTrackCodec);
   span.flow(frame_ctx_);
   if (obs_handles_.motion_searches != nullptr)
     obs_handles_.motion_searches->add();
-  return motion_with_prefetch(src);
-}
-
-MotionField Encoder::motion_with_prefetch(const video::Frame& src) const {
-  if (prefetch_ && prefetch_->pending) {
-    prefetch_->lane.wait();  // rethrows a failed background search
-    prefetch_->pending = false;
-    if (prefetch_->src_y == src.y) {
-      ++prefetch_stats_.hits;
-      if (obs_handles_.prefetch_hits != nullptr)
-        obs_handles_.prefetch_hits->add();
-      return std::move(prefetch_->field);
-    }
-    // Hint didn't match the frame actually encoded: fall through to a
-    // fresh search. Same inputs would have produced the same field, so a
-    // miss only costs time, never bytes.
-    ++prefetch_stats_.misses;
-    if (obs_handles_.prefetch_misses != nullptr)
-      obs_handles_.prefetch_misses->add();
-  }
   return searcher_.search_frame(src.y, reference_.y, pool_.get());
-}
-
-void Encoder::discard_prefetch() const {
-  if (!prefetch_) return;
-  prefetch_->lane.wait();
-  if (prefetch_->pending) {
-    prefetch_->pending = false;
-    ++prefetch_stats_.misses;
-    if (obs_handles_.prefetch_misses != nullptr)
-      obs_handles_.prefetch_misses->add();
-  }
-}
-
-void Encoder::launch_prefetch(const video::Frame& next_src) {
-  if (!config_.pipeline_overlap) return;
-  if (next_src.width() != config_.width ||
-      next_src.height() != config_.height)
-    return;
-  if (!prefetch_) prefetch_ = std::make_unique<Prefetch>();
-  prefetch_->lane.wait();  // idle by contract; defensive drain
-  prefetch_->src_y = next_src.y;  // copy: hint needs no lifetime
-  prefetch_->pending = true;
-  ++prefetch_stats_.launched;
-  if (obs_handles_.prefetch_launched != nullptr)
-    obs_handles_.prefetch_launched->add();
-  // The lane thread acts as the pool's caller lane; reference_ is final
-  // for this frame and nothing else touches the pool until the next
-  // encode/analyze call drains the lane.
-  prefetch_->lane.run([this] {
-    prefetch_->field =
-        searcher_.search_frame(prefetch_->src_y, reference_.y, pool_.get());
-  });
 }
 
 namespace {
@@ -541,8 +479,6 @@ EncodedFrame Encoder::finish_frame(std::vector<std::uint8_t> data,
                                    const MotionField* motion,
                                    const video::Frame& src,
                                    std::vector<std::uint8_t> skip) {
-  // reference_ already holds this frame's reconstruction (the pipelined
-  // schedule hands it over before emission so the prefetch can start).
   EncodedFrame out;
   out.data = std::move(data);
   out.type = type;
@@ -581,8 +517,7 @@ EncodedFrame Encoder::finish_frame(std::vector<std::uint8_t> data,
 
 EncodedFrame Encoder::encode(const video::Frame& src, int base_qp,
                              const QpOffsetMap* offsets,
-                             const MotionField* motion,
-                             const video::Frame* next_src) {
+                             const MotionField* motion) {
   if (src.width() != config_.width || src.height() != config_.height)
     throw std::invalid_argument("Encoder::encode: frame size mismatch");
   DIVE_OBS_SPAN(span, obs_, "codec.encode", obs::kTrackCodec);
@@ -591,23 +526,17 @@ EncodedFrame Encoder::encode(const video::Frame& src, int base_qp,
   const FrameType type = next_frame_type(src);
   MotionField local;
   if (type == FrameType::kInter && motion == nullptr) {
-    local = analyze_motion(src);  // drains/consumes any pending prefetch
+    local = analyze_motion(src);
     motion = &local;
-  } else {
-    // Externally supplied motion (or intra): any pending prefetch must be
-    // drained before the pool or reference_ are touched.
-    discard_prefetch();
   }
 
   if (type == FrameType::kInter) {
     const InterPlan plan = build_inter_plan(src, *motion);
     PreparedInter prep = prepare_inter_trial(plan, base_qp, offsets);
-    // Early reference handoff: the reconstruction is final once the
-    // parallel pass is done, so publish it and start the next frame's
-    // motion search while this frame's bitstream is emitted serially.
+    // The reconstruction is final once the parallel pass is done, and
+    // emission never reads it, so it becomes the reference right away.
     reference_ = std::move(prep.recon);
     has_reference_ = true;
-    if (next_src != nullptr) launch_prefetch(*next_src);
     std::vector<std::uint8_t> data = emit_inter_trial(prep, plan);
     return finish_frame(std::move(data), prep.base_qp, type,
                         &plan.eff_motion, src, skip_map(prep, plan));
@@ -616,7 +545,6 @@ EncodedFrame Encoder::encode(const video::Frame& src, int base_qp,
   Trial trial = run_intra_trial(src, base_qp, offsets);
   reference_ = std::move(trial.recon);
   has_reference_ = true;
-  if (next_src != nullptr) launch_prefetch(*next_src);
   return finish_frame(std::move(trial.data), trial.base_qp, type, motion,
                       src);
 }
@@ -624,8 +552,7 @@ EncodedFrame Encoder::encode(const video::Frame& src, int base_qp,
 EncodedFrame Encoder::encode_to_target(const video::Frame& src,
                                        std::size_t target_bytes,
                                        const QpOffsetMap* offsets,
-                                       const MotionField* motion,
-                                       const video::Frame* next_src) {
+                                       const MotionField* motion) {
   if (src.width() != config_.width || src.height() != config_.height)
     throw std::invalid_argument("Encoder::encode_to_target: size mismatch");
   DIVE_OBS_SPAN(span, obs_, "codec.encode_to_target", obs::kTrackCodec);
@@ -634,49 +561,32 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
   const FrameType type = next_frame_type(src);
   MotionField local;
   if (type == FrameType::kInter && motion == nullptr) {
-    local = analyze_motion(src);  // drains/consumes any pending prefetch
+    local = analyze_motion(src);
     motion = &local;
-  } else {
-    discard_prefetch();
   }
 
   rc_stats_ = {};
 
-  // QP-independent work, paid once per frame when trial reuse is on.
-  std::optional<InterPlan> shared_plan;
-  if (type == FrameType::kInter && config_.reuse_trials) {
-    shared_plan = build_inter_plan(src, *motion);
+  // QP-independent work, paid once per inter frame.
+  std::optional<InterPlan> plan;
+  if (type == FrameType::kInter) {
+    plan = build_inter_plan(src, *motion);
     rc_stats_.full_transform_passes = 1;
   }
 
-  // Encode one QP trial. The memo stores every encoded trial (so the
-  // final pick is always a move, never a re-encode); it serves as a
-  // cache for revisited QPs only when reuse is on.
+  // Encode one QP trial, memoized by QP: a revisited QP is served from
+  // the memo, and the final pick is always a move, never a re-encode.
   std::map<int, Trial> memo;
-  MotionField coded_motion;  // eff_motion when reuse is off (QP-independent)
   const auto eval = [&](int qp) -> Trial& {
     ++rc_stats_.trials_attempted;
-    if (config_.reuse_trials) {
-      if (auto it = memo.find(qp); it != memo.end()) {
-        ++rc_stats_.trials_reused;
-        return it->second;
-      }
+    if (auto it = memo.find(qp); it != memo.end()) {
+      ++rc_stats_.trials_reused;
+      return it->second;
     }
     ++rc_stats_.trials_encoded;
     Trial t;
-    if (type == FrameType::kInter) {
-      if (shared_plan) {
-        t = run_inter_trial(*shared_plan, qp, offsets);
-      } else {
-        // Reuse disabled: every trial pays the full motion-compensation
-        // + DCT pass, matching the historical cost model. The coded
-        // field is QP-independent, so every trial's plan carries the
-        // same eff_motion; stash the first for finish_frame.
-        ++rc_stats_.full_transform_passes;
-        InterPlan plan = build_inter_plan(src, *motion);
-        if (coded_motion.empty()) coded_motion = plan.eff_motion;
-        t = run_inter_trial(plan, qp, offsets);
-      }
+    if (plan) {
+      t = run_inter_trial(*plan, qp, offsets);
     } else {
       // Intra prediction depends on the QP-dependent reconstruction, so
       // an intra trial is always a full pass.
@@ -716,19 +626,11 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
     obs_handles_.full_passes->add(rc_stats_.full_transform_passes);
   }
   Trial chosen = std::move(memo.at(chosen_qp));
-  // The winner is already fully emitted; publish its reconstruction and
-  // start the next frame's motion search before PSNR/bookkeeping, so the
-  // prefetch also overlaps whatever the caller does until the next
-  // analyze/encode call (transmit simulation, detector inference, ...).
   reference_ = std::move(chosen.recon);
   has_reference_ = true;
-  if (next_src != nullptr) launch_prefetch(*next_src);
-  const MotionField* coded =
-      type != FrameType::kInter ? nullptr
-      : shared_plan             ? &shared_plan->eff_motion
-                                : &coded_motion;
-  return finish_frame(std::move(chosen.data), chosen.base_qp, type, coded,
-                      src, std::move(chosen.skip));
+  return finish_frame(std::move(chosen.data), chosen.base_qp, type,
+                      plan ? &plan->eff_motion : nullptr, src,
+                      std::move(chosen.skip));
 }
 
 }  // namespace dive::codec

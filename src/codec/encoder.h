@@ -17,16 +17,6 @@
 // residual — is computed once per frame; each QP trial only re-quantizes,
 // entropy-codes, and reconstructs. Trials are additionally memoized by QP
 // for the duration of the frame, so no QP is ever encoded twice.
-//
-// Frame pipelining: when the caller hands encode()/encode_to_target() a
-// `next_src` hint, the motion search of frame N+1 starts on the worker
-// pool (driven from a background util::AsyncLane) as soon as frame N's
-// reconstruction is final — for fixed-QP encodes that is before the
-// serial bitstream emission of frame N begins, so the two overlap. The
-// prefetched field is consumed by the next analyze_motion/encode call;
-// because motion search is a pure function of (source luma, reference
-// luma) and the reference is the identical reconstruction either way,
-// prefetching never changes a single output bit (see DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +28,6 @@
 #include "codec/quant.h"
 #include "codec/types.h"
 #include "obs/frame_context.h"
-#include "util/async_lane.h"
 #include "util/thread_pool.h"
 #include "video/frame.h"
 
@@ -53,7 +42,7 @@ namespace dive::codec {
 struct EncoderConfig {
   int width = 0;   ///< must be a multiple of 16
   int height = 0;  ///< must be a multiple of 16
-  MotionSearchConfig search;
+  MotionSearchConfig search{};
   int gop_length = 120;         ///< distance between intra frames
   int rate_iterations = 5;      ///< QP trials for encode_to_target
   /// Worker lanes (including the calling thread) for motion search and
@@ -61,23 +50,13 @@ struct EncoderConfig {
   /// hardware threads; 1 = fully serial. Output is bit-identical for
   /// every value.
   int threads = 0;
-  /// Compute QP-independent work (predictions, residual DCT) once per
-  /// frame and memoize rate-control trials by QP. Purely a caching
-  /// layer: the encoded bytes are identical with it on or off.
-  bool reuse_trials = true;
-  /// Honor `next_src` hints: overlap the next frame's motion search with
-  /// the current frame's serial bitstream emission (fixed-QP path) or
-  /// with commit/PSNR and caller-side work (rate-controlled path).
-  /// Purely a scheduling change: output is identical with it on or off,
-  /// with hints present or absent, for every thread count.
-  bool pipeline_overlap = true;
   /// Per-macroblock SKIP mode: when the luma SAD at the PREDICTED motion
   /// vector (the left-neighbor chain the bitstream codes against) is
   /// below skip_threshold, the macroblock is coded as a one-bit SKIP —
   /// the decoder copies the reference at the predicted MV and no
   /// residual is transformed, quantized, or emitted. Changes the
   /// bitstream (that is the point); deterministic for every thread
-  /// count / kernel / overlap setting.
+  /// count / kernel setting.
   bool skip_blocks = true;
   /// Luma SAD budget (16x16, so 512 = 2 per pixel) under which a
   /// macroblock is forced to SKIP. Only meaningful with skip_blocks.
@@ -99,9 +78,9 @@ struct RateControlStats {
   int trials_attempted = 0;  ///< QP points the search evaluated
   int trials_encoded = 0;    ///< trials that ran quantize + entropy coding
   int trials_reused = 0;     ///< trials served from the per-frame QP cache
-  /// Motion-compensate + forward-DCT passes over the whole frame. With
-  /// reuse_trials this is 1 per inter frame regardless of trial count;
-  /// without it, every trial pays a full pass.
+  /// Motion-compensate + forward-DCT passes over the whole frame: 1 per
+  /// inter frame regardless of trial count; every intra trial is a full
+  /// pass.
   int full_transform_passes = 0;
 };
 
@@ -128,7 +107,6 @@ struct EncodedFrame {
 class Encoder {
  public:
   explicit Encoder(EncoderConfig config);
-  ~Encoder();  ///< drains any in-flight motion prefetch
 
   Encoder(const Encoder&) = delete;
   Encoder& operator=(const Encoder&) = delete;
@@ -141,34 +119,22 @@ class Encoder {
   /// Motion analysis of `src` against the current reference without
   /// encoding (used by DiVE preprocessing, which needs MVs before the QP
   /// map exists). Empty field when no reference frame is available yet.
-  /// Consumes a pending motion prefetch when its source matches `src`
-  /// byte-for-byte (the result is identical either way — a mismatched
-  /// hint only costs a fresh search).
   [[nodiscard]] MotionField analyze_motion(const video::Frame& src) const;
 
   /// Encodes at a fixed base QP (CRF-style). `offsets`, when given, adds a
   /// per-macroblock delta. `motion` reuses a precomputed field (must come
-  /// from analyze_motion on the same source). `next_src`, when given and
-  /// pipeline_overlap is on, starts the next frame's motion search on the
-  /// pool while this frame's bitstream is emitted serially (the luma is
-  /// copied, so the hint needs no lifetime beyond this call). Advances
-  /// codec state.
+  /// from analyze_motion on the same source). Advances codec state.
   EncodedFrame encode(const video::Frame& src, int base_qp,
                       const QpOffsetMap* offsets = nullptr,
-                      const MotionField* motion = nullptr,
-                      const video::Frame* next_src = nullptr);
+                      const MotionField* motion = nullptr);
 
   /// Encodes the frame to fit `target_bytes`: searches base QP over a few
   /// trials (single motion-estimation pass), commits the best-fitting
   /// trial. The result may exceed the target if even QP 51 cannot fit.
-  /// `next_src` behaves as in encode(); here the prefetch launches once
-  /// the winning trial is chosen, overlapping commit/PSNR and whatever
-  /// the caller does before the next frame.
   EncodedFrame encode_to_target(const video::Frame& src,
                                 std::size_t target_bytes,
                                 const QpOffsetMap* offsets = nullptr,
-                                const MotionField* motion = nullptr,
-                                const video::Frame* next_src = nullptr);
+                                const MotionField* motion = nullptr);
 
   /// Force the next encoded frame to be intra.
   void request_intra() { force_intra_ = true; }
@@ -194,16 +160,6 @@ class Encoder {
   /// Trial accounting of the latest encode_to_target call.
   [[nodiscard]] const RateControlStats& rate_control_stats() const {
     return rc_stats_;
-  }
-
-  /// Lifetime accounting of the motion-prefetch pipeline.
-  struct PrefetchStats {
-    long launched = 0;  ///< prefetches started from next_src hints
-    long hits = 0;      ///< consumed by a matching analyze/encode
-    long misses = 0;    ///< discarded (source mismatch or unused)
-  };
-  [[nodiscard]] const PrefetchStats& prefetch_stats() const {
-    return prefetch_stats_;
   }
 
   /// Lifetime accounting of SKIP coding across committed inter frames.
@@ -247,27 +203,14 @@ class Encoder {
 
   /// Output of the parallel half of an inter trial (quantize +
   /// reconstruct); the serial emission pass reads it without touching
-  /// the reconstruction, which is what makes the early reference
-  /// handoff of the pipelined schedule safe.
+  /// the reconstruction, so the reconstruction can become the reference
+  /// before emission.
   struct PreparedInter {
     std::vector<QuantBlock> levels;  ///< mb_count * 6, block-major
     std::vector<int> cbp;            ///< coded-block pattern per mb
     std::vector<int> qps;            ///< resolved QP per mb
     video::Frame recon;
     int base_qp = 0;
-  };
-
-  /// In-flight next-frame motion search (see DESIGN.md §11). The lane
-  /// owns the background thread; `src_y` is a copy of the hinted luma so
-  /// the hint has no lifetime requirements. Mutable because consuming a
-  /// prefetch from the logically-const analyze_motion() is a pure cache
-  /// hit. Declared after pool_/reference_ so it is destroyed (and its
-  /// task drained) first.
-  struct Prefetch {
-    util::AsyncLane lane;
-    bool pending = false;
-    video::Plane src_y;
-    MotionField field;
   };
 
   /// Frame-type decision for `src`: forced/GoP intra checks plus the
@@ -290,19 +233,6 @@ class Encoder {
   [[nodiscard]] Trial run_intra_trial(const video::Frame& src, int base_qp,
                                       const QpOffsetMap* offsets) const;
 
-  /// Motion for `src`: a matching pending prefetch (hit), else a fresh
-  /// pool search. Always drains the lane first.
-  [[nodiscard]] MotionField motion_with_prefetch(const video::Frame& src)
-      const;
-  /// Drains and drops any pending prefetch (intra frames, mismatched
-  /// flow). Must be called before mutating reference_ or using the pool
-  /// while a prefetch could still be running.
-  void discard_prefetch() const;
-  /// Starts the next frame's motion search against reference_ on the
-  /// async lane (which drives the worker pool). Requires the lane idle
-  /// and reference_ final for this frame.
-  void launch_prefetch(const video::Frame& next_src);
-
   /// Finalizes the frame: PSNR against reference_ (which must already
   /// hold this frame's reconstruction), codec-state bookkeeping, obs.
   /// `motion` is the CODED field (InterPlan::eff_motion for inter);
@@ -320,9 +250,6 @@ class Encoder {
     obs::Counter* trials_encoded = nullptr;
     obs::Counter* trials_reused = nullptr;
     obs::Counter* full_passes = nullptr;
-    obs::Counter* prefetch_launched = nullptr;
-    obs::Counter* prefetch_hits = nullptr;
-    obs::Counter* prefetch_misses = nullptr;
     obs::Counter* skip_skipped_mbs = nullptr;
     obs::Counter* skip_inter_mbs = nullptr;
     obs::Counter* scene_cuts = nullptr;
@@ -345,11 +272,6 @@ class Encoder {
   RateControlStats rc_stats_;
   SkipStats skip_stats_;
   long scene_changes_ = 0;
-  mutable PrefetchStats prefetch_stats_;
-  /// Lazily created on the first next_src hint; must stay the LAST
-  /// member so its destructor drains the background task before the
-  /// pool and reference it reads are torn down.
-  mutable std::unique_ptr<Prefetch> prefetch_;
 };
 
 }  // namespace dive::codec

@@ -112,11 +112,13 @@ std::uint32_t sad_16x16_neon(const std::uint8_t* cur, int cur_stride,
 
 #endif  // DIVE_SAD_NEON
 
+#if !defined(DIVE_DISABLE_SIMD)
 bool env_forces_scalar() {
   const char* e = std::getenv("DIVE_FORCE_SCALAR");
   if (e == nullptr || *e == '\0') return false;
   return !(e[0] == '0' && e[1] == '\0');
 }
+#endif
 
 struct Resolved {
   SadKernel kind = SadKernel::kScalar;

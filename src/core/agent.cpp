@@ -102,17 +102,11 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
     encoder_.request_intra();
     if (obs != nullptr) obs->metrics.counter("agent.intra_resyncs").add();
   }
-  // Consume the harness lookahead hint: the encoder prefetches the next
-  // frame's motion search once this frame's reconstruction is final.
-  const video::Frame* next_src = next_hint_;
-  next_hint_ = nullptr;
   codec::EncodedFrame encoded;
   {
     DIVE_OBS_SPAN(span, obs, "agent.encode", obs::kTrackAgent);
     encoded = encoder_.encode_to_target(frame, target_bytes, &offsets,
-                                        motion.empty() ? nullptr : &motion,
-                                        next_src);
-    span.arg("prefetch", next_src != nullptr ? 1 : 0);
+                                        motion.empty() ? nullptr : &motion);
     span.arg("base_qp", encoded.base_qp);
     span.arg("bytes", static_cast<long long>(encoded.bytes()));
     span.arg("trials",

@@ -72,13 +72,6 @@ class DiveAgent final : public AnalyticsScheme {
   FrameOutcome process_frame(const video::Frame& frame,
                              util::SimTime capture_time) override;
 
-  /// Stores the lookahead hint; the next process_frame forwards it to the
-  /// encoder, which prefetches that frame's motion search on its worker
-  /// pool while the current frame's bitstream is emitted (encoder.h).
-  void hint_next_frame(const video::Frame& next) override {
-    next_hint_ = &next;
-  }
-
   /// Most recent preprocessing/foreground state (exposed for the
   /// component-level benchmarks and examples).
   [[nodiscard]] const PreprocessResult& last_preprocess() const {
@@ -117,9 +110,6 @@ class DiveAgent final : public AnalyticsScheme {
   int last_delta_ = 0;
   bool need_resync_ = false;  ///< next upload must be intra (after a drop)
   std::uint64_t frame_seq_ = 0;  ///< frames processed; ledger frame index
-  /// Lookahead frame from hint_next_frame; consumed (and cleared) by the
-  /// next process_frame call. Non-owning — see hint_next_frame lifetime.
-  const video::Frame* next_hint_ = nullptr;
 };
 
 }  // namespace dive::core

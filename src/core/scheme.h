@@ -36,12 +36,9 @@ class AnalyticsScheme {
   virtual FrameOutcome process_frame(const video::Frame& frame,
                                      util::SimTime capture_time) = 0;
 
-  /// Optional lookahead: announces the frame the harness will feed to the
-  /// NEXT process_frame call, letting a scheme pipeline work across frame
-  /// boundaries (the DiVE agent starts frame N+1's motion search while
-  /// frame N's bitstream is still being emitted). `next` must stay valid
-  /// until the following process_frame call returns. Purely a scheduling
-  /// hint: every outcome is identical whether or not it is called.
+  /// Optional lookahead: announces the frame a driver will feed to the
+  /// NEXT process_frame call. No scheme acts on it; it remains a no-op
+  /// so existing callers keep compiling.
   virtual void hint_next_frame(const video::Frame& next) { (void)next; }
 };
 

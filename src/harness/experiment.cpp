@@ -130,13 +130,7 @@ RunResult run_experiment(SchemeKind kind, const std::vector<data::Clip>& clips,
     const double duration_s = clip.frame_count() / clip.fps;
     auto scheme = make_scheme(kind, options, network, clip, duration_s);
 
-    for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-      const auto& rec = clip.frames[i];
-      // Lookahead hint: lets pipelining schemes (DiVE) overlap the next
-      // frame's motion search with this frame's encode. Clip storage
-      // outlives the loop, satisfying the hint's lifetime contract.
-      if (i + 1 < clip.frames.size())
-        scheme->hint_next_frame(clip.frames[i + 1].image);
+    for (const auto& rec : clip.frames) {
       const util::SimTime capture = util::from_seconds(rec.timestamp);
       const core::FrameOutcome outcome =
           scheme->process_frame(rec.image, capture);

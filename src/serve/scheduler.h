@@ -66,7 +66,7 @@ struct ScheduledJob {
   /// Causal identity minted at encode time; carried by value so wait/
   /// inference spans and the FrameLedger can attribute this job's
   /// latency. Plain data, never read by scheduling decisions.
-  obs::FrameTraceContext trace;
+  obs::FrameTraceContext trace{};
 };
 
 /// One dispatched batch: `jobs` in queue order, serviced on `worker`

@@ -146,11 +146,13 @@ std::uint64_t sse_u8_neon(const std::uint8_t* a, const std::uint8_t* b,
 
 #endif  // DIVE_SSE_NEON
 
+#if !defined(DIVE_DISABLE_SIMD)
 bool env_forces_scalar() {
   const char* e = std::getenv("DIVE_FORCE_SCALAR");
   if (e == nullptr || *e == '\0') return false;
   return !(e[0] == '0' && e[1] == '\0');
 }
+#endif
 
 struct Resolved {
   SseKernel kind = SseKernel::kScalar;

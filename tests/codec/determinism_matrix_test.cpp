@@ -1,14 +1,12 @@
 // Determinism matrix for the encode pipeline: the encoded bytes (and
 // PSNR) of a seeded sequence must be identical across every cell of
-//   {1, 2, 8 threads} x {scalar, auto SAD kernel} x {overlap on, off}
+//   {1, 2, 8 threads} x {scalar, auto SAD kernel}
 //     x {hex, hme search} x {skip on, off},
-// where "overlap" is the frame-pipelined schedule that prefetches the
-// next frame's motion search while the current bitstream is emitted
-// (encoder.h), "hme" is the hierarchical pyramid search, and "skip" is
-// per-macroblock SKIP coding. Threads/kernel/overlap may only change
-// speed, never bytes; hme and skip DO change bytes, so each (hme, skip)
-// pair forms its own baseline group and every cell must match its
-// group's serial-scalar baseline exactly.
+// where "hme" is the hierarchical pyramid search and "skip" is
+// per-macroblock SKIP coding. Threads/kernel may only change speed,
+// never bytes; hme and skip DO change bytes, so each (hme, skip) pair
+// forms its own baseline group and every cell must match its group's
+// serial-scalar baseline exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -55,8 +53,6 @@ std::vector<video::Frame> matrix_sequence(int w, int h, int n) {
 struct Cell {
   int threads;
   SadKernelPolicy sad;
-  bool overlap;
-  bool hint;  ///< feed next_src lookahead hints
   bool hme = false;  ///< hierarchical pyramid search instead of hex
   /// Per-macroblock SKIP coding; defaults to the EncoderConfig default so
   /// partially-braced Cells compare against default-config encoders.
@@ -66,8 +62,6 @@ struct Cell {
 std::string cell_name(const Cell& c) {
   return "threads=" + std::to_string(c.threads) +
          (c.sad == SadKernelPolicy::kScalar ? " sad=scalar" : " sad=auto") +
-         (c.overlap ? " overlap=on" : " overlap=off") +
-         (c.hint ? " hint=on" : " hint=off") +
          (c.hme ? " search=hme" : " search=hex") +
          (c.skip ? " skip=on" : " skip=off");
 }
@@ -80,7 +74,6 @@ EncoderConfig cell_config(const Cell& c, int w, int h) {
   cfg.search.method =
       c.hme ? MotionSearchMethod::kHme : MotionSearchMethod::kHex;
   cfg.search.sad = c.sad;
-  cfg.pipeline_overlap = c.overlap;
   cfg.skip_blocks = c.skip;
   return cfg;
 }
@@ -90,11 +83,7 @@ std::vector<EncodedFrame> encode_fixed_qp(const Cell& c,
                                           int qp) {
   Encoder enc(cell_config(c, seq[0].width(), seq[0].height()));
   std::vector<EncodedFrame> out;
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    const video::Frame* next =
-        (c.hint && i + 1 < seq.size()) ? &seq[i + 1] : nullptr;
-    out.push_back(enc.encode(seq[i], qp, nullptr, nullptr, next));
-  }
+  for (const auto& f : seq) out.push_back(enc.encode(f, qp));
   return out;
 }
 
@@ -103,12 +92,7 @@ std::vector<EncodedFrame> encode_targeted(const Cell& c,
                                           std::size_t target) {
   Encoder enc(cell_config(c, seq[0].width(), seq[0].height()));
   std::vector<EncodedFrame> out;
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    const video::Frame* next =
-        (c.hint && i + 1 < seq.size()) ? &seq[i + 1] : nullptr;
-    out.push_back(enc.encode_to_target(seq[i], target, nullptr, nullptr,
-                                       next));
-  }
+  for (const auto& f : seq) out.push_back(enc.encode_to_target(f, target));
   return out;
 }
 
@@ -117,11 +101,7 @@ std::vector<Cell> matrix_cells(bool hme, bool skip) {
   for (int threads : {1, 2, 8})
     for (SadKernelPolicy sad :
          {SadKernelPolicy::kScalar, SadKernelPolicy::kAuto})
-      for (bool overlap : {false, true})
-        cells.push_back({threads, sad, overlap, /*hint=*/overlap, hme, skip});
-  // One extra cell: overlap enabled in config but no hints delivered
-  // (the common caller that never learns the next frame).
-  cells.push_back({8, SadKernelPolicy::kAuto, true, false, hme, skip});
+      cells.push_back({threads, sad, hme, skip});
   return cells;
 }
 
@@ -129,7 +109,7 @@ TEST(DeterminismMatrix, FixedQpBytesAndPsnrIdentical) {
   const auto seq = matrix_sequence(128, 64, 5);
   for (bool hme : {false, true}) {
     for (bool skip : {false, true}) {
-      const Cell base{1, SadKernelPolicy::kScalar, false, false, hme, skip};
+      const Cell base{1, SadKernelPolicy::kScalar, hme, skip};
       const auto baseline = encode_fixed_qp(base, seq, 26);
       for (const Cell& c : matrix_cells(hme, skip)) {
         const auto run = encode_fixed_qp(c, seq, 26);
@@ -152,7 +132,7 @@ TEST(DeterminismMatrix, RateControlledBytesAndPsnrIdentical) {
   const auto seq = matrix_sequence(128, 64, 5);
   for (bool hme : {false, true}) {
     for (bool skip : {false, true}) {
-      const Cell base{1, SadKernelPolicy::kScalar, false, false, hme, skip};
+      const Cell base{1, SadKernelPolicy::kScalar, hme, skip};
       const auto baseline = encode_targeted(base, seq, 900);
       for (const Cell& c : matrix_cells(hme, skip)) {
         const auto run = encode_targeted(c, seq, 900);
@@ -171,68 +151,11 @@ TEST(DeterminismMatrix, RateControlledBytesAndPsnrIdentical) {
   }
 }
 
-TEST(DeterminismMatrix, PrefetchHitsWhenHintsAreAccurate) {
-  const auto seq = matrix_sequence(128, 64, 5);
-  Encoder enc({.width = 128, .height = 64, .threads = 2});
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    const video::Frame* next = i + 1 < seq.size() ? &seq[i + 1] : nullptr;
-    (void)enc.encode(seq[i], 26, nullptr, nullptr, next);
-  }
-  const auto& stats = enc.prefetch_stats();
-  // Frames 0..n-2 carry hints; every hinted search is consumed by the
-  // next frame (frame 0 is intra and launches after its reconstruction).
-  EXPECT_EQ(stats.launched, static_cast<long>(seq.size()) - 1);
-  EXPECT_EQ(stats.hits, static_cast<long>(seq.size()) - 1);
-  EXPECT_EQ(stats.misses, 0);
-}
-
-TEST(DeterminismMatrix, MismatchedHintFallsBackIdentically) {
-  const auto seq = matrix_sequence(128, 64, 4);
-  const Cell base{2, SadKernelPolicy::kAuto, false, false};
-  const auto baseline = encode_fixed_qp(base, seq, 26);
-
-  // Deliberately hint the WRONG frame: the prefetch must be detected as
-  // stale (byte compare of the hinted luma) and discarded, with a fresh
-  // search producing exactly the baseline bytes.
-  Encoder enc({.width = 128, .height = 64, .threads = 2});
-  std::vector<EncodedFrame> out;
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    const video::Frame* wrong =
-        i + 1 < seq.size() ? &seq[(i + 2) % seq.size()] : nullptr;
-    out.push_back(enc.encode(seq[i], 26, nullptr, nullptr, wrong));
-  }
-  ASSERT_EQ(out.size(), baseline.size());
-  for (std::size_t i = 0; i < baseline.size(); ++i)
-    ASSERT_EQ(out[i].data, baseline[i].data) << "frame " << i;
-  EXPECT_GT(enc.prefetch_stats().misses, 0);
-  EXPECT_EQ(enc.prefetch_stats().hits, 0);
-}
-
-TEST(DeterminismMatrix, AnalyzeMotionConsumesPrefetch) {
-  // The agent flow: analyze_motion(next) between encodes must consume the
-  // prefetch (hit) and hand back the identical field.
-  const auto seq = matrix_sequence(128, 64, 3);
-  Encoder plain({.width = 128, .height = 64, .threads = 2});
-  Encoder hinted({.width = 128, .height = 64, .threads = 2});
-  (void)plain.encode(seq[0], 26);
-  (void)hinted.encode(seq[0], 26, nullptr, nullptr, &seq[1]);
-  const MotionField a = plain.analyze_motion(seq[1]);
-  const MotionField b = hinted.analyze_motion(seq[1]);
-  EXPECT_EQ(a.mvs, b.mvs);
-  EXPECT_EQ(a.sad, b.sad);
-  EXPECT_EQ(hinted.prefetch_stats().hits, 1);
-  // And the fields feed back into identical encodes.
-  const auto ea = plain.encode(seq[1], 26, nullptr, &a);
-  const auto eb = hinted.encode(seq[1], 26, nullptr, &b);
-  EXPECT_EQ(ea.data, eb.data);
-}
-
 TEST(DeterminismMatrix, TunnelSequenceBytesIdentical) {
   // Tunnel regression cell: a mid-sequence global luma step trips the
   // encoder's scene-change detection, so this sequence exercises the
-  // forced-intra path (mid-GoP reset, discarded prefetch) in every cell.
-  // Threads x kernel x overlap must still agree byte-for-byte, including
-  // ON the cut frame.
+  // forced-intra path (mid-GoP reset) in every cell. Threads x kernel
+  // must still agree byte-for-byte, including ON the cut frame.
   std::vector<video::Frame> seq;
   for (int i = 0; i < 6; ++i) {
     video::Frame f = matrix_frame(128, 64, 900 + static_cast<std::uint64_t>(i),
@@ -243,7 +166,7 @@ TEST(DeterminismMatrix, TunnelSequenceBytesIdentical) {
     seq.push_back(std::move(f));
   }
 
-  const Cell base{1, SadKernelPolicy::kScalar, false, false};
+  const Cell base{1, SadKernelPolicy::kScalar};
   const auto baseline = encode_fixed_qp(base, seq, 26);
   // Entry (frame 2) and exit (frame 4) both force I-frames.
   ASSERT_EQ(baseline[2].type, FrameType::kIntra);
@@ -262,17 +185,28 @@ TEST(DeterminismMatrix, TunnelSequenceBytesIdentical) {
   }
 }
 
-TEST(DeterminismMatrix, DecoderAgreesUnderOverlap) {
-  // The decoder's reconstruction must still track the encoder's reference
-  // when frames are encoded with hints (early reference handoff).
+TEST(DeterminismMatrix, DecoderAgreesInEveryGroup) {
+  // The reconstruction becomes the reference before the bitstream is
+  // emitted (fixed QP) or before PSNR/bookkeeping (rate-controlled); the
+  // decoder must track the encoder's reference exactly, for both paths
+  // in every (hme, skip) group.
   const auto seq = matrix_sequence(128, 64, 4);
-  Encoder enc({.width = 128, .height = 64, .threads = 2});
-  Decoder dec;
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    const video::Frame* next = i + 1 < seq.size() ? &seq[i + 1] : nullptr;
-    const auto encoded = enc.encode(seq[i], 24, nullptr, nullptr, next);
-    const auto decoded = dec.decode(encoded.data);
-    ASSERT_EQ(decoded.frame, enc.reference()) << "frame " << i;
+  for (bool hme : {false, true}) {
+    for (bool skip : {false, true}) {
+      const Cell c{2, SadKernelPolicy::kAuto, hme, skip};
+      for (bool targeted : {false, true}) {
+        Encoder enc(cell_config(c, 128, 64));
+        Decoder dec;
+        for (std::size_t i = 0; i < seq.size(); ++i) {
+          const auto encoded = targeted ? enc.encode_to_target(seq[i], 900)
+                                        : enc.encode(seq[i], 24);
+          const auto decoded = dec.decode(encoded.data);
+          ASSERT_EQ(decoded.frame, enc.reference())
+              << cell_name(c) << (targeted ? " targeted" : " fixed-qp")
+              << " frame=" << i;
+        }
+      }
+    }
   }
 }
 

@@ -67,12 +67,9 @@ std::uint64_t sequence_digest(int qp,
                .threads = 2});
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (int i = 0; i < 6; ++i) {
-    const video::Frame next = golden_frame(
-        128, 64, 1200 + static_cast<std::uint64_t>(i) + 1, (i + 1) * 4);
-    const video::Frame cur =
-        golden_frame(128, 64, 1200 + static_cast<std::uint64_t>(i), i * 4);
-    const EncodedFrame out =
-        enc.encode(cur, qp, nullptr, nullptr, i < 5 ? &next : nullptr);
+    const EncodedFrame out = enc.encode(
+        golden_frame(128, 64, 1200 + static_cast<std::uint64_t>(i), i * 4),
+        qp);
     h ^= out.data.size();
     h *= 0x100000001b3ULL;
     h = fnv1a(h, out.data);
@@ -95,10 +92,7 @@ std::uint64_t tunnel_sequence_digest(int qp) {
     return f;
   };
   for (int i = 0; i < 6; ++i) {
-    const video::Frame next = tunnel_frame(i + 1);
-    const EncodedFrame out =
-        enc.encode(tunnel_frame(i), qp, nullptr, nullptr,
-                   i < 5 ? &next : nullptr);
+    const EncodedFrame out = enc.encode(tunnel_frame(i), qp);
     h ^= out.data.size();
     h *= 0x100000001b3ULL;
     h = fnv1a(h, out.data);
@@ -113,8 +107,8 @@ struct GoldenPoint {
 };
 
 // Baked from the canonical scalar serial encode; every {kernel, thread
-// count, overlap} cell must reproduce these exactly (see the determinism
-// matrix test for the cross-cell proof, this test for drift vs. history).
+// count} cell must reproduce these exactly (see the determinism matrix
+// test for the cross-cell proof, this test for drift vs. history).
 //
 // Re-baked when per-macroblock SKIP coding landed: the skip bit changed
 // from "zero MV and no residual" to "MV equals its predictor and no

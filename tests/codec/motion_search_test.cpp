@@ -93,7 +93,7 @@ TEST_P(SearchMethodTest, FindsKnownTranslation) {
       {0, 0}, {2, 1}, {-4, 3}, {6, -5}};
   std::vector<std::pair<int, int>> shifts = small;
   if (wide_range) shifts.push_back({-12, -12});
-  for (const auto [dx, dy] : shifts) {
+  for (const auto& [dx, dy] : shifts) {
     const auto cur = shifted(ref, dx, dy);
     MotionSearchConfig cfg;
     cfg.method = GetParam();

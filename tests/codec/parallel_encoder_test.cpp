@@ -1,10 +1,11 @@
 // Determinism of the parallel encode pipeline: encoded bytes must be
-// bit-identical for every thread count and with trial reuse on or off,
-// and the trial-reuse rate control must actually skip redundant
-// transform passes.
+// bit-identical for every thread count, and the rate control's trial
+// reuse must skip redundant transform passes while coding every frame
+// exactly as a fresh fixed-QP encode at the chosen QP would.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "codec/decoder.h"
@@ -84,21 +85,17 @@ TEST(ParallelEncoder, MotionSearchParityWithPool) {
   EXPECT_EQ(parallel.sad, serial.sad);
 }
 
-TEST(ParallelEncoder, EncodeToTargetParityAcrossThreadsAndReuse) {
+TEST(ParallelEncoder, EncodeToTargetParityAcrossThreads) {
   const auto seq = moving_sequence(128, 64, 4);
   const std::size_t target = 900;
 
   std::vector<std::vector<EncodedFrame>> runs;
-  for (int threads : {1, 4})
-    for (bool reuse : {true, false}) {
-      Encoder enc({.width = 128,
-                   .height = 64,
-                   .threads = threads,
-                   .reuse_trials = reuse});
-      std::vector<EncodedFrame> out;
-      for (const auto& f : seq) out.push_back(enc.encode_to_target(f, target));
-      runs.push_back(std::move(out));
-    }
+  for (int threads : {1, 4}) {
+    Encoder enc({.width = 128, .height = 64, .threads = threads});
+    std::vector<EncodedFrame> out;
+    for (const auto& f : seq) out.push_back(enc.encode_to_target(f, target));
+    runs.push_back(std::move(out));
+  }
 
   const auto& baseline = runs.front();
   for (std::size_t r = 1; r < runs.size(); ++r) {
@@ -112,28 +109,40 @@ TEST(ParallelEncoder, EncodeToTargetParityAcrossThreadsAndReuse) {
 }
 
 TEST(ParallelEncoder, TrialReuseSkipsTransformPasses) {
-  const auto seq = moving_sequence(128, 64, 2);
-  const std::size_t target = 900;
-
-  Encoder with_reuse(
-      {.width = 128, .height = 64, .threads = 1, .reuse_trials = true});
-  Encoder without_reuse(
-      {.width = 128, .height = 64, .threads = 1, .reuse_trials = false});
-
-  // Frame 0 is intra; frame 1 exercises the inter-frame plan reuse.
-  for (const auto& f : seq) {
-    const auto a = with_reuse.encode_to_target(f, target);
-    const auto b = without_reuse.encode_to_target(f, target);
-    EXPECT_EQ(a.data, b.data);  // reuse is purely a caching layer
-  }
-
-  const RateControlStats reuse = with_reuse.rate_control_stats();
-  const RateControlStats full = without_reuse.rate_control_stats();
-  EXPECT_EQ(reuse.trials_attempted, full.trials_attempted);
-  ASSERT_GT(full.trials_attempted, 1);
-  EXPECT_EQ(full.full_transform_passes, full.trials_attempted);
-  EXPECT_EQ(reuse.full_transform_passes, 1);
-  EXPECT_LT(reuse.full_transform_passes, full.full_transform_passes);
+  // Reference check: a second encoder driven in lockstep with a plain
+  // fixed-QP encode at each frame's chosen QP must produce the same bytes,
+  // intra and inter, while the rate-controlled encoder pays one
+  // motion-compensation + DCT pass per inter frame however many QP
+  // trials it runs. GoP 6 puts an intra frame mid-sequence.
+  const auto seq = moving_sequence(128, 64, 10);
+  for (int threads : {1, 4})
+    for (bool skip : {true, false})
+      for (std::size_t target : {600u, 900u, 2500u}) {
+        const EncoderConfig cfg{.width = 128,
+                                .height = 64,
+                                .gop_length = 6,
+                                .threads = threads,
+                                .skip_blocks = skip};
+        Encoder targeted(cfg);
+        Encoder reference(cfg);
+        for (std::size_t i = 0; i < seq.size(); ++i) {
+          const auto got = targeted.encode_to_target(seq[i], target);
+          const auto want = reference.encode(seq[i], got.base_qp);
+          const RateControlStats& rc = targeted.rate_control_stats();
+          SCOPED_TRACE("threads=" + std::to_string(threads) +
+                       " skip=" + std::to_string(skip) +
+                       " target=" + std::to_string(target) +
+                       " frame=" + std::to_string(i));
+          ASSERT_EQ(got.type, want.type);
+          ASSERT_EQ(got.data, want.data);
+          EXPECT_DOUBLE_EQ(got.psnr_y, want.psnr_y);
+          EXPECT_GT(rc.trials_attempted, 1);
+          if (got.type == FrameType::kInter)
+            EXPECT_EQ(rc.full_transform_passes, 1);
+          else
+            EXPECT_EQ(rc.full_transform_passes, rc.trials_encoded);
+        }
+      }
 }
 
 TEST(ParallelEncoder, DecoderAgreesWithParallelEncoder) {

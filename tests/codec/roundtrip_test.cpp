@@ -52,7 +52,9 @@ TEST(Codec, InterSequenceStaysInSync) {
     const auto encoded = enc.encode(frame, 26);
     const auto decoded = dec.decode(encoded.data);
     ASSERT_EQ(decoded.frame, enc.reference()) << "frame " << i;
-    if (i > 0) EXPECT_EQ(decoded.type, FrameType::kInter);
+    if (i > 0) {
+      EXPECT_EQ(decoded.type, FrameType::kInter);
+    }
   }
 }
 

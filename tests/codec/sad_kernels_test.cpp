@@ -57,8 +57,9 @@ TEST(SadKernels, DispatchReportsAKernel) {
   EXPECT_NE(sad_16x16_fn(), nullptr);
   // The env override must pin the dispatch to the scalar kernel.
   const char* force = std::getenv("DIVE_FORCE_SCALAR");
-  if (force != nullptr && std::string_view(force) != "0")
+  if (force != nullptr && std::string_view(force) != "0") {
     EXPECT_EQ(k, SadKernel::kScalar);
+  }
 }
 
 TEST(SadKernels, MatchesScalarOnRandomBlocks) {
@@ -86,7 +87,7 @@ TEST(SadKernels, MatchesScalarOnOddStrides) {
   const Sad16Fn fast = sad_16x16_fn();
   // Odd, mutually different strides: catches kernels that assume
   // 16-aligned or equal strides for the two operands.
-  for (const auto [cw, rw] : {std::pair{67, 131}, {131, 67}, {17, 23}}) {
+  for (const auto& [cw, rw] : {std::pair{67, 131}, {131, 67}, {17, 23}}) {
     const int h = 40;
     const auto cur = random_buffer(cw, h, 44);
     const auto ref = random_buffer(rw, h, 55);
@@ -132,7 +133,7 @@ TEST(SadKernels, WrapperMatchesScalarForAllSearchCandidates) {
   const auto cur = random_plane(96, 64, 77);
   const auto ref = random_plane(96, 64, 88);
   const Sad16Fn fast = sad_16x16_fn();
-  for (const auto [cx, cy] : {std::pair{0, 0}, {80, 48}, {32, 16}}) {
+  for (const auto& [cx, cy] : {std::pair{0, 0}, {80, 48}, {32, 16}}) {
     for (int hdy = -9; hdy <= 9; ++hdy)
       for (int hdx = -9; hdx <= 9; ++hdx) {
         const MotionVector mv{hdx, hdy};

@@ -54,7 +54,7 @@ TEST(GatedDeterminism, InvariantAcrossThreadsWorkersAndBatching) {
   EXPECT_GT(reference.sidecar, 0);
 
   for (const int encoder_threads : {1, 3}) {
-    for (const auto [workers, max_batch] :
+    for (const auto& [workers, max_batch] :
          {std::pair{1, 4}, {2, 2}, {4, 4}}) {
       ServeScenarioOptions opt = gated_scenario();
       opt.encoder_threads = encoder_threads;

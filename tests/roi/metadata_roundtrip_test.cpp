@@ -118,7 +118,9 @@ TEST(RoiMetadataRoundtrip, TruncatedBytesRejected) {
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     const auto parsed =
         RoiMetadata::parse(std::span(bytes.data(), cut));
-    if (parsed.has_value()) EXPECT_NE(*parsed, m) << "cut=" << cut;
+    if (parsed.has_value()) {
+      EXPECT_NE(*parsed, m) << "cut=" << cut;
+    }
   }
 }
 
@@ -128,9 +130,8 @@ TEST(RoiMetadataRoundtrip, TruncatedBytesRejected) {
 
 std::vector<std::uint8_t> header_plus(std::vector<std::uint8_t> tail) {
   // Magic + version, then caller-provided bytes.
-  std::vector<std::uint8_t> bytes = {0x52, 0x01};
-  bytes.insert(bytes.end(), tail.begin(), tail.end());
-  return bytes;
+  tail.insert(tail.begin(), {0x52, 0x01});
+  return tail;
 }
 
 TEST(RoiMetadataHardening, OverlongVarintRejected) {

@@ -386,7 +386,7 @@ TEST(ServeMetrics, ZeroCompletedSessionsRenderSafely) {
 
 TEST(ServeMetrics, MetricsForUnknownSessionThrow) {
   const ServeMetrics metrics;
-  EXPECT_THROW(metrics.session(0), std::out_of_range);
+  EXPECT_THROW((void)metrics.session(0), std::out_of_range);
 }
 
 SessionCounters sample_counters(long completed, double e2e_base) {

@@ -71,7 +71,7 @@ TEST(SampleSet, QuantilesInterpolate) {
 
 TEST(SampleSet, QuantileOfEmptyThrows) {
   SampleSet s;
-  EXPECT_THROW(s.quantile(0.5), std::logic_error);
+  EXPECT_THROW((void)s.quantile(0.5), std::logic_error);
 }
 
 TEST(SampleSet, CdfMonotone) {

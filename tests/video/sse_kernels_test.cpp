@@ -44,8 +44,9 @@ TEST(SseKernels, DispatchReportsAKernel) {
   EXPECT_NE(to_string(k), nullptr);
   EXPECT_NE(sse_u8_fn(), nullptr);
   const char* force = std::getenv("DIVE_FORCE_SCALAR");
-  if (force != nullptr && std::string_view(force) != "0")
+  if (force != nullptr && std::string_view(force) != "0") {
     EXPECT_EQ(k, SseKernel::kScalar);
+  }
 }
 
 TEST(SseKernels, MatchesScalarOnRandomBuffers) {

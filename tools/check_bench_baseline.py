@@ -126,6 +126,10 @@ def main():
     else:
         if not (args.baseline and args.fresh):
             ap.error("need BASELINE FRESH or --baseline-dir/--fresh-dir")
+        for path in (args.baseline, args.fresh):
+            if os.path.isdir(path):
+                ap.error(f"{path} is a directory; compare directories with "
+                         "--baseline-dir/--fresh-dir")
         pairs = [(args.baseline, args.fresh)]
 
     failures = []

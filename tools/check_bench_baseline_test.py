@@ -195,4 +195,18 @@ expect(
     needle="no BENCH_",
 )
 
+# --- pair mode given directories is a usage error, not a traceback ---
+bdir, fdir = fresh_dirs()
+write(os.path.join(bdir, "BENCH_x.json"), record("x", [("m", 1.0, "ms")]))
+write(os.path.join(fdir, "BENCH_x.json"), record("x", [("m", 1.0, "ms")]))
+proc = run_checker(bdir, fdir)
+expect(
+    "pair mode given directories points at directory mode",
+    2,
+    proc,
+    needle="--baseline-dir/--fresh-dir",
+)
+if "Traceback" in proc.stderr:
+    sys.exit(f"FAIL pair mode given directories: traceback\n{proc.stderr}")
+
 print(f"check_bench_baseline test: {PASSED} cases passed")
