@@ -29,6 +29,7 @@
 #include "codec/encoder.h"
 #include "codec/motion_search.h"
 #include "codec/quant.h"
+#include "codec/ref_planes.h"
 #include "codec/sad_kernels.h"
 #include "video/sse_kernels.h"
 #include "obs/obs.h"
@@ -85,15 +86,19 @@ void BM_Quantize(benchmark::State& state) {
 }
 BENCHMARK(BM_Quantize)->Arg(10)->Arg(30)->Arg(50);
 
+// One search candidate through the padded reference planes: Arg(0) a
+// full-pel vector, Arg(1) a half-pel one. Both are one strided block
+// handed to the dispatched kernel, so they should cost the same.
 void BM_Sad16x16(benchmark::State& state) {
   const auto frame = textured_frame(256, 256, 4);
+  const codec::RefPlanes planes(frame.y, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        codec::sad_16x16(frame.y, frame.y, 64, 64,
+        codec::sad_16x16(frame.y, planes, 64, 64,
                          {static_cast<int>(state.range(0)), 2}));
   }
 }
-BENCHMARK(BM_Sad16x16)->Arg(0)->Arg(1);  // full-pel vs half-pel path
+BENCHMARK(BM_Sad16x16)->Arg(0)->Arg(1);
 
 // Raw kernel comparison: Arg(0) canonical scalar, Arg(1) the dispatched
 // kernel (SSE2/AVX2/NEON when available). Sweeps block positions so the
@@ -269,15 +274,32 @@ void BM_EncodeToTarget(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeToTarget);
 
+// Arg(0) decodes an intra frame; Arg(1) an inter frame of a panning
+// scene, which pays decoder motion compensation (and the per-call
+// reference planes) on top of the residual path.
 void BM_Decode(benchmark::State& state) {
+  const bool decode_inter = state.range(0) != 0;
   codec::Encoder enc({.width = 256, .height = 128});
-  const auto intra = enc.encode(textured_frame(256, 128, 11), 26);
+  const auto intra = enc.encode(decode_inter ? driving_frame(256, 128, 0)
+                                             : textured_frame(256, 128, 11),
+                                26);
+  const auto inter = enc.encode(driving_frame(256, 128, 5), 26);
   for (auto _ : state) {
     codec::Decoder dec;
-    benchmark::DoNotOptimize(dec.decode(intra.data));
+    if (decode_inter) {
+      // The inter frame needs the intra one as its reference; time only
+      // the inter decode.
+      state.PauseTiming();
+      (void)dec.decode(intra.data);
+      state.ResumeTiming();
+      benchmark::DoNotOptimize(dec.decode(inter.data));
+    } else {
+      benchmark::DoNotOptimize(dec.decode(intra.data));
+    }
   }
+  state.SetLabel(decode_inter ? "inter" : "intra");
 }
-BENCHMARK(BM_Decode);
+BENCHMARK(BM_Decode)->Arg(0)->Arg(1);
 
 // --- Machine-readable records (bench_record.h) ----------------------
 

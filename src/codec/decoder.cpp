@@ -1,12 +1,13 @@
 #include "codec/decoder.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "codec/bitstream.h"
 #include "codec/block_io.h"
-#include "codec/motion_search.h"
 #include "codec/dct.h"
 #include "codec/quant.h"
+#include "codec/ref_planes.h"
 
 namespace dive::codec {
 
@@ -51,14 +52,15 @@ void add_residual_and_store(video::Plane& out, int bx, int by,
           clamp_pixel(pred[y * kBlockSize + x] + res[static_cast<std::size_t>(y * kBlockSize + x)]);
 }
 
-void mc_predict(const video::Plane& ref, int bx, int by, int hdx, int hdy,
+void mc_predict(const RefPlanes& ref, int bx, int by, MotionVector mv,
                 double* pred /*64*/) {
-  // (hdx, hdy) are half-pel units of this plane; mirror the encoder's
-  // bilinear interpolation exactly.
+  // `mv` is in half-pel units of this plane; the same planes the encoder
+  // predicted from, so prediction matches it exactly.
+  const std::uint8_t* r = ref.block(bx, by, mv);
+  const int stride = ref.stride();
   for (int y = 0; y < kBlockSize; ++y)
     for (int x = 0; x < kBlockSize; ++x)
-      pred[y * kBlockSize + x] = static_cast<double>(
-          half_pel_sample(ref, 2 * (bx + x) - hdx, 2 * (by + y) - hdy));
+      pred[y * kBlockSize + x] = static_cast<double>(r[y * stride + x]);
 }
 
 }  // namespace
@@ -90,6 +92,16 @@ DecodedFrame Decoder::decode(std::span<const std::uint8_t> data) {
   out.frame = video::Frame(width, height);
   out.motion = MotionField(mb_cols, mb_rows);
 
+  // Reference planes are scratch of this call, never decoder state. Any
+  // pad of at least one macroblock reads every vector exactly (the
+  // origin clamp covers the rest), so the decoder takes the smallest.
+  std::optional<RefPlanes> ref_y, ref_u, ref_v;
+  if (type == FrameType::kInter) {
+    ref_y.emplace(reference_.y, kMb);
+    ref_u.emplace(reference_.u, kMb);
+    ref_v.emplace(reference_.v, kMb);
+  }
+
   double pred[64];
   QuantBlock levels;
   int prev_qp = base_qp;
@@ -120,8 +132,9 @@ DecodedFrame Decoder::decode(std::span<const std::uint8_t> data) {
           const std::int64_t dy64 =
               static_cast<std::int64_t>(pred_mv.dy) + br.get_se();
           // Half-pel units: no real vector points further than one full
-          // frame away. Keeps half_pel_sample coordinate math far from
-          // int overflow.
+          // frame away. Keeps the block-origin math far from int
+          // overflow; RefPlanes clamps the origin of anything past its
+          // pad.
           if (dx64 < -2 * width || dx64 > 2 * width || dy64 < -2 * height ||
               dy64 > 2 * height)
             throw BitstreamError("Decoder: implausible motion vector");
@@ -136,25 +149,25 @@ DecodedFrame Decoder::decode(std::span<const std::uint8_t> data) {
           cbp = static_cast<int>(br.get_bits(6));
         }
         out.motion.at(col, row) = mv;
-        const int cdx = mv.dx / 2;
-        const int cdy = mv.dy / 2;
+        const MotionVector cmv{mv.dx / 2, mv.dy / 2};
 
         struct B {
-          const video::Plane* ref;
+          const RefPlanes* ref;
           video::Plane* dst;
-          int bx, by, dx, dy;
+          int bx, by;
+          MotionVector mv;
         };
         const B blocks[6] = {
-            {&reference_.y, &out.frame.y, px, py, mv.dx, mv.dy},
-            {&reference_.y, &out.frame.y, px + 8, py, mv.dx, mv.dy},
-            {&reference_.y, &out.frame.y, px, py + 8, mv.dx, mv.dy},
-            {&reference_.y, &out.frame.y, px + 8, py + 8, mv.dx, mv.dy},
-            {&reference_.u, &out.frame.u, cx, cy, cdx, cdy},
-            {&reference_.v, &out.frame.v, cx, cy, cdx, cdy},
+            {&*ref_y, &out.frame.y, px, py, mv},
+            {&*ref_y, &out.frame.y, px + 8, py, mv},
+            {&*ref_y, &out.frame.y, px, py + 8, mv},
+            {&*ref_y, &out.frame.y, px + 8, py + 8, mv},
+            {&*ref_u, &out.frame.u, cx, cy, cmv},
+            {&*ref_v, &out.frame.v, cx, cy, cmv},
         };
         for (int b = 0; b < 6; ++b) {
-          mc_predict(*blocks[b].ref, blocks[b].bx, blocks[b].by, blocks[b].dx,
-                     blocks[b].dy, pred);
+          mc_predict(*blocks[b].ref, blocks[b].bx, blocks[b].by, blocks[b].mv,
+                     pred);
           const bool coded = (cbp & (1 << b)) != 0;
           if (coded) read_block(br, levels);
           add_residual_and_store(*blocks[b].dst, blocks[b].bx, blocks[b].by,

@@ -13,6 +13,7 @@
 #include "codec/block_io.h"
 #include "codec/dct.h"
 #include "codec/quant.h"
+#include "codec/ref_planes.h"
 #include "obs/obs.h"
 #include "video/image_ops.h"
 
@@ -48,16 +49,16 @@ double dc_predict(const video::Plane& recon, int bx, int by) {
   return n > 0 ? acc / n : 128.0;
 }
 
-/// Motion-compensated 8x8 prediction block from a reference plane;
-/// (hdx, hdy) is the displacement in half-pel units of that plane.
-Block8x8 mc_predict(const video::Plane& ref, int bx, int by, int hdx,
-                    int hdy) {
+/// Motion-compensated 8x8 prediction block read through reference
+/// planes; `mv` is the displacement in half-pel units of that plane.
+Block8x8 mc_predict(const RefPlanes& ref, int bx, int by, MotionVector mv) {
+  const std::uint8_t* r = ref.block(bx, by, mv);
+  const int stride = ref.stride();
   Block8x8 pred;
   for (int y = 0; y < kBlockSize; ++y)
     for (int x = 0; x < kBlockSize; ++x)
       pred[static_cast<std::size_t>(y * kBlockSize + x)] =
-          static_cast<double>(half_pel_sample(ref, 2 * (bx + x) - hdx,
-                                              2 * (by + y) - hdy));
+          static_cast<double>(r[y * stride + x]);
   return pred;
 }
 
@@ -187,11 +188,16 @@ void Encoder::set_obs(obs::ObsContext* obs) {
 
 MotionField Encoder::analyze_motion(const video::Frame& src) const {
   if (!has_reference_) return {};
+  return search_motion(src, RefPlanes(reference_.y, searcher_.reference_pad()));
+}
+
+MotionField Encoder::search_motion(const video::Frame& src,
+                                   const RefPlanes& ref_y) const {
   DIVE_OBS_SPAN(span, obs_, "codec.motion_search", obs::kTrackCodec);
   span.flow(frame_ctx_);
   if (obs_handles_.motion_searches != nullptr)
     obs_handles_.motion_searches->add();
-  return searcher_.search_frame(src.y, reference_.y, pool_.get());
+  return searcher_.search_frame(src.y, ref_y, pool_.get());
 }
 
 namespace {
@@ -222,21 +228,34 @@ FrameType Encoder::next_frame_type(const video::Frame& src) {
   return FrameType::kInter;
 }
 
-Encoder::InterPlan Encoder::build_inter_plan(const video::Frame& src,
-                                             const MotionField& motion) const {
+Encoder::InterPlan Encoder::build_inter_plan(
+    const video::Frame& src, const MotionField* motion) const {
   const int mb_cols = config_.width / kMb;
   const int mb_rows = config_.height / kMb;
   const std::size_t mb_count =
       static_cast<std::size_t>(mb_cols) * static_cast<std::size_t>(mb_rows);
 
+  // Reference planes are scratch of this call (DESIGN §11): the luma set
+  // serves the motion search (when no field was given), the SKIP check
+  // and luma MC; all three die with the plan's construction.
+  const int pad = searcher_.reference_pad();
+  const RefPlanes ref_y(reference_.y, pad);
+  MotionField searched;
+  if (motion == nullptr) {
+    searched = search_motion(src, ref_y);
+    motion = &searched;
+  }
+
   DIVE_OBS_SPAN(span, obs_, "codec.inter_plan", obs::kTrackCodec);
   span.flow(frame_ctx_);
+  const RefPlanes ref_u(reference_.u, pad);
+  const RefPlanes ref_v(reference_.v, pad);
 
   InterPlan plan;
   plan.preds.resize(mb_count * kBlocksPerMb);
   plan.coeffs.resize(mb_count * kBlocksPerMb);
   plan.skip.assign(mb_count, 0);
-  plan.eff_motion = motion;
+  plan.eff_motion = *motion;
 
   // SKIP decisions and predictions/residual DCTs, row-parallel. The SKIP
   // chain is serial WITHIN a row (the predicted MV is the previous
@@ -254,11 +273,11 @@ Encoder::InterPlan Encoder::build_inter_plan(const video::Frame& src,
     for (int col = 0; col < mb_cols; ++col) {
       const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
       const std::size_t base = mb * kBlocksPerMb;
-      MotionVector mv = motion.at(col, row);
+      MotionVector mv = motion->at(col, row);
       bool skip = false;
       if (skip_on) {
-        const std::uint32_t pred_sad = sad_16x16(
-            src.y, reference_.y, col * kMb, row * kMb, pred, sad_fn);
+        const std::uint32_t pred_sad =
+            sad_16x16(src.y, ref_y, col * kMb, row * kMb, pred, sad_fn);
         skip = pred_sad < skip_budget;
       }
       if (skip) {
@@ -268,18 +287,15 @@ Encoder::InterPlan Encoder::build_inter_plan(const video::Frame& src,
       plan.eff_motion.at(col, row) = mv;
       pred = mv;
       // Chroma planes are half resolution: halve the half-pel units.
-      const int cdx = mv.dx / 2;
-      const int cdy = mv.dy / 2;
+      const MotionVector cmv{mv.dx / 2, mv.dy / 2};
       const auto blocks = mb_blocks(col, row);
       for (int b = 0; b < kBlocksPerMb; ++b) {
         const auto& blk = blocks[static_cast<std::size_t>(b)];
         const video::Plane& sp =
             blk.chroma ? (b == 4 ? src.u : src.v) : src.y;
-        const video::Plane& rp =
-            blk.chroma ? (b == 4 ? reference_.u : reference_.v) : reference_.y;
+        const RefPlanes& rp = blk.chroma ? (b == 4 ? ref_u : ref_v) : ref_y;
         plan.preds[base + static_cast<std::size_t>(b)] =
-            mc_predict(rp, blk.bx, blk.by, blk.chroma ? cdx : mv.dx,
-                       blk.chroma ? cdy : mv.dy);
+            mc_predict(rp, blk.bx, blk.by, blk.chroma ? cmv : mv);
         if (!skip) {
           residual_dct(sp, blk.bx, blk.by,
                        plan.preds[base + static_cast<std::size_t>(b)],
@@ -306,11 +322,11 @@ Encoder::PreparedInter Encoder::prepare_inter_trial(
 
   PreparedInter prep;
   prep.base_qp = base_qp;
-  prep.recon = video::Frame(config_.width, config_.height);
 
   // Parallel by row: quantize the precomputed residual coefficients at
-  // this trial's QP and reconstruct. Each row writes a disjoint slice of
-  // the scratch arrays and the reconstruction.
+  // this trial's QP. Each row writes a disjoint slice of the scratch
+  // arrays. Nothing is reconstructed here: only the committed trial is,
+  // by reconstruct_inter.
   prep.levels.resize(mb_count * kBlocksPerMb);
   prep.cbp.assign(mb_count, 0);
   prep.qps.assign(mb_count, base_qp);
@@ -318,26 +334,15 @@ Encoder::PreparedInter Encoder::prepare_inter_trial(
   const auto quant_row = [&](int row) {
     for (int col = 0; col < mb_cols; ++col) {
       const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
-      const std::size_t base = mb * kBlocksPerMb;
       const int qp = mb_qp(base_qp, offsets, col, row);
       prep.qps[mb] = qp;
-      const bool skip = plan.skip[mb] != 0;
+      if (plan.skip[mb] != 0) continue;
+      const std::size_t base = mb * kBlocksPerMb;
       int mask = 0;
-      const auto blocks = mb_blocks(col, row);
       for (int b = 0; b < kBlocksPerMb; ++b) {
         const std::size_t i = base + static_cast<std::size_t>(b);
-        if (!skip) {
-          quantize(plan.coeffs[i], qp, prep.levels[i]);
-          if (!all_zero(prep.levels[i])) mask |= 1 << b;
-        }
-        const auto& blk = blocks[static_cast<std::size_t>(b)];
-        video::Plane& rp =
-            blk.chroma ? (b == 4 ? prep.recon.u : prep.recon.v)
-                       : prep.recon.y;
-        // SKIP macroblocks reconstruct as the bare prediction — exactly
-        // the reference copy the decoder performs on a skip bit.
-        reconstruct_block(rp, blk.bx, blk.by, plan.preds[i],
-                          (mask & (1 << b)) ? &prep.levels[i] : nullptr, qp);
+        quantize(plan.coeffs[i], qp, prep.levels[i]);
+        if (!all_zero(prep.levels[i])) mask |= 1 << b;
       }
       prep.cbp[mb] = mask;
     }
@@ -347,15 +352,43 @@ Encoder::PreparedInter Encoder::prepare_inter_trial(
   return prep;
 }
 
+video::Frame Encoder::reconstruct_inter(const InterPlan& plan,
+                                        const PreparedInter& prep) const {
+  const int mb_cols = config_.width / kMb;
+  const int mb_rows = config_.height / kMb;
+  video::Frame recon(config_.width, config_.height);
+  // Parallel by row, disjoint writes: prediction plus the dequantized,
+  // inverse-transformed levels of every coded block. SKIP macroblocks
+  // and uncoded blocks reconstruct as the bare prediction — exactly the
+  // reference copy the decoder performs.
+  const auto recon_row = [&](int row) {
+    for (int col = 0; col < mb_cols; ++col) {
+      const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
+      const std::size_t base = mb * kBlocksPerMb;
+      const auto blocks = mb_blocks(col, row);
+      for (int b = 0; b < kBlocksPerMb; ++b) {
+        const std::size_t i = base + static_cast<std::size_t>(b);
+        const auto& blk = blocks[static_cast<std::size_t>(b)];
+        video::Plane& rp =
+            blk.chroma ? (b == 4 ? recon.u : recon.v) : recon.y;
+        reconstruct_block(rp, blk.bx, blk.by, plan.preds[i],
+                          (prep.cbp[mb] & (1 << b)) ? &prep.levels[i] : nullptr,
+                          prep.qps[mb]);
+      }
+    }
+  };
+  if (pool_) pool_->parallel_for(0, mb_rows, recon_row);
+  else for (int row = 0; row < mb_rows; ++row) recon_row(row);
+  return recon;
+}
+
 std::vector<std::uint8_t> Encoder::emit_inter_trial(
     const PreparedInter& prep, const InterPlan& plan) const {
   // Serial raster-order bitstream emission. This is the only
   // order-dependent state (prev_qp chain, MV prediction), so running it
   // serially keeps the bytes bit-identical for every thread count. It
-  // reads only prep.levels/cbp/qps and the plan's coded field — never
-  // the reconstruction — which is what lets the pipelined schedule hand
-  // prep.recon to reference_ (and start the next frame's motion search)
-  // before emission finishes.
+  // reads only prep.levels/cbp/qps and the plan's coded field, so a
+  // rate-control trial can be sized without ever being reconstructed.
   //
   // SKIP bit semantics: "this macroblock's MV equals the predicted MV
   // and it carries no residual" — the decoder copies the reference at
@@ -415,14 +448,11 @@ std::vector<std::uint8_t> Encoder::skip_map(const PreparedInter& prep,
 
 Encoder::Trial Encoder::run_inter_trial(const InterPlan& plan, int base_qp,
                                         const QpOffsetMap* offsets) const {
-  PreparedInter prep = prepare_inter_trial(plan, base_qp, offsets);
   Trial trial;
-  trial.base_qp = prep.base_qp;
-  trial.data = emit_inter_trial(prep, plan);
-  trial.skip = skip_map(prep, plan);
-  trial.skipped_mbs = static_cast<int>(
-      std::count(trial.skip.begin(), trial.skip.end(), std::uint8_t{1}));
-  trial.recon = std::move(prep.recon);
+  trial.prep = prepare_inter_trial(plan, base_qp, offsets);
+  trial.base_qp = trial.prep.base_qp;
+  trial.data = emit_inter_trial(trial.prep, plan);
+  trial.skip = skip_map(trial.prep, plan);
   return trial;
 }
 
@@ -524,18 +554,11 @@ EncodedFrame Encoder::encode(const video::Frame& src, int base_qp,
   span.flow(frame_ctx_);
   span.arg("base_qp", base_qp);
   const FrameType type = next_frame_type(src);
-  MotionField local;
-  if (type == FrameType::kInter && motion == nullptr) {
-    local = analyze_motion(src);
-    motion = &local;
-  }
 
   if (type == FrameType::kInter) {
-    const InterPlan plan = build_inter_plan(src, *motion);
-    PreparedInter prep = prepare_inter_trial(plan, base_qp, offsets);
-    // The reconstruction is final once the parallel pass is done, and
-    // emission never reads it, so it becomes the reference right away.
-    reference_ = std::move(prep.recon);
+    const InterPlan plan = build_inter_plan(src, motion);
+    const PreparedInter prep = prepare_inter_trial(plan, base_qp, offsets);
+    reference_ = reconstruct_inter(plan, prep);
     has_reference_ = true;
     std::vector<std::uint8_t> data = emit_inter_trial(prep, plan);
     return finish_frame(std::move(data), prep.base_qp, type,
@@ -559,18 +582,13 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
   span.flow(frame_ctx_);
   span.arg("target_bytes", static_cast<long long>(target_bytes));
   const FrameType type = next_frame_type(src);
-  MotionField local;
-  if (type == FrameType::kInter && motion == nullptr) {
-    local = analyze_motion(src);
-    motion = &local;
-  }
 
   rc_stats_ = {};
 
   // QP-independent work, paid once per inter frame.
   std::optional<InterPlan> plan;
   if (type == FrameType::kInter) {
-    plan = build_inter_plan(src, *motion);
+    plan = build_inter_plan(src, motion);
     rc_stats_.full_transform_passes = 1;
   }
 
@@ -601,7 +619,7 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
   int hi = kMaxQp;
   int qp = std::clamp(last_qp_, kMinQp, kMaxQp);
   int best_qp = -1;  // smallest fitting QP seen so far
-  int over_qp = -1;  // most recent non-fitting QP
+  int over_qp = -1;  // largest non-fitting QP
 
   for (int iter = 0; iter < std::max(1, config_.rate_iterations); ++iter) {
     const Trial& trial = eval(qp);
@@ -610,8 +628,15 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
       if (best_qp < 0 || trial.base_qp < best_qp) best_qp = trial.base_qp;
     } else {
       lo = trial.base_qp + 1;
-      over_qp = trial.base_qp;
+      over_qp = std::max(over_qp, trial.base_qp);
     }
+    // Only the trial that would be committed if the search stopped now
+    // can still be chosen (best_qp only falls, over_qp only rises), so
+    // every other inter trial's levels are dropped: at most one set
+    // outlives its trial.
+    const int keep = best_qp >= 0 ? best_qp : over_qp;
+    for (auto& [q, t] : memo)
+      if (q != keep) t.prep = {};
     if (lo > hi) break;
     qp = (lo + hi) / 2;
   }
@@ -626,7 +651,8 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
     obs_handles_.full_passes->add(rc_stats_.full_transform_passes);
   }
   Trial chosen = std::move(memo.at(chosen_qp));
-  reference_ = std::move(chosen.recon);
+  reference_ = plan ? reconstruct_inter(*plan, chosen.prep)
+                    : std::move(chosen.recon);
   has_reference_ = true;
   return finish_frame(std::move(chosen.data), chosen.base_qp, type,
                       plan ? &plan->eff_motion : nullptr, src,

@@ -14,9 +14,13 @@
 // Rate control: encode_to_target binary-searches the base QP. The
 // QP-independent work of an inter frame — motion field, motion-
 // compensated predictions, and the DCT coefficients of the prediction
-// residual — is computed once per frame; each QP trial only re-quantizes,
-// entropy-codes, and reconstructs. Trials are additionally memoized by QP
-// for the duration of the frame, so no QP is ever encoded twice.
+// residual — is computed once per frame; each QP trial only re-quantizes
+// and entropy-codes, and only the committed trial is reconstructed.
+// Trials are additionally memoized by QP for the duration of the frame,
+// so no QP is ever encoded twice.
+//
+// References are read only through RefPlanes (codec/ref_planes.h), built
+// from reference_ once per encode call and dropped with it.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +30,7 @@
 #include "codec/dct.h"
 #include "codec/motion_search.h"
 #include "codec/quant.h"
+#include "codec/ref_planes.h"
 #include "codec/types.h"
 #include "obs/frame_context.h"
 #include "util/thread_pool.h"
@@ -179,13 +184,6 @@ class Encoder {
   }
 
  private:
-  struct Trial {
-    std::vector<std::uint8_t> data;
-    video::Frame recon;
-    int base_qp = 0;
-    int skipped_mbs = 0;
-    std::vector<std::uint8_t> skip;  ///< per-mb emitted SKIP flags
-  };
 
   /// QP-independent per-frame state of an inter frame: the SKIP decision
   /// and effective (coded) motion field, and for every 8x8 block (6 per
@@ -201,27 +199,47 @@ class Encoder {
     MotionField eff_motion;
   };
 
-  /// Output of the parallel half of an inter trial (quantize +
-  /// reconstruct); the serial emission pass reads it without touching
-  /// the reconstruction, so the reconstruction can become the reference
-  /// before emission.
+  /// Output of the parallel half of an inter trial: quantized levels,
+  /// coded-block pattern and QP per macroblock. Enough to emit the trial
+  /// (and so size it for rate control) and, for the committed trial
+  /// only, to reconstruct it (reconstruct_inter).
   struct PreparedInter {
     std::vector<QuantBlock> levels;  ///< mb_count * 6, block-major
     std::vector<int> cbp;            ///< coded-block pattern per mb
     std::vector<int> qps;            ///< resolved QP per mb
-    video::Frame recon;
     int base_qp = 0;
+  };
+
+  /// One rate-control trial. An intra trial carries its reconstruction
+  /// (DC prediction needs it while coding); an inter trial carries the
+  /// levels the reconstruction is built from if it is committed.
+  struct Trial {
+    std::vector<std::uint8_t> data;
+    int base_qp = 0;
+    std::vector<std::uint8_t> skip;  ///< per-mb emitted SKIP flags
+    video::Frame recon;              ///< intra only
+    PreparedInter prep;              ///< inter only
   };
 
   /// Frame-type decision for `src`: forced/GoP intra checks plus the
   /// average-luma scene-change detector (which needs the source pixels).
   /// Non-const: detected cuts are counted.
   [[nodiscard]] FrameType next_frame_type(const video::Frame& src);
+  /// Motion search against `ref_y`, with the codec.motion_search span.
+  [[nodiscard]] MotionField search_motion(const video::Frame& src,
+                                          const RefPlanes& ref_y) const;
+  /// Builds this call's reference planes, searches motion unless
+  /// `motion` is given, and computes the QP-independent plan.
   [[nodiscard]] InterPlan build_inter_plan(const video::Frame& src,
-                                           const MotionField& motion) const;
+                                           const MotionField* motion) const;
   [[nodiscard]] PreparedInter prepare_inter_trial(const InterPlan& plan,
                                                   int base_qp,
                                                   const QpOffsetMap* offsets)
+      const;
+  /// Reconstruction of an inter trial (row-parallel), run once per frame
+  /// on the committed trial.
+  [[nodiscard]] video::Frame reconstruct_inter(const InterPlan& plan,
+                                               const PreparedInter& prep)
       const;
   [[nodiscard]] std::vector<std::uint8_t> emit_inter_trial(
       const PreparedInter& prep, const InterPlan& plan) const;

@@ -14,35 +14,6 @@ namespace {
 
 constexpr int kMb = kMacroblockSize;
 
-/// True when the 16x16 reference read at (x0, y0) stays inside the plane
-/// (with one extra sample right/below for half-pel interpolation).
-bool ref_inside(const video::Plane& ref, int x0, int y0, int margin = 0) {
-  return x0 >= 0 && y0 >= 0 && x0 + kMb + margin <= ref.width &&
-         y0 + kMb + margin <= ref.height;
-}
-
-/// SAD against a full-pel displaced reference block. The interior case
-/// runs the dispatched `fast` kernel; the border case clamps per sample
-/// and stays scalar (kernels assume in-plane reads).
-std::uint32_t sad_fullpel(const video::Plane& cur, const video::Plane& ref,
-                          int cx, int cy, int dx, int dy, Sad16Fn fast) {
-  const int rx = cx - dx;
-  const int ry = cy - dy;
-  std::uint32_t acc = 0;
-  if (ref_inside(ref, rx, ry)) {
-    return fast(&cur.data[static_cast<std::size_t>(cy) * cur.width + cx],
-                cur.width,
-                &ref.data[static_cast<std::size_t>(ry) * ref.width + rx],
-                ref.width);
-  }
-  for (int y = 0; y < kMb; ++y)
-    for (int x = 0; x < kMb; ++x)
-      acc += static_cast<std::uint32_t>(
-          std::abs(static_cast<int>(cur.at(cx + x, cy + y)) -
-                   static_cast<int>(ref.at_clamped(rx + x, ry + y))));
-  return acc;
-}
-
 }  // namespace
 
 int half_pel_sample(const video::Plane& ref, int hx, int hy) {
@@ -60,21 +31,11 @@ int half_pel_sample(const video::Plane& ref, int hx, int hy) {
          2;
 }
 
-
-std::uint32_t sad_16x16(const video::Plane& cur, const video::Plane& ref,
+std::uint32_t sad_16x16(const video::Plane& cur, const RefPlanes& ref,
                         int cx, int cy, MotionVector mv, Sad16Fn fast) {
   if (fast == nullptr) fast = sad_16x16_fn();
-  if ((mv.dx & 1) == 0 && (mv.dy & 1) == 0)
-    return sad_fullpel(cur, ref, cx, cy, mv.dx >> 1, mv.dy >> 1, fast);
-  std::uint32_t acc = 0;
-  for (int y = 0; y < kMb; ++y)
-    for (int x = 0; x < kMb; ++x) {
-      const int r = half_pel_sample(ref, 2 * (cx + x) - mv.dx,
-                                       2 * (cy + y) - mv.dy);
-      acc += static_cast<std::uint32_t>(
-          std::abs(static_cast<int>(cur.at(cx + x, cy + y)) - r));
-    }
-  return acc;
+  return fast(&cur.data[static_cast<std::size_t>(cy) * cur.width + cx],
+              cur.width, ref.block(cx, cy, mv), ref.stride());
 }
 
 LumaPyramid build_pyramid(const video::Plane& base, int levels) {
@@ -135,18 +96,20 @@ std::uint32_t hadamard8_cost(int d[8][8]) {
 
 }  // namespace
 
-std::uint32_t satd_16x16(const video::Plane& cur, const video::Plane& ref,
+std::uint32_t satd_16x16(const video::Plane& cur, const RefPlanes& ref,
                          int cx, int cy, MotionVector mv) {
+  const std::uint8_t* r = ref.block(cx, cy, mv);
+  const int stride = ref.stride();
   std::uint32_t acc = 0;
   int d[8][8];
   for (int by = 0; by < 2; ++by) {
     for (int bx = 0; bx < 2; ++bx) {
       for (int y = 0; y < 8; ++y)
         for (int x = 0; x < 8; ++x) {
-          const int px = cx + bx * 8 + x;
-          const int py = cy + by * 8 + y;
-          d[y][x] = static_cast<int>(cur.at(px, py)) -
-                    half_pel_sample(ref, 2 * px - mv.dx, 2 * py - mv.dy);
+          const int ox = bx * 8 + x;
+          const int oy = by * 8 + y;
+          d[y][x] = static_cast<int>(cur.at(cx + ox, cy + oy)) -
+                    static_cast<int>(r[oy * stride + ox]);
         }
       acc += hadamard8_cost(d);
     }
@@ -164,17 +127,18 @@ struct Candidate {
 
 /// Rate-aware cost for full-pel candidates (pattern searches). Bits are
 /// counted for the half-pel codes actually emitted into the stream.
-std::uint32_t pattern_cost(const video::Plane& cur, const video::Plane& ref,
+std::uint32_t pattern_cost(const video::Plane& cur, const RefPlanes& ref,
                            int cx, int cy, int dx, int dy, MotionVector pred,
                            double lambda, Sad16Fn fast) {
-  const std::uint32_t dist = sad_fullpel(cur, ref, cx, cy, dx, dy, fast);
+  const std::uint32_t dist =
+      sad_16x16(cur, ref, cx, cy, MotionVector::from_fullpel(dx, dy), fast);
   const int bits = BitWriter::se_bits(2 * dx - pred.dx) +
                    BitWriter::se_bits(2 * dy - pred.dy);
   return dist + static_cast<std::uint32_t>(lambda * bits);
 }
 
 void consider(Candidate& best, const video::Plane& cur,
-              const video::Plane& ref, int cx, int cy, int dx, int dy,
+              const RefPlanes& ref, int cx, int cy, int dx, int dy,
               MotionVector pred, double lambda, int range, Sad16Fn fast) {
   if (std::abs(dx) > range || std::abs(dy) > range) return;
   const std::uint32_t cost =
@@ -188,7 +152,7 @@ void consider(Candidate& best, const video::Plane& cur,
 
 template <std::size_t N>
 void refine(Candidate& best, const std::array<std::pair<int, int>, N>& pattern,
-            const video::Plane& cur, const video::Plane& ref, int cx, int cy,
+            const video::Plane& cur, const RefPlanes& ref, int cx, int cy,
             MotionVector pred, double lambda, int range, int max_iters,
             Sad16Fn fast) {
   for (int iter = 0; iter < max_iters; ++iter) {
@@ -202,17 +166,20 @@ void refine(Candidate& best, const std::array<std::pair<int, int>, N>& pattern,
   }
 }
 
-/// SAD of the n x n block of `cur` at (cx, cy) against `ref` displaced by
-/// full-pel (dx, dy) at the same pyramid level; ref reads clamp to the
-/// border. Used only on the small downsampled planes, so it stays scalar.
-std::uint32_t sad_nxn(const video::Plane& cur, const video::Plane& ref,
-                      int cx, int cy, int dx, int dy, int n) {
+/// SAD of the n x n block of `cur` at (cx, cy) against the same-level
+/// reference displaced by full-pel (dx, dy). Used only on the small
+/// downsampled planes, so it stays scalar.
+std::uint32_t sad_nxn(const video::Plane& cur, const RefPlanes& ref, int cx,
+                      int cy, int dx, int dy, int n) {
+  const std::uint8_t* r =
+      ref.block(cx, cy, MotionVector::from_fullpel(dx, dy));
+  const int stride = ref.stride();
   std::uint32_t acc = 0;
   for (int y = 0; y < n; ++y)
     for (int x = 0; x < n; ++x)
       acc += static_cast<std::uint32_t>(
           std::abs(static_cast<int>(cur.at(cx + x, cy + y)) -
-                   static_cast<int>(ref.at_clamped(cx + x - dx, cy + y - dy))));
+                   static_cast<int>(r[y * stride + x])));
   return acc;
 }
 
@@ -258,7 +225,7 @@ constexpr std::array<std::pair<int, int>, 16> kHexadecagon{
 }  // namespace
 
 MotionVector MotionSearcher::search_block(const video::Plane& cur,
-                                          const video::Plane& ref, int cx,
+                                          const RefPlanes& ref, int cx,
                                           int cy, MotionVector pred,
                                           std::uint32_t& best_sad,
                                           const PyramidPair* pyr) const {
@@ -276,9 +243,9 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
     const bool satd = config_.method == MotionSearchMethod::kTesa;
     for (int dy = -range; dy <= range; ++dy) {
       for (int dx = -range; dx <= range; ++dx) {
-        const std::uint32_t cost =
-            satd ? satd_16x16(cur, ref, cx, cy, MotionVector::from_fullpel(dx, dy))
-                 : sad_fullpel(cur, ref, cx, cy, dx, dy, fast);
+        const MotionVector mv = MotionVector::from_fullpel(dx, dy);
+        const std::uint32_t cost = satd ? satd_16x16(cur, ref, cx, cy, mv)
+                                        : sad_16x16(cur, ref, cx, cy, mv, fast);
         if (cost < best.cost) {
           best.cost = cost;
           best.dx = dx;
@@ -351,7 +318,7 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
           const int top_range = std::max(1, range >> top_shift);
           CandidateList cands(std::max(1, config_.hme_candidates));
           const video::Plane& tc = pyr->cur.levels[static_cast<std::size_t>(top)];
-          const video::Plane& tr = pyr->ref.levels[static_cast<std::size_t>(top)];
+          const RefPlanes& tr = pyr->ref_planes[static_cast<std::size_t>(top)];
           const int tx = cx >> top_shift;
           const int ty = cy >> top_shift;
           for (int dy = -top_range; dy <= top_range; ++dy)
@@ -363,8 +330,8 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
             const int lrange = std::max(1, range >> shift);
             const video::Plane& lc =
                 pyr->cur.levels[static_cast<std::size_t>(lvl)];
-            const video::Plane& lr =
-                pyr->ref.levels[static_cast<std::size_t>(lvl)];
+            const RefPlanes& lr =
+                pyr->ref_planes[static_cast<std::size_t>(lvl)];
             const int lx = cx >> shift;
             const int ly = cy >> shift;
             CandidateList next(cands.capacity);
@@ -424,7 +391,7 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
   // This keeps sensor noise in plain regions from fabricating motion,
   // which matters for the eta-based ego-motion judgement (Fig. 6).
   if (!exhaustive && !hp.is_zero()) {
-    const std::uint32_t zero_sad = sad_fullpel(cur, ref, cx, cy, 0, 0, fast);
+    const std::uint32_t zero_sad = sad_16x16(cur, ref, cx, cy, {0, 0}, fast);
     if (zero_sad <= hp_sad + std::max<std::uint32_t>(48, zero_sad / 16)) {
       hp = {0, 0};
       hp_sad = zero_sad;
@@ -436,6 +403,12 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
 
 MotionField MotionSearcher::search_frame(const video::Plane& cur,
                                          const video::Plane& ref,
+                                         util::ThreadPool* pool) const {
+  return search_frame(cur, RefPlanes(ref, reference_pad()), pool);
+}
+
+MotionField MotionSearcher::search_frame(const video::Plane& cur,
+                                         const RefPlanes& ref,
                                          util::ThreadPool* pool) const {
   const int cols = cur.width / kMb;
   const int rows = cur.height / kMb;
@@ -449,7 +422,12 @@ MotionField MotionSearcher::search_frame(const video::Plane& cur,
   if (config_.method == MotionSearchMethod::kHme) {
     const int levels = std::clamp(config_.hme_levels, 1, 2);
     pyr_storage.cur = build_pyramid(cur, levels);
-    pyr_storage.ref = build_pyramid(ref, levels);
+    pyr_storage.ref = build_pyramid(ref.source(), levels);
+    pyr_storage.ref_planes.reserve(static_cast<std::size_t>(levels));
+    for (int l = 0; l < levels; ++l)
+      pyr_storage.ref_planes.emplace_back(
+          pyr_storage.ref.levels[static_cast<std::size_t>(l)],
+          (config_.range >> (l + 1)) + kMb + 1);
     pyr = &pyr_storage;
   }
   const auto search_row = [&](int row) {

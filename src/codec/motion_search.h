@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "codec/ref_planes.h"
 #include "codec/sad_kernels.h"
 #include "codec/types.h"
 #include "video/frame.h"
@@ -63,23 +64,26 @@ struct LumaPyramid {
 /// Builds `levels` pyramid planes above `base` (2x downsample each).
 LumaPyramid build_pyramid(const video::Plane& base, int levels);
 
-/// Reference sample at half-pel coordinates (hx, hy) = pixel position
-/// (hx/2, hy/2), bilinearly averaged on odd components; reads clamp to
-/// the plane border. Shared by motion search and motion compensation so
-/// search cost and prediction agree exactly.
+/// Reference definition of a half-pel sample: the reference at half-pel
+/// coordinates (hx, hy) = pixel position (hx/2, hy/2), bilinearly
+/// averaged on odd components, with reads clamped to the plane border.
+/// The codec itself never calls this: it reads references through
+/// RefPlanes, whose planes hold exactly these values. It stays as the
+/// specification the plane tests check RefPlanes against.
 int half_pel_sample(const video::Plane& ref, int hx, int hy);
 
 /// Sum of absolute differences between the 16x16 block of `cur` at
-/// (cx, cy) and the block of `ref` displaced by `mv` (half-pel units);
-/// reads outside `ref` clamp to the border. Even-component (full-pel)
-/// interior displacements take the dispatched `fast` kernel (null = the
-/// process-wide auto dispatch); half-pel and border reads stay scalar.
-std::uint32_t sad_16x16(const video::Plane& cur, const video::Plane& ref,
+/// (cx, cy) and the reference block displaced by `mv` (half-pel units).
+/// Full-pel, half-pel and border candidates are all one strided block
+/// of `ref`, summed by the dispatched `fast` kernel (null = the
+/// process-wide auto dispatch).
+std::uint32_t sad_16x16(const video::Plane& cur, const RefPlanes& ref,
                         int cx, int cy, MotionVector mv,
                         Sad16Fn fast = nullptr);
 
-/// Sum of absolute Hadamard-transformed differences (TESA metric).
-std::uint32_t satd_16x16(const video::Plane& cur, const video::Plane& ref,
+/// Sum of absolute Hadamard-transformed differences (TESA metric), read
+/// through `ref` like sad_16x16.
+std::uint32_t satd_16x16(const video::Plane& cur, const RefPlanes& ref,
                          int cx, int cy, MotionVector mv);
 
 class MotionSearcher {
@@ -92,23 +96,38 @@ class MotionSearcher {
   /// The SAD kernel this searcher resolved from its policy.
   [[nodiscard]] Sad16Fn sad_fn() const { return sad_fn_; }
 
+  /// Reference-plane padding for this searcher's range: every candidate
+  /// block lies inside the pad, so the origin clamp never moves one.
+  [[nodiscard]] int reference_pad() const {
+    return config_.range + kMacroblockSize + 1;
+  }
+
   /// Estimates the motion field of `cur` against reference `ref`
   /// (both luma planes; dimensions must match and be multiples of 16).
   /// Rows are searched independently (the spatial predictor chain resets
   /// per row), so a pool parallelizes over rows with a result that is
-  /// bit-identical to the serial field for every thread count.
+  /// bit-identical to the serial field for every thread count. Builds the
+  /// reference planes for this call.
   [[nodiscard]] MotionField search_frame(const video::Plane& cur,
                                          const video::Plane& ref,
                                          util::ThreadPool* pool = nullptr) const;
 
+  /// Same search against reference planes the caller already built (the
+  /// encoder shares one set between search and its SKIP/MC pass).
+  [[nodiscard]] MotionField search_frame(const video::Plane& cur,
+                                         const RefPlanes& ref,
+                                         util::ThreadPool* pool = nullptr) const;
+
  private:
-  /// Current/reference pyramids, only populated for kHme.
+  /// Current/reference pyramids, only populated for kHme. The reference
+  /// levels are read through their own padded planes.
   struct PyramidPair {
     LumaPyramid cur;
     LumaPyramid ref;
+    std::vector<RefPlanes> ref_planes;  ///< one per ref level
   };
 
-  MotionVector search_block(const video::Plane& cur, const video::Plane& ref,
+  MotionVector search_block(const video::Plane& cur, const RefPlanes& ref,
                             int cx, int cy, MotionVector pred,
                             std::uint32_t& best_cost,
                             const PyramidPair* pyr) const;

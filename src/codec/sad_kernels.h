@@ -9,10 +9,11 @@
 // is resolved once per process on first use.
 //
 // Kernels operate on raw row pointers with independent strides so they
-// serve both full planes (stride == width, including odd widths) and any
-// future tiled layout. Blocks must lie fully inside their planes; the
-// clamped border path stays in motion_search.cpp and is scalar by
-// construction.
+// serve both full planes (stride == width, including odd widths) and the
+// padded reference planes (codec/ref_planes.h). Blocks must lie fully
+// inside their buffers; reading the reference through RefPlanes makes
+// every search candidate — full-pel, half-pel, or at the border — such
+// a block, so no candidate bypasses the kernel.
 #pragma once
 
 #include <cstdint>

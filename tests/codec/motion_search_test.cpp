@@ -39,15 +39,16 @@ video::Plane shifted(const video::Plane& src, int dx, int dy) {
 
 TEST(Sad, ZeroForIdenticalBlocks) {
   const auto p = textured_plane(64, 64, 1);
-  EXPECT_EQ(sad_16x16(p, p, 16, 16, {0, 0}), 0u);
+  EXPECT_EQ(sad_16x16(p, RefPlanes(p, 0), 16, 16, {0, 0}), 0u);
 }
 
 TEST(Sad, DetectsShift) {
   const auto ref = textured_plane(64, 64, 2);
   const auto cur = shifted(ref, 3, -2);
+  const RefPlanes planes(ref, 0);
   // True motion (3, -2) full-pel = (6, -4) half-pel.
-  EXPECT_EQ(sad_16x16(cur, ref, 32, 32, {6, -4}), 0u);
-  EXPECT_GT(sad_16x16(cur, ref, 32, 32, {0, 0}), 500u);
+  EXPECT_EQ(sad_16x16(cur, planes, 32, 32, {6, -4}), 0u);
+  EXPECT_GT(sad_16x16(cur, planes, 32, 32, {0, 0}), 500u);
 }
 
 TEST(Sad, HalfPelInterpolates) {
@@ -61,8 +62,9 @@ TEST(Sad, HalfPelInterpolates) {
     for (int x = 0; x < 32; ++x)
       cur.at(x, y) = static_cast<std::uint8_t>(
           std::min(255, x * 8 + 4));  // cur(x) = ref(x + 0.5): mv = -0.5px
-  const auto full = sad_16x16(cur, ref, 8, 8, {0, 0});
-  const auto half = sad_16x16(cur, ref, 8, 8, {-1, 0});
+  const RefPlanes planes(ref, 0);
+  const auto full = sad_16x16(cur, planes, 8, 8, {0, 0});
+  const auto half = sad_16x16(cur, planes, 8, 8, {-1, 0});
   EXPECT_LT(half, full);
 }
 

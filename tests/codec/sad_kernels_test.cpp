@@ -3,16 +3,19 @@
 // EXACT equality: SAD is an integer sum, so the dispatched kernel must
 // reproduce the scalar result bit-for-bit on every input — randomized
 // planes, odd strides, saturating extremes, and every displacement a
-// diamond/hex search can visit, including half-pel and border reads via
-// the sad_16x16 wrapper.
+// diamond/hex search can visit. Half-pel and border candidates reach the
+// kernel too: sad_16x16 reads them as plain blocks of the padded
+// half-pel reference planes (codec/ref_planes.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <vector>
 
 #include "codec/motion_search.h"
+#include "codec/ref_planes.h"
 #include "codec/sad_kernels.h"
 #include "util/rng.h"
 #include "video/frame.h"
@@ -125,24 +128,86 @@ TEST(SadKernels, SaturatingExtremes) {
             sad_16x16_scalar(alt.data(), kMb, hi.data(), kMb));
 }
 
+/// Per-pixel SAD against the clamped half-pel reference definition.
+std::uint32_t reference_block_sad(const video::Plane& cur,
+                                  const video::Plane& ref, int cx, int cy,
+                                  MotionVector mv) {
+  std::uint32_t acc = 0;
+  for (int y = 0; y < kMb; ++y)
+    for (int x = 0; x < kMb; ++x) {
+      const int r = half_pel_sample(ref, 2 * (cx + x) - mv.dx,
+                                    2 * (cy + y) - mv.dy);
+      acc += static_cast<std::uint32_t>(
+          std::abs(static_cast<int>(cur.at(cx + x, cy + y)) - r));
+    }
+  return acc;
+}
+
 TEST(SadKernels, WrapperMatchesScalarForAllSearchCandidates) {
-  // Sweep every displacement a search can evaluate — full-pel interior
-  // (SIMD path), full-pel straddling the border (clamped scalar path),
-  // and half-pel (interpolated scalar path) — and require the wrapper
-  // under the dispatched kernel to equal the wrapper pinned to scalar.
+  // Sweep every displacement a search can evaluate — full-pel interior,
+  // full-pel straddling the border, and half-pel in all three phases —
+  // and require the wrapper under the dispatched kernel to equal the
+  // wrapper pinned to scalar AND the per-pixel clamped definition.
   const auto cur = random_plane(96, 64, 77);
   const auto ref = random_plane(96, 64, 88);
+  const RefPlanes planes(ref, 9 + kMb + 1);
   const Sad16Fn fast = sad_16x16_fn();
   for (const auto& [cx, cy] : {std::pair{0, 0}, {80, 48}, {32, 16}}) {
     for (int hdy = -9; hdy <= 9; ++hdy)
       for (int hdx = -9; hdx <= 9; ++hdx) {
         const MotionVector mv{hdx, hdy};
-        ASSERT_EQ(sad_16x16(cur, ref, cx, cy, mv, fast),
-                  sad_16x16(cur, ref, cx, cy, mv, &sad_16x16_scalar))
+        const std::uint32_t want = reference_block_sad(cur, ref, cx, cy, mv);
+        ASSERT_EQ(sad_16x16(cur, planes, cx, cy, mv, fast), want)
             << "block (" << cx << "," << cy << ") mv (" << hdx << "," << hdy
             << ")";
+        ASSERT_EQ(sad_16x16(cur, planes, cx, cy, mv, &sad_16x16_scalar), want);
       }
   }
+}
+
+// Records every kernel call so the test below can see which reference
+// block each candidate handed to the kernel.
+struct KernelLog {
+  int calls = 0;
+  const std::uint8_t* last_ref = nullptr;
+};
+KernelLog g_kernel_log;
+
+std::uint32_t logging_kernel(const std::uint8_t* cur, int cur_stride,
+                             const std::uint8_t* ref, int ref_stride) {
+  ++g_kernel_log.calls;
+  g_kernel_log.last_ref = ref;
+  return sad_16x16_fn()(cur, cur_stride, ref, ref_stride);
+}
+
+TEST(SadKernels, HalfPelAndBorderCandidatesReachTheKernel) {
+  // Every candidate — all four half-pel phases, interior and border —
+  // is exactly one call of the given kernel on the plane block
+  // RefPlanes::block names; nothing bypasses it through a scalar path.
+  const auto cur = random_plane(96, 64, 78);
+  const auto ref = random_plane(96, 64, 89);
+  const RefPlanes planes(ref, 9 + kMb + 1);
+  bool phase_seen[2][2] = {};
+  for (const auto& [cx, cy] : {std::pair{0, 0}, {80, 48}, {32, 16}}) {
+    for (int hdy = -9; hdy <= 9; ++hdy)
+      for (int hdx = -9; hdx <= 9; ++hdx) {
+        const MotionVector mv{hdx, hdy};
+        g_kernel_log = {};
+        const std::uint32_t got =
+            sad_16x16(cur, planes, cx, cy, mv, &logging_kernel);
+        ASSERT_EQ(g_kernel_log.calls, 1);
+        ASSERT_EQ(g_kernel_log.last_ref, planes.block(cx, cy, mv));
+        ASSERT_EQ(got, reference_block_sad(cur, ref, cx, cy, mv));
+        phase_seen[hdy & 1][hdx & 1] = true;
+      }
+  }
+  for (const auto& row : phase_seen)
+    for (const bool seen : row) EXPECT_TRUE(seen);
+  // The four phases at one origin are blocks of four different planes.
+  const std::set<const std::uint8_t*> phase_blocks{
+      planes.block(32, 16, {0, 0}), planes.block(32, 16, {-1, 0}),
+      planes.block(32, 16, {0, -1}), planes.block(32, 16, {-1, -1})};
+  EXPECT_EQ(phase_blocks.size(), 4u);
 }
 
 TEST(SadKernels, PolicyResolution) {
