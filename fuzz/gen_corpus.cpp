@@ -1,8 +1,13 @@
 // Seed-corpus generator for the wire-format fuzz targets.
 //
-// Emits REAL encodes — not hand-written bytes — so the fuzzers start
-// from deep inside the accepted language of each parser:
-//   <out>/bitstream/     one GOP of intra/inter/SKIP/HME frames
+// Emits REAL encodes, so the fuzzers start from deep inside the accepted
+// language of each parser, plus BitWriter-built boundary seeds that no
+// encoder would produce:
+//   <out>/bitstream/     one GOP of intra/inter/SKIP/HME frames, and
+//                        edge_* streams: a hostile 2^31 zero run, and the
+//                        largest motion-vector and QP deltas the decoder
+//                        accepts (64x64 inter frames, the fuzz target's
+//                        reference size)
 //   <out>/roi_metadata/  sidecars built from those encodes + hull regions
 //
 // Re-seeding after a format change (see DESIGN §14):
@@ -14,7 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "codec/bitstream.h"
 #include "codec/encoder.h"
+#include "codec/reconstruct.h"
 #include "roi/metadata.h"
 #include "video/frame.h"
 
@@ -45,6 +52,41 @@ void write_file(const std::filesystem::path& path,
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   std::printf("%s: %zu bytes\n", path.string().c_str(), bytes.size());
+}
+
+/// A 64x64 inter frame whose first macroblock is coded with the given
+/// deltas (and one level in its first luma block when `cbp` is set);
+/// every other macroblock is SKIP.
+std::vector<std::uint8_t> edge_inter(int base_qp, int mv_dx, int mv_dy,
+                                     int qp_delta, bool cbp) {
+  codec::BitWriter bw;
+  codec::write_frame_header(bw, {codec::FrameType::kInter, base_qp, 4, 4});
+  bw.put_bit(false);  // macroblock 0 not SKIP
+  bw.put_se(mv_dx);
+  bw.put_se(mv_dy);
+  bw.put_se(qp_delta);
+  bw.put_bits(cbp ? 1U : 0U, 6);
+  if (cbp) {
+    bw.put_ue(1);  // one level
+    bw.put_ue(0);  // zero run
+    bw.put_se(-3);
+  }
+  for (int mb = 1; mb < 16; ++mb) bw.put_bit(true);
+  return bw.finish();
+}
+
+/// A 16x16 intra frame whose first block codes one level after a zero
+/// run of 2^31, which must be rejected before it moves the zigzag
+/// position.
+std::vector<std::uint8_t> edge_zero_run() {
+  codec::BitWriter bw;
+  codec::write_frame_header(bw, {codec::FrameType::kIntra, 30, 1, 1});
+  bw.put_se(0);      // macroblock QP delta
+  bw.put_bit(true);  // block 0 coded
+  bw.put_ue(1);      // one level
+  bw.put_ue(0x80000000U);
+  bw.put_se(1);
+  return bw.finish();
 }
 
 }  // namespace
@@ -85,6 +127,14 @@ int main(int argc, char** argv) {
       sidecars.push_back(roi::from_encoded(encoded, cfg.width, cfg.height));
     }
   }
+
+  // --- Bitstream boundary seeds. The decoder accepts vectors up to
+  // twice the frame size in half-pel units and QPs in [0, 51]. ---
+  write_file(root / "bitstream" / "edge_zero_run", edge_zero_run());
+  write_file(root / "bitstream" / "edge_mv_delta",
+             edge_inter(30, 2 * 64, -2 * 64, 0, false));
+  write_file(root / "bitstream" / "edge_qp_delta",
+             edge_inter(0, 0, 0, codec::kMaxQp, true));
 
   // --- RoI metadata corpus: sidecars from the encodes above, with and
   // without foreground hull regions (including a degenerate 2-pt hull,

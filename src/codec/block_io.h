@@ -40,8 +40,11 @@ inline void read_block(BitReader& br, QuantBlock& levels) {
   int pos = 0;
   for (std::uint32_t k = 0; k < nonzero; ++k) {
     const std::uint32_t run = br.get_ue();
+    // Bound the untrusted run before adding it: a run of 2^31 or more
+    // would wrap the signed position.
+    if (pos >= 64 || run > static_cast<std::uint32_t>(63 - pos))
+      throw BitstreamError("block: zigzag overrun");
     pos += static_cast<int>(run);
-    if (pos >= 64) throw BitstreamError("block: zigzag overrun");
     const std::int32_t level = br.get_se();
     if (level == 0) throw BitstreamError("block: zero level coded");
     levels[static_cast<std::size_t>(zz[static_cast<std::size_t>(pos)])] = level;

@@ -1,9 +1,7 @@
 #include "codec/encoder.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -13,6 +11,7 @@
 #include "codec/block_io.h"
 #include "codec/dct.h"
 #include "codec/quant.h"
+#include "codec/reconstruct.h"
 #include "codec/ref_planes.h"
 #include "obs/obs.h"
 #include "video/image_ops.h"
@@ -22,51 +21,6 @@ namespace dive::codec {
 namespace {
 
 constexpr int kMb = kMacroblockSize;
-constexpr int kBlocksPerMb = 6;  ///< 4 luma 8x8 + U + V
-
-std::uint8_t clamp_pixel(double v) {
-  return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
-}
-
-/// Mean of the reconstructed samples above and left of the 8x8 block at
-/// pixel origin (bx, by). Mirrors H.264 DC intra prediction; the decoder
-/// runs the identical function on its own reconstruction.
-double dc_predict(const video::Plane& recon, int bx, int by) {
-  double acc = 0.0;
-  int n = 0;
-  if (by > 0) {
-    for (int x = 0; x < kBlockSize; ++x) {
-      acc += recon.at(bx + x, by - 1);
-      ++n;
-    }
-  }
-  if (bx > 0) {
-    for (int y = 0; y < kBlockSize; ++y) {
-      acc += recon.at(bx - 1, by + y);
-      ++n;
-    }
-  }
-  return n > 0 ? acc / n : 128.0;
-}
-
-/// Motion-compensated 8x8 prediction block read through reference
-/// planes; `mv` is the displacement in half-pel units of that plane.
-Block8x8 mc_predict(const RefPlanes& ref, int bx, int by, MotionVector mv) {
-  const std::uint8_t* r = ref.block(bx, by, mv);
-  const int stride = ref.stride();
-  Block8x8 pred;
-  for (int y = 0; y < kBlockSize; ++y)
-    for (int x = 0; x < kBlockSize; ++x)
-      pred[static_cast<std::size_t>(y * kBlockSize + x)] =
-          static_cast<double>(r[y * stride + x]);
-  return pred;
-}
-
-Block8x8 const_predict(double v) {
-  Block8x8 p;
-  p.fill(v);
-  return p;
-}
 
 /// Forward DCT of the (src - pred) residual of one 8x8 block.
 void residual_dct(const video::Plane& src, int bx, int by,
@@ -88,52 +42,6 @@ bool transform_block(const video::Plane& src, int bx, int by,
   residual_dct(src, bx, by, pred, coeffs);
   quantize(coeffs, qp, levels);
   return !all_zero(levels);
-}
-
-/// Reconstruct one 8x8 block into `recon` from prediction + (optional)
-/// coded levels.
-void reconstruct_block(video::Plane& recon, int bx, int by,
-                       const Block8x8& pred, const QuantBlock* levels,
-                       int qp) {
-  Block8x8 res{};
-  if (levels != nullptr) {
-    Block8x8 deq;
-    dequantize(*levels, qp, deq);
-    inverse_dct(deq, res);
-  }
-  for (int y = 0; y < kBlockSize; ++y)
-    for (int x = 0; x < kBlockSize; ++x)
-      recon.at(bx + x, by + y) =
-          clamp_pixel(pred[static_cast<std::size_t>(y * kBlockSize + x)] +
-                      res[static_cast<std::size_t>(y * kBlockSize + x)]);
-}
-
-/// Pixel geometry of the 6 coded 8x8 blocks of a macroblock.
-struct BlockGeometry {
-  int bx, by;
-  bool chroma;
-};
-
-std::array<BlockGeometry, kBlocksPerMb> mb_blocks(int col, int row) {
-  const int px = col * kMb;
-  const int py = row * kMb;
-  const int cx = px / 2;
-  const int cy = py / 2;
-  return {{{px, py, false},
-           {px + 8, py, false},
-           {px, py + 8, false},
-           {px + 8, py + 8, false},
-           {cx, cy, true},
-           {cx, cy, true}}};
-}
-
-void write_frame_header(BitWriter& bw, FrameType type, int base_qp,
-                        int mb_cols, int mb_rows) {
-  bw.put_bits(0xD1, 8);  // magic
-  bw.put_bit(type == FrameType::kInter);
-  bw.put_bits(static_cast<std::uint32_t>(base_qp), 6);
-  bw.put_ue(static_cast<std::uint32_t>(mb_cols));
-  bw.put_ue(static_cast<std::uint32_t>(mb_rows));
 }
 
 int mb_qp(int base_qp, const QpOffsetMap* offsets, int col, int row) {
@@ -174,8 +82,6 @@ void Encoder::set_obs(obs::ObsContext* obs) {
   obs_handles_.frames = &m.counter("codec.frames");
   obs_handles_.motion_searches = &m.counter("codec.motion_searches");
   obs_handles_.trials_attempted = &m.counter("codec.rc.trials_attempted");
-  obs_handles_.trials_encoded = &m.counter("codec.rc.trials_encoded");
-  obs_handles_.trials_reused = &m.counter("codec.rc.trials_reused");
   obs_handles_.full_passes = &m.counter("codec.rc.full_transform_passes");
   obs_handles_.skip_skipped_mbs = &m.counter("codec.skip.skipped_mbs");
   obs_handles_.skip_inter_mbs = &m.counter("codec.skip.inter_mbs");
@@ -269,10 +175,10 @@ Encoder::InterPlan Encoder::build_inter_plan(
       static_cast<std::uint32_t>(std::max(0, config_.skip_threshold));
   const Sad16Fn sad_fn = searcher_.sad_fn();
   const auto plan_row = [&](int row) {
-    MotionVector pred{};  // coded-MV predictor chain, reset per row
     for (int col = 0; col < mb_cols; ++col) {
       const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
       const std::size_t base = mb * kBlocksPerMb;
+      const MotionVector pred = predicted_mv(plan.eff_motion, col, row);
       MotionVector mv = motion->at(col, row);
       bool skip = false;
       if (skip_on) {
@@ -285,22 +191,14 @@ Encoder::InterPlan Encoder::build_inter_plan(
         mv = pred;
       }
       plan.eff_motion.at(col, row) = mv;
-      pred = mv;
-      // Chroma planes are half resolution: halve the half-pel units.
-      const MotionVector cmv{mv.dx / 2, mv.dy / 2};
+      predict_inter_mb(ref_y, ref_u, ref_v, col, row, mv, &plan.preds[base]);
+      if (skip) continue;
       const auto blocks = mb_blocks(col, row);
       for (int b = 0; b < kBlocksPerMb; ++b) {
-        const auto& blk = blocks[static_cast<std::size_t>(b)];
-        const video::Plane& sp =
-            blk.chroma ? (b == 4 ? src.u : src.v) : src.y;
-        const RefPlanes& rp = blk.chroma ? (b == 4 ? ref_u : ref_v) : ref_y;
-        plan.preds[base + static_cast<std::size_t>(b)] =
-            mc_predict(rp, blk.bx, blk.by, blk.chroma ? cmv : mv);
-        if (!skip) {
-          residual_dct(sp, blk.bx, blk.by,
-                       plan.preds[base + static_cast<std::size_t>(b)],
-                       plan.coeffs[base + static_cast<std::size_t>(b)]);
-        }
+        const MbBlock& blk = blocks[static_cast<std::size_t>(b)];
+        const std::size_t i = base + static_cast<std::size_t>(b);
+        residual_dct(plane_of(src, blk.plane), blk.bx, blk.by, plan.preds[i],
+                     plan.coeffs[i]);
       }
     }
   };
@@ -324,27 +222,38 @@ Encoder::PreparedInter Encoder::prepare_inter_trial(
   prep.base_qp = base_qp;
 
   // Parallel by row: quantize the precomputed residual coefficients at
-  // this trial's QP. Each row writes a disjoint slice of the scratch
-  // arrays. Nothing is reconstructed here: only the committed trial is,
-  // by reconstruct_inter.
+  // this trial's QP and decide each macroblock's SKIP bit. Each row
+  // writes a disjoint slice of the scratch arrays. Nothing is
+  // reconstructed here: only the committed trial is, by
+  // reconstruct_inter.
   prep.levels.resize(mb_count * kBlocksPerMb);
   prep.cbp.assign(mb_count, 0);
   prep.qps.assign(mb_count, base_qp);
+  prep.skip.assign(mb_count, 0);
 
   const auto quant_row = [&](int row) {
     for (int col = 0; col < mb_cols; ++col) {
       const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
       const int qp = mb_qp(base_qp, offsets, col, row);
       prep.qps[mb] = qp;
-      if (plan.skip[mb] != 0) continue;
-      const std::size_t base = mb * kBlocksPerMb;
-      int mask = 0;
-      for (int b = 0; b < kBlocksPerMb; ++b) {
-        const std::size_t i = base + static_cast<std::size_t>(b);
-        quantize(plan.coeffs[i], qp, prep.levels[i]);
-        if (!all_zero(prep.levels[i])) mask |= 1 << b;
+      if (plan.skip[mb] == 0) {
+        const std::size_t base = mb * kBlocksPerMb;
+        int mask = 0;
+        for (int b = 0; b < kBlocksPerMb; ++b) {
+          const std::size_t i = base + static_cast<std::size_t>(b);
+          quantize(plan.coeffs[i], qp, prep.levels[i]);
+          if (!all_zero(prep.levels[i])) mask |= 1 << b;
+        }
+        prep.cbp[mb] = mask;
       }
-      prep.cbp[mb] = mask;
+      // SKIP bit semantics: "this macroblock's MV equals the predicted MV
+      // and it carries no residual" — the decoder copies the reference
+      // at the predicted MV. Threshold-forced skips satisfy the
+      // condition by construction (build_inter_plan coded them at the
+      // predicted MV), so forced and natural skips share one rule.
+      const bool at_pred = plan.eff_motion.at(col, row) ==
+                           predicted_mv(plan.eff_motion, col, row);
+      prep.skip[mb] = at_pred && prep.cbp[mb] == 0;
     }
   };
   if (pool_) pool_->parallel_for(0, mb_rows, quant_row);
@@ -357,24 +266,15 @@ video::Frame Encoder::reconstruct_inter(const InterPlan& plan,
   const int mb_cols = config_.width / kMb;
   const int mb_rows = config_.height / kMb;
   video::Frame recon(config_.width, config_.height);
-  // Parallel by row, disjoint writes: prediction plus the dequantized,
-  // inverse-transformed levels of every coded block. SKIP macroblocks
-  // and uncoded blocks reconstruct as the bare prediction — exactly the
-  // reference copy the decoder performs.
+  // Parallel by row, disjoint writes. SKIP macroblocks (cbp 0)
+  // reconstruct as the bare prediction — exactly the reference copy the
+  // decoder performs.
   const auto recon_row = [&](int row) {
     for (int col = 0; col < mb_cols; ++col) {
       const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
       const std::size_t base = mb * kBlocksPerMb;
-      const auto blocks = mb_blocks(col, row);
-      for (int b = 0; b < kBlocksPerMb; ++b) {
-        const std::size_t i = base + static_cast<std::size_t>(b);
-        const auto& blk = blocks[static_cast<std::size_t>(b)];
-        video::Plane& rp =
-            blk.chroma ? (b == 4 ? recon.u : recon.v) : recon.y;
-        reconstruct_block(rp, blk.bx, blk.by, plan.preds[i],
-                          (prep.cbp[mb] & (1 << b)) ? &prep.levels[i] : nullptr,
-                          prep.qps[mb]);
-      }
+      reconstruct_inter_mb(recon, col, row, &plan.preds[base],
+                           &prep.levels[base], prep.cbp[mb], prep.qps[mb]);
     }
   };
   if (pool_) pool_->parallel_for(0, mb_rows, recon_row);
@@ -387,29 +287,21 @@ std::vector<std::uint8_t> Encoder::emit_inter_trial(
   // Serial raster-order bitstream emission. This is the only
   // order-dependent state (prev_qp chain, MV prediction), so running it
   // serially keeps the bytes bit-identical for every thread count. It
-  // reads only prep.levels/cbp/qps and the plan's coded field, so a
+  // reads only the prepared trial and the plan's coded field, so a
   // rate-control trial can be sized without ever being reconstructed.
-  //
-  // SKIP bit semantics: "this macroblock's MV equals the predicted MV
-  // and it carries no residual" — the decoder copies the reference at
-  // the predicted MV. Threshold-forced skips satisfy the condition by
-  // construction (build_inter_plan coded them at the predicted MV), so
-  // forced and natural skips share one emission rule.
   const int mb_cols = config_.width / kMb;
   const int mb_rows = config_.height / kMb;
   BitWriter bw;
-  write_frame_header(bw, FrameType::kInter, prep.base_qp, mb_cols, mb_rows);
+  write_frame_header(bw, {FrameType::kInter, prep.base_qp, mb_cols, mb_rows});
   int prev_qp = prep.base_qp;
   for (int row = 0; row < mb_rows; ++row) {
     for (int col = 0; col < mb_cols; ++col) {
       const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
       const std::size_t base = mb * kBlocksPerMb;
+      bw.put_bit(prep.skip[mb] != 0);
+      if (prep.skip[mb] != 0) continue;
       const MotionVector mv = plan.eff_motion.at(col, row);
-      const MotionVector pred_mv =
-          col > 0 ? plan.eff_motion.at(col - 1, row) : MotionVector{};
-      const bool skip = mv == pred_mv && prep.cbp[mb] == 0;
-      bw.put_bit(skip);
-      if (skip) continue;
+      const MotionVector pred_mv = predicted_mv(plan.eff_motion, col, row);
       bw.put_se(mv.dx - pred_mv.dx);
       bw.put_se(mv.dy - pred_mv.dy);
       bw.put_se(prep.qps[mb] - prev_qp);
@@ -423,36 +315,12 @@ std::vector<std::uint8_t> Encoder::emit_inter_trial(
   return bw.finish();
 }
 
-/// Per-macroblock SKIP flags of one emitted trial, raster order: forced
-/// skips plus the natural ones (coded MV equal to its predictor, zero
-/// coded-block pattern — the same predicate emit_inter_trial writes a
-/// skip bit for).
-std::vector<std::uint8_t> Encoder::skip_map(const PreparedInter& prep,
-                                            const InterPlan& plan) const {
-  const int mb_cols = config_.width / kMb;
-  const int mb_rows = config_.height / kMb;
-  std::vector<std::uint8_t> skip(
-      static_cast<std::size_t>(mb_cols) * static_cast<std::size_t>(mb_rows),
-      0);
-  for (int row = 0; row < mb_rows; ++row) {
-    for (int col = 0; col < mb_cols; ++col) {
-      const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
-      const MotionVector mv = plan.eff_motion.at(col, row);
-      const MotionVector pred_mv =
-          col > 0 ? plan.eff_motion.at(col - 1, row) : MotionVector{};
-      if (mv == pred_mv && prep.cbp[mb] == 0) skip[mb] = 1;
-    }
-  }
-  return skip;
-}
-
 Encoder::Trial Encoder::run_inter_trial(const InterPlan& plan, int base_qp,
                                         const QpOffsetMap* offsets) const {
   Trial trial;
   trial.prep = prepare_inter_trial(plan, base_qp, offsets);
   trial.base_qp = trial.prep.base_qp;
   trial.data = emit_inter_trial(trial.prep, plan);
-  trial.skip = skip_map(trial.prep, plan);
   return trial;
 }
 
@@ -470,7 +338,7 @@ Encoder::Trial Encoder::run_intra_trial(const video::Frame& src, int base_qp,
   trial.recon = video::Frame(config_.width, config_.height);
 
   BitWriter bw;
-  write_frame_header(bw, FrameType::kIntra, base_qp, mb_cols, mb_rows);
+  write_frame_header(bw, {FrameType::kIntra, base_qp, mb_cols, mb_rows});
 
   // Intra macroblocks DC-predict from the running reconstruction, so
   // transform/emit/reconstruct proceed strictly in raster order.
@@ -480,18 +348,12 @@ Encoder::Trial Encoder::run_intra_trial(const video::Frame& src, int base_qp,
       const int qp = mb_qp(base_qp, offsets, col, row);
       bw.put_se(qp - prev_qp);
       prev_qp = qp;
-      const auto blocks = mb_blocks(col, row);
-      for (int b = 0; b < kBlocksPerMb; ++b) {
-        const auto& blk = blocks[static_cast<std::size_t>(b)];
-        const video::Plane& sp =
-            blk.chroma ? (b == 4 ? src.u : src.v) : src.y;
-        video::Plane& rp =
-            blk.chroma ? (b == 4 ? trial.recon.u : trial.recon.v)
-                       : trial.recon.y;
-        const Block8x8 pred = const_predict(dc_predict(rp, blk.bx, blk.by));
+      for (const MbBlock& blk : mb_blocks(col, row)) {
+        video::Plane& rp = plane_of(trial.recon, blk.plane);
+        const Block8x8 pred = dc_predict(rp, blk.bx, blk.by);
         QuantBlock levels;
-        const bool coded = transform_block(sp, blk.bx, blk.by, pred, qp,
-                                           levels);
+        const bool coded = transform_block(plane_of(src, blk.plane), blk.bx,
+                                           blk.by, pred, qp, levels);
         bw.put_bit(coded);
         if (coded) write_block(bw, levels);
         reconstruct_block(rp, blk.bx, blk.by, pred, coded ? &levels : nullptr,
@@ -504,19 +366,20 @@ Encoder::Trial Encoder::run_intra_trial(const video::Frame& src, int base_qp,
   return trial;
 }
 
-EncodedFrame Encoder::finish_frame(std::vector<std::uint8_t> data,
-                                   int base_qp, FrameType type,
-                                   const MotionField* motion,
-                                   const video::Frame& src,
-                                   std::vector<std::uint8_t> skip) {
+EncodedFrame Encoder::commit(Trial trial, const InterPlan* plan,
+                             const video::Frame& src) {
+  reference_ = plan != nullptr ? reconstruct_inter(*plan, trial.prep)
+                               : std::move(trial.recon);
+  has_reference_ = true;
+
   EncodedFrame out;
-  out.data = std::move(data);
-  out.type = type;
-  out.base_qp = base_qp;
-  if (type == FrameType::kInter && motion != nullptr) out.motion = *motion;
+  out.data = std::move(trial.data);
+  out.type = plan != nullptr ? FrameType::kInter : FrameType::kIntra;
+  out.base_qp = trial.base_qp;
   out.psnr_y = video::psnr_y(src, reference_);
-  if (type == FrameType::kInter) {
-    out.skip = std::move(skip);
+  if (plan != nullptr) {
+    out.motion = plan->eff_motion;
+    out.skip = std::move(trial.prep.skip);
     out.skipped_mbs = static_cast<int>(
         std::count(out.skip.begin(), out.skip.end(), std::uint8_t{1}));
   }
@@ -525,7 +388,7 @@ EncodedFrame Encoder::finish_frame(std::vector<std::uint8_t> data,
   ++frame_index_;
   last_qp_ = out.base_qp;
 
-  if (type == FrameType::kInter) {
+  if (plan != nullptr) {
     const long mb_count = static_cast<long>(config_.width / kMb) *
                           static_cast<long>(config_.height / kMb);
     skip_stats_.skipped_mbs += out.skipped_mbs;
@@ -553,23 +416,12 @@ EncodedFrame Encoder::encode(const video::Frame& src, int base_qp,
   DIVE_OBS_SPAN(span, obs_, "codec.encode", obs::kTrackCodec);
   span.flow(frame_ctx_);
   span.arg("base_qp", base_qp);
-  const FrameType type = next_frame_type(src);
-
-  if (type == FrameType::kInter) {
-    const InterPlan plan = build_inter_plan(src, motion);
-    const PreparedInter prep = prepare_inter_trial(plan, base_qp, offsets);
-    reference_ = reconstruct_inter(plan, prep);
-    has_reference_ = true;
-    std::vector<std::uint8_t> data = emit_inter_trial(prep, plan);
-    return finish_frame(std::move(data), prep.base_qp, type,
-                        &plan.eff_motion, src, skip_map(prep, plan));
-  }
-
-  Trial trial = run_intra_trial(src, base_qp, offsets);
-  reference_ = std::move(trial.recon);
-  has_reference_ = true;
-  return finish_frame(std::move(trial.data), trial.base_qp, type, motion,
-                      src);
+  std::optional<InterPlan> plan;
+  if (next_frame_type(src) == FrameType::kInter)
+    plan = build_inter_plan(src, motion);
+  Trial trial = plan ? run_inter_trial(*plan, base_qp, offsets)
+                     : run_intra_trial(src, base_qp, offsets);
+  return commit(std::move(trial), plan ? &*plan : nullptr, src);
 }
 
 EncodedFrame Encoder::encode_to_target(const video::Frame& src,
@@ -581,82 +433,49 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
   DIVE_OBS_SPAN(span, obs_, "codec.encode_to_target", obs::kTrackCodec);
   span.flow(frame_ctx_);
   span.arg("target_bytes", static_cast<long long>(target_bytes));
-  const FrameType type = next_frame_type(src);
-
   rc_stats_ = {};
 
   // QP-independent work, paid once per inter frame.
   std::optional<InterPlan> plan;
-  if (type == FrameType::kInter) {
+  if (next_frame_type(src) == FrameType::kInter) {
     plan = build_inter_plan(src, motion);
     rc_stats_.full_transform_passes = 1;
   }
 
-  // Encode one QP trial, memoized by QP: a revisited QP is served from
-  // the memo, and the final pick is always a move, never a re-encode.
-  std::map<int, Trial> memo;
-  const auto eval = [&](int qp) -> Trial& {
-    ++rc_stats_.trials_attempted;
-    if (auto it = memo.find(qp); it != memo.end()) {
-      ++rc_stats_.trials_reused;
-      return it->second;
-    }
-    ++rc_stats_.trials_encoded;
-    Trial t;
-    if (plan) {
-      t = run_inter_trial(*plan, qp, offsets);
-    } else {
-      // Intra prediction depends on the QP-dependent reconstruction, so
-      // an intra trial is always a full pass.
-      ++rc_stats_.full_transform_passes;
-      t = run_intra_trial(src, qp, offsets);
-    }
-    return memo.emplace(qp, std::move(t)).first->second;
-  };
-
   // Binary search over base QP for the best quality that fits the budget.
+  // Every evaluated QP leaves [lo, hi], so no QP is tried twice. `chosen`
+  // is the trial that would be committed if the search stopped now: the
+  // smallest fitting QP, else the largest overshooting one. Later QPs lie
+  // inside the narrowed range, so a fitting trial always replaces it and
+  // an overshooting one does until something fits.
   int lo = kMinQp;
   int hi = kMaxQp;
   int qp = std::clamp(last_qp_, kMinQp, kMaxQp);
-  int best_qp = -1;  // smallest fitting QP seen so far
-  int over_qp = -1;  // largest non-fitting QP
+  std::optional<Trial> chosen;
+  bool fitted = false;
 
   for (int iter = 0; iter < std::max(1, config_.rate_iterations); ++iter) {
-    const Trial& trial = eval(qp);
-    if (trial.data.size() <= target_bytes) {
-      hi = trial.base_qp - 1;
-      if (best_qp < 0 || trial.base_qp < best_qp) best_qp = trial.base_qp;
-    } else {
-      lo = trial.base_qp + 1;
-      over_qp = std::max(over_qp, trial.base_qp);
-    }
-    // Only the trial that would be committed if the search stopped now
-    // can still be chosen (best_qp only falls, over_qp only rises), so
-    // every other inter trial's levels are dropped: at most one set
-    // outlives its trial.
-    const int keep = best_qp >= 0 ? best_qp : over_qp;
-    for (auto& [q, t] : memo)
-      if (q != keep) t.prep = {};
+    ++rc_stats_.trials_attempted;
+    // Intra prediction depends on the QP-dependent reconstruction, so an
+    // intra trial is always a full pass.
+    if (!plan) ++rc_stats_.full_transform_passes;
+    Trial trial = plan ? run_inter_trial(*plan, qp, offsets)
+                       : run_intra_trial(src, qp, offsets);
+    const bool fits = trial.data.size() <= target_bytes;
+    if (fits) hi = trial.base_qp - 1;
+    else lo = trial.base_qp + 1;
+    if (fits || !fitted) chosen = std::move(trial);
+    fitted = fitted || fits;
     if (lo > hi) break;
     qp = (lo + hi) / 2;
   }
 
-  // The memo guarantees materializing the winner never re-encodes it.
-  const int chosen_qp = best_qp >= 0 ? best_qp : over_qp;
-  span.arg("chosen_qp", chosen_qp);
+  span.arg("chosen_qp", chosen->base_qp);
   if (obs_handles_.trials_attempted != nullptr) {
     obs_handles_.trials_attempted->add(rc_stats_.trials_attempted);
-    obs_handles_.trials_encoded->add(rc_stats_.trials_encoded);
-    obs_handles_.trials_reused->add(rc_stats_.trials_reused);
     obs_handles_.full_passes->add(rc_stats_.full_transform_passes);
   }
-  Trial chosen = std::move(memo.at(chosen_qp));
-  reference_ = plan ? reconstruct_inter(*plan, chosen.prep)
-                    : std::move(chosen.recon);
-  has_reference_ = true;
-  return finish_frame(std::move(chosen.data), chosen.base_qp, type,
-                      plan ? &plan->eff_motion : nullptr, src,
-                      std::move(chosen.skip));
+  return commit(std::move(*chosen), plan ? &*plan : nullptr, src);
 }
 
 }  // namespace dive::codec

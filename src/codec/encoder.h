@@ -15,9 +15,9 @@
 // QP-independent work of an inter frame — motion field, motion-
 // compensated predictions, and the DCT coefficients of the prediction
 // residual — is computed once per frame; each QP trial only re-quantizes
-// and entropy-codes, and only the committed trial is reconstructed.
-// Trials are additionally memoized by QP for the duration of the frame,
-// so no QP is ever encoded twice.
+// and entropy-codes, and only the committed trial is reconstructed. The
+// search never revisits a QP. encode() runs the same trial and commit
+// steps at one fixed QP.
 //
 // References are read only through RefPlanes (codec/ref_planes.h), built
 // from reference_ once per encode call and dropped with it.
@@ -80,9 +80,7 @@ struct EncoderConfig {
 
 /// Accounting of the most recent encode_to_target call.
 struct RateControlStats {
-  int trials_attempted = 0;  ///< QP points the search evaluated
-  int trials_encoded = 0;    ///< trials that ran quantize + entropy coding
-  int trials_reused = 0;     ///< trials served from the per-frame QP cache
+  int trials_attempted = 0;  ///< QP points the search evaluated (all distinct)
   /// Motion-compensate + forward-DCT passes over the whole frame: 1 per
   /// inter frame regardless of trial count; every intra trial is a full
   /// pass.
@@ -193,20 +191,21 @@ class Encoder {
   struct InterPlan {
     std::vector<Block8x8> preds;   ///< mb_count * 6, block-major
     std::vector<Block8x8> coeffs;  ///< mb_count * 6, block-major
-    std::vector<std::uint8_t> skip;  ///< per-mb SKIP decision
+    std::vector<std::uint8_t> skip;  ///< per-mb threshold-forced SKIP
     /// Coded field: SKIP entries replaced by their predicted MV (the
     /// exact field the decoder will reconstruct).
     MotionField eff_motion;
   };
 
   /// Output of the parallel half of an inter trial: quantized levels,
-  /// coded-block pattern and QP per macroblock. Enough to emit the trial
-  /// (and so size it for rate control) and, for the committed trial
-  /// only, to reconstruct it (reconstruct_inter).
+  /// coded-block pattern, QP and emitted SKIP bit per macroblock. Enough
+  /// to emit the trial (and so size it for rate control) and, for the
+  /// committed trial only, to reconstruct it (reconstruct_inter).
   struct PreparedInter {
     std::vector<QuantBlock> levels;  ///< mb_count * 6, block-major
     std::vector<int> cbp;            ///< coded-block pattern per mb
     std::vector<int> qps;            ///< resolved QP per mb
+    std::vector<std::uint8_t> skip;  ///< emitted SKIP bit per mb
     int base_qp = 0;
   };
 
@@ -216,9 +215,8 @@ class Encoder {
   struct Trial {
     std::vector<std::uint8_t> data;
     int base_qp = 0;
-    std::vector<std::uint8_t> skip;  ///< per-mb emitted SKIP flags
-    video::Frame recon;              ///< intra only
-    PreparedInter prep;              ///< inter only
+    video::Frame recon;  ///< intra only
+    PreparedInter prep;  ///< inter only
   };
 
   /// Frame-type decision for `src`: forced/GoP intra checks plus the
@@ -243,30 +241,23 @@ class Encoder {
       const;
   [[nodiscard]] std::vector<std::uint8_t> emit_inter_trial(
       const PreparedInter& prep, const InterPlan& plan) const;
-  [[nodiscard]] std::vector<std::uint8_t> skip_map(const PreparedInter& prep,
-                                                   const InterPlan& plan)
-      const;
   [[nodiscard]] Trial run_inter_trial(const InterPlan& plan, int base_qp,
                                       const QpOffsetMap* offsets) const;
   [[nodiscard]] Trial run_intra_trial(const video::Frame& src, int base_qp,
                                       const QpOffsetMap* offsets) const;
 
-  /// Finalizes the frame: PSNR against reference_ (which must already
-  /// hold this frame's reconstruction), codec-state bookkeeping, obs.
-  /// `motion` is the CODED field (InterPlan::eff_motion for inter);
-  /// `skip` the emitted per-mb SKIP flags (inter only, may be empty).
-  EncodedFrame finish_frame(std::vector<std::uint8_t> data, int base_qp,
-                            FrameType type, const MotionField* motion,
-                            const video::Frame& src,
-                            std::vector<std::uint8_t> skip = {});
+  /// Commits `trial` as the frame: its reconstruction becomes
+  /// reference_ (an inter trial is reconstructed from `plan`, which is
+  /// null for intra frames), then PSNR against `src`, codec-state
+  /// bookkeeping and obs.
+  EncodedFrame commit(Trial trial, const InterPlan* plan,
+                      const video::Frame& src);
 
   /// Cached metric handles (see set_obs); all null when unobserved.
   struct ObsHandles {
     obs::Counter* frames = nullptr;
     obs::Counter* motion_searches = nullptr;
     obs::Counter* trials_attempted = nullptr;
-    obs::Counter* trials_encoded = nullptr;
-    obs::Counter* trials_reused = nullptr;
     obs::Counter* full_passes = nullptr;
     obs::Counter* skip_skipped_mbs = nullptr;
     obs::Counter* skip_inter_mbs = nullptr;

@@ -1,0 +1,194 @@
+// The decisions encoder and decoder must make identically, defined once:
+// frame-header syntax, macroblock block geometry, the predicted-MV and
+// chroma-MV rules, DC intra and motion-compensated prediction, and block
+// reconstruction (dequantize + IDCT + clamp). The encoder's reconstruction
+// equals the decoder's output bit for bit because both call these, so a
+// change to any of them is a format change made in one place.
+//
+// Everything is inline, like block_io.h, so the per-block hot loops of
+// both sides compile exactly as if written in place.
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+
+#include "codec/bitstream.h"
+#include "codec/dct.h"
+#include "codec/quant.h"
+#include "codec/ref_planes.h"
+#include "codec/types.h"
+#include "video/frame.h"
+
+namespace dive::codec {
+
+constexpr int kBlocksPerMb = 6;  ///< 4 luma 8x8 + U + V
+
+struct FrameHeader {
+  FrameType type = FrameType::kIntra;
+  int base_qp = 0;
+  int mb_cols = 0;
+  int mb_rows = 0;
+};
+
+inline void write_frame_header(BitWriter& bw, const FrameHeader& h) {
+  bw.put_bits(0xD1, 8);  // magic
+  bw.put_bit(h.type == FrameType::kInter);
+  bw.put_bits(static_cast<std::uint32_t>(h.base_qp), 6);
+  bw.put_ue(static_cast<std::uint32_t>(h.mb_cols));
+  bw.put_ue(static_cast<std::uint32_t>(h.mb_rows));
+}
+
+/// Parses and validates a frame header against the decoder's current
+/// reference (null when it has none). Throws BitstreamError on a bad
+/// magic, an out-of-range QP or geometry, an inter frame without a
+/// reference, or a frame size that differs from the reference's.
+inline FrameHeader read_frame_header(BitReader& br,
+                                     const video::Frame* reference) {
+  if (br.get_bits(8) != 0xD1) throw BitstreamError("Decoder: bad magic");
+  FrameHeader h;
+  h.type = br.get_bit() ? FrameType::kInter : FrameType::kIntra;
+  h.base_qp = static_cast<int>(br.get_bits(6));
+  if (h.base_qp < kMinQp || h.base_qp > kMaxQp)
+    throw BitstreamError("Decoder: base QP out of range");
+  const std::uint32_t cols = br.get_ue();
+  const std::uint32_t rows = br.get_ue();
+  if (cols == 0 || rows == 0 || cols > 1024 || rows > 1024)
+    throw BitstreamError("Decoder: implausible frame geometry");
+  h.mb_cols = static_cast<int>(cols);
+  h.mb_rows = static_cast<int>(rows);
+  if (h.type == FrameType::kInter && reference == nullptr)
+    throw BitstreamError("Decoder: inter frame without reference");
+  if (reference != nullptr &&
+      (reference->width() != h.mb_cols * kMacroblockSize ||
+       reference->height() != h.mb_rows * kMacroblockSize))
+    throw BitstreamError("Decoder: frame size changed mid-stream");
+  return h;
+}
+
+/// Pixel origin and plane (0 = Y, 1 = U, 2 = V) of one coded 8x8 block.
+struct MbBlock {
+  int bx, by;
+  int plane;
+};
+
+/// The six coded blocks of macroblock (col, row), in bitstream order.
+inline std::array<MbBlock, kBlocksPerMb> mb_blocks(int col, int row) {
+  const int px = col * kMacroblockSize;
+  const int py = row * kMacroblockSize;
+  const int cx = px / 2;
+  const int cy = py / 2;
+  return {{{px, py, 0},
+           {px + 8, py, 0},
+           {px, py + 8, 0},
+           {px + 8, py + 8, 0},
+           {cx, cy, 1},
+           {cx, cy, 2}}};
+}
+
+inline video::Plane& plane_of(video::Frame& f, int plane) {
+  return plane == 0 ? f.y : (plane == 1 ? f.u : f.v);
+}
+inline const video::Plane& plane_of(const video::Frame& f, int plane) {
+  return plane == 0 ? f.y : (plane == 1 ? f.u : f.v);
+}
+
+/// The vector an MV is coded against: the left neighbour's coded MV,
+/// zero at the start of each row. `field` holds the coded MVs.
+inline MotionVector predicted_mv(const MotionField& field, int col, int row) {
+  return col > 0 ? field.at(col - 1, row) : MotionVector{};
+}
+
+/// Chroma planes are half resolution: halve the half-pel units.
+inline MotionVector chroma_mv(MotionVector mv) {
+  return {mv.dx / 2, mv.dy / 2};
+}
+
+inline std::uint8_t clamp_pixel(double v) {
+  return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
+}
+
+/// DC intra prediction (H.264-style): every sample is the mean of the
+/// reconstructed samples above and left of the 8x8 block at (bx, by),
+/// 128 when it has neither.
+inline Block8x8 dc_predict(const video::Plane& recon, int bx, int by) {
+  double acc = 0.0;
+  int n = 0;
+  if (by > 0) {
+    for (int x = 0; x < kBlockSize; ++x) {
+      acc += recon.at(bx + x, by - 1);
+      ++n;
+    }
+  }
+  if (bx > 0) {
+    for (int y = 0; y < kBlockSize; ++y) {
+      acc += recon.at(bx - 1, by + y);
+      ++n;
+    }
+  }
+  Block8x8 pred;
+  pred.fill(n > 0 ? acc / n : 128.0);
+  return pred;
+}
+
+/// Motion-compensated 8x8 prediction read through reference planes;
+/// `mv` is the displacement in half-pel units of that plane.
+inline Block8x8 mc_predict(const RefPlanes& ref, int bx, int by,
+                           MotionVector mv) {
+  const std::uint8_t* r = ref.block(bx, by, mv);
+  const int stride = ref.stride();
+  Block8x8 pred;
+  for (int y = 0; y < kBlockSize; ++y)
+    for (int x = 0; x < kBlockSize; ++x)
+      pred[static_cast<std::size_t>(y * kBlockSize + x)] =
+          static_cast<double>(r[y * stride + x]);
+  return pred;
+}
+
+/// Motion-compensated predictions of the six blocks of macroblock
+/// (col, row) coded with luma vector `mv`, into `preds[0..5]`.
+inline void predict_inter_mb(const RefPlanes& ref_y, const RefPlanes& ref_u,
+                             const RefPlanes& ref_v, int col, int row,
+                             MotionVector mv, Block8x8* preds) {
+  const std::array<const RefPlanes*, 3> refs{&ref_y, &ref_u, &ref_v};
+  const auto blocks = mb_blocks(col, row);
+  for (int b = 0; b < kBlocksPerMb; ++b) {
+    const MbBlock& blk = blocks[static_cast<std::size_t>(b)];
+    preds[b] = mc_predict(*refs[static_cast<std::size_t>(blk.plane)], blk.bx,
+                          blk.by, blk.plane == 0 ? mv : chroma_mv(mv));
+  }
+}
+
+/// Reconstructs one 8x8 block into `recon`: the prediction plus, when
+/// `levels` is given, its dequantized inverse transform, clamped to u8.
+inline void reconstruct_block(video::Plane& recon, int bx, int by,
+                              const Block8x8& pred, const QuantBlock* levels,
+                              int qp) {
+  Block8x8 res{};
+  if (levels != nullptr) {
+    Block8x8 deq;
+    dequantize(*levels, qp, deq);
+    inverse_dct(deq, res);
+  }
+  for (int y = 0; y < kBlockSize; ++y)
+    for (int x = 0; x < kBlockSize; ++x) {
+      const auto i = static_cast<std::size_t>(y * kBlockSize + x);
+      recon.at(bx + x, by + y) = clamp_pixel(pred[i] + res[i]);
+    }
+}
+
+/// Reconstructs the six blocks of an inter macroblock from
+/// `preds[0..5]`; block b adds `levels[b]` when bit b of `cbp` is set
+/// and is the bare prediction otherwise (SKIP: `cbp` = 0).
+inline void reconstruct_inter_mb(video::Frame& recon, int col, int row,
+                                 const Block8x8* preds,
+                                 const QuantBlock* levels, int cbp, int qp) {
+  const auto blocks = mb_blocks(col, row);
+  for (int b = 0; b < kBlocksPerMb; ++b) {
+    const MbBlock& blk = blocks[static_cast<std::size_t>(b)];
+    reconstruct_block(plane_of(recon, blk.plane), blk.bx, blk.by, preds[b],
+                      (cbp & (1 << b)) != 0 ? &levels[b] : nullptr, qp);
+  }
+}
+
+}  // namespace dive::codec

@@ -2,7 +2,7 @@
 // shared by the agent pipeline, codec, network, edge, and serving layers.
 //
 // Naming scheme: dot-separated "<layer>.<subsystem>.<metric>" (e.g.
-// "codec.rc.trials_encoded", "net.transmit_ms"); the prefix before the
+// "codec.rc.trials_attempted", "net.transmit_ms"); the prefix before the
 // first dot is the layer and doubles as the trace category. Units are
 // free-form short strings ("count", "bytes", "ms", "qp", "dB").
 //

@@ -11,12 +11,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
 #include "codec/bitstream.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
+#include "codec/reconstruct.h"
 #include "util/rng.h"
 #include "video/frame.h"
 
@@ -147,6 +149,33 @@ TEST(DecoderRobustness, InterWithoutReferenceRejects) {
   std::string error;
   EXPECT_FALSE(dec.try_decode(golden().inter, &error).has_value());
   EXPECT_FALSE(error.empty());
+}
+
+TEST(DecoderRobustness, HostileZeroRunRejects) {
+  // A 1x1-macroblock intra frame whose first block codes one level per
+  // entry of `runs`, each after that zero run. The run is untrusted: it
+  // must be bounded before it moves the zigzag position: 2^31 would
+  // wrap it negative, and INT32_MAX added to a nonzero one overflows.
+  const auto stream = [](std::initializer_list<std::uint32_t> runs) {
+    BitWriter bw;
+    write_frame_header(bw, {FrameType::kIntra, 30, 1, 1});
+    bw.put_se(0);      // macroblock QP delta
+    bw.put_bit(true);  // block 0 coded
+    bw.put_ue(static_cast<std::uint32_t>(runs.size()));
+    for (const std::uint32_t run : runs) {
+      bw.put_ue(run);
+      bw.put_se(1);
+    }
+    return bw.finish();
+  };
+  for (const auto& bytes : {stream({0x80000000u}), stream({0xFFFFFFFEu}),
+                            stream({0u, 0x7FFFFFFFu})}) {
+    Decoder dec;
+    std::string error;
+    EXPECT_FALSE(dec.try_decode(bytes, &error).has_value());
+    EXPECT_NE(error.find("zigzag overrun"), std::string::npos) << error;
+    EXPECT_FALSE(dec.has_reference());
+  }
 }
 
 TEST(DecoderRobustness, ThrowingDecodeStillAvailable) {

@@ -1,7 +1,8 @@
 // Determinism of the parallel encode pipeline: encoded bytes must be
 // bit-identical for every thread count, and the rate control's trial
 // reuse must skip redundant transform passes while coding every frame
-// exactly as a fresh fixed-QP encode at the chosen QP would.
+// exactly as a fresh fixed-QP encode at the chosen QP would, never trying
+// one QP twice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "codec/decoder.h"
 #include "codec/encoder.h"
 #include "codec/motion_search.h"
+#include "obs/obs.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -140,9 +142,42 @@ TEST(ParallelEncoder, TrialReuseSkipsTransformPasses) {
           if (got.type == FrameType::kInter)
             EXPECT_EQ(rc.full_transform_passes, 1);
           else
-            EXPECT_EQ(rc.full_transform_passes, rc.trials_encoded);
+            EXPECT_EQ(rc.full_transform_passes, rc.trials_attempted);
         }
       }
+}
+
+TEST(ParallelEncoder, RateControlNeverRetriesAQp) {
+  // encode_to_target keeps no per-QP cache, which is only free because
+  // its search never evaluates one QP twice within a frame. Read the
+  // tried QPs back from the per-trial spans, intra and inter.
+  obs::ObsContext obs;
+  obs.tracer.set_enabled(true);
+  Encoder enc({.width = 128, .height = 64, .gop_length = 4, .threads = 1});
+  enc.set_obs(&obs);
+  const auto seq = moving_sequence(128, 64, 6);
+  for (std::size_t target : {500u, 1500u, 4000u}) {
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      obs.tracer.clear();
+      enc.encode_to_target(seq[i], target);
+      std::vector<long long> qps;
+      for (const auto& ev : obs.tracer.snapshot()) {
+        if (ev.name != "codec.inter_trial" && ev.name != "codec.intra_trial")
+          continue;
+        for (const auto& [key, value] : ev.args)
+          if (key == "qp") qps.push_back(value);
+      }
+      SCOPED_TRACE("target=" + std::to_string(target) +
+                   " frame=" + std::to_string(i));
+#if !defined(DIVE_OBS_DISABLED)
+      // Spans exist only when the macro path is compiled in.
+      ASSERT_EQ(static_cast<int>(qps.size()),
+                enc.rate_control_stats().trials_attempted);
+#endif
+      std::sort(qps.begin(), qps.end());
+      EXPECT_EQ(std::adjacent_find(qps.begin(), qps.end()), qps.end());
+    }
+  }
 }
 
 TEST(ParallelEncoder, DecoderAgreesWithParallelEncoder) {
