@@ -1,6 +1,6 @@
 // Microbenchmarks of the codec substrate (google-benchmark): transform,
 // quantization, SAD kernels (scalar vs. SIMD dispatch), the five
-// motion-search methods, and full frame encode/decode.
+// motion-search methods, bit I/O, and full frame encode/decode.
 //
 // Besides the google-benchmark suite, main() emits four machine-readable
 // records (bench_record.h, schema-checked in CI):
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench_record.h"
+#include "codec/bitstream.h"
 #include "codec/dct.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
@@ -300,6 +301,113 @@ void BM_Decode(benchmark::State& state) {
   state.SetLabel(decode_inter ? "inter" : "intra");
 }
 BENCHMARK(BM_Decode)->Arg(0)->Arg(1);
+
+// One real inter frame's symbol stream (the fast pan BM_EncodeHme codes,
+// at QP 22), recorded by parsing its bytes with the frame syntax, so the
+// bit I/O benchmarks below replay exactly the op mix the codec produces.
+struct Symbol {
+  enum Kind : std::uint8_t { kBit, kBits, kUe, kSe } kind;
+  int count;             ///< kBits only
+  std::uint32_t value;   ///< kSe stores the int32
+};
+
+struct SymbolStream {
+  std::vector<std::uint8_t> data;
+  std::vector<Symbol> symbols;
+};
+
+const SymbolStream& inter_symbol_stream() {
+  static const SymbolStream stream = [] {
+    codec::Encoder enc({.width = 256, .height = 128});
+    (void)enc.encode(driving_frame(256, 128, 0), 22);
+    SymbolStream s;
+    s.data = enc.encode(driving_frame(256, 128, 18), 22).data;
+    codec::BitReader br(s.data);
+    const auto bits = [&](int n) {
+      const std::uint32_t v = br.get_bits(n);
+      s.symbols.push_back({Symbol::kBits, n, v});
+      return v;
+    };
+    const auto bit = [&] {
+      const bool v = br.get_bit();
+      s.symbols.push_back({Symbol::kBit, 1, v ? 1U : 0U});
+      return v;
+    };
+    const auto ue = [&] {
+      const std::uint32_t v = br.get_ue();
+      s.symbols.push_back({Symbol::kUe, 0, v});
+      return v;
+    };
+    const auto se = [&] {
+      s.symbols.push_back(
+          {Symbol::kSe, 0, static_cast<std::uint32_t>(br.get_se())});
+    };
+    bits(8);  // frame header: magic, type, base QP, geometry
+    bit();
+    bits(6);
+    const std::uint32_t mbs = ue() * ue();
+    for (std::uint32_t mb = 0; mb < mbs; ++mb) {
+      if (bit()) continue;  // SKIP
+      se();                 // MV delta x, y and QP delta
+      se();
+      se();
+      const std::uint32_t cbp = bits(6);
+      for (int b = 0; b < 6; ++b) {
+        if ((cbp & (1U << b)) == 0) continue;
+        const std::uint32_t levels = ue();
+        for (std::uint32_t k = 0; k < levels; ++k) {
+          ue();  // zero run
+          se();  // level
+        }
+      }
+    }
+    return s;
+  }();
+  return stream;
+}
+
+void BM_BitWriter(benchmark::State& state) {
+  const SymbolStream& stream = inter_symbol_stream();
+  for (auto _ : state) {
+    codec::BitWriter bw;
+    for (const Symbol& sym : stream.symbols) {
+      switch (sym.kind) {
+        case Symbol::kBit: bw.put_bit(sym.value != 0); break;
+        case Symbol::kBits: bw.put_bits(sym.value, sym.count); break;
+        case Symbol::kUe: bw.put_ue(sym.value); break;
+        case Symbol::kSe: bw.put_se(static_cast<std::int32_t>(sym.value)); break;
+      }
+    }
+    benchmark::DoNotOptimize(bw.finish());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.symbols.size()));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.data.size()));
+}
+BENCHMARK(BM_BitWriter);
+
+void BM_BitReader(benchmark::State& state) {
+  const SymbolStream& stream = inter_symbol_stream();
+  for (auto _ : state) {
+    codec::BitReader br(stream.data);
+    std::uint32_t sum = 0;
+    for (const Symbol& sym : stream.symbols) {
+      switch (sym.kind) {
+        case Symbol::kBit: sum += br.get_bit() ? 1U : 0U; break;
+        case Symbol::kBits: sum += br.get_bits(sym.count); break;
+        case Symbol::kUe: sum += br.get_ue(); break;
+        case Symbol::kSe: sum += static_cast<std::uint32_t>(br.get_se()); break;
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.symbols.size()));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.data.size()));
+}
+BENCHMARK(BM_BitReader);
 
 // --- Machine-readable records (bench_record.h) ----------------------
 

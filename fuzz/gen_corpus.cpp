@@ -9,6 +9,9 @@
 //                        accepts (64x64 inter frames, the fuzz target's
 //                        reference size)
 //   <out>/roi_metadata/  sidecars built from those encodes + hull regions
+//   <out>/bitio/         op sequences for fuzz_bitio: short codes, the
+//                        longest codes, every put_bits width, and the
+//                        shape of a frame's symbol stream
 //
 // Re-seeding after a format change (see DESIGN §14):
 //   cmake --preset fuzz && cmake --build --preset fuzz --target gen_corpus
@@ -89,6 +92,45 @@ std::vector<std::uint8_t> edge_zero_run() {
   return bw.finish();
 }
 
+/// Builds a fuzz_bitio input (op encoding documented in fuzz_bitio.cpp).
+class BitioOps {
+ public:
+  void bit(bool b) { bytes_.push_back(b ? 4 : 0); }
+  void bits(std::uint32_t value, int count) {
+    bytes_.push_back(static_cast<std::uint8_t>(1 | (count - 1) << 2));
+    payload(value, 4);
+  }
+  void ue(std::uint32_t value) {
+    if (value < 16) bytes_.push_back(static_cast<std::uint8_t>(2 | value << 4));
+    else if (value < 0x100) tagged(2, 1, value);
+    else if (value < 0x10000) tagged(2, 2, value);
+    else tagged(2, 3, value);
+  }
+  void se(std::int32_t value) {
+    const auto v = static_cast<std::uint32_t>(value);
+    if (value >= -8 && value <= 7)
+      bytes_.push_back(static_cast<std::uint8_t>(3 | (value + 8) << 4));
+    else if (value >= -128 && value <= 127) tagged(3, 1, v);
+    else if (value >= -32768 && value <= 32767) tagged(3, 2, v);
+    else tagged(3, 3, v);
+  }
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
+    return bytes_;
+  }
+
+ private:
+  /// A ue/se op with a 1-, 2- or 4-byte payload (width 1, 2, 3).
+  void tagged(int kind, int width, std::uint32_t value) {
+    bytes_.push_back(static_cast<std::uint8_t>(kind | width << 2));
+    payload(value, width == 3 ? 4 : width);
+  }
+  void payload(std::uint32_t value, int n) {
+    for (int i = n - 1; i >= 0; --i)
+      bytes_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  }
+  std::vector<std::uint8_t> bytes_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,6 +138,7 @@ int main(int argc, char** argv) {
   const fs::path root = argc > 1 ? argv[1] : "fuzz/corpus";
   fs::create_directories(root / "bitstream");
   fs::create_directories(root / "roi_metadata");
+  fs::create_directories(root / "bitio");
 
   // --- Bitstream corpus: one small GOP per interesting encoder mode. ---
   struct ModeSpec {
@@ -135,6 +178,60 @@ int main(int argc, char** argv) {
              edge_inter(30, 2 * 64, -2 * 64, 0, false));
   write_file(root / "bitstream" / "edge_qp_delta",
              edge_inter(0, 0, 0, codec::kMaxQp, true));
+
+  // --- Bit I/O op sequences (fuzz_bitio). ---
+  {
+    BitioOps small;
+    for (int i = 0; i < 48; ++i) {
+      small.bit(i % 3 == 0);
+      small.ue(static_cast<std::uint32_t>(i % 20));
+      small.se(i % 2 == 0 ? i / 2 : -i / 2);
+      small.bits(static_cast<std::uint32_t>(i * 37), 1 + i % 9);
+    }
+    write_file(root / "bitio" / "small_codes", small.bytes());
+
+    BitioOps longest;
+    longest.bit(true);  // misalign every code below
+    longest.ue(0xFFFFFFFFU);
+    longest.se(2147483647);
+    longest.se(-2147483647);
+    longest.ue(65535);
+    longest.ue(65534);
+    longest.bits(0xFFFFFFFFU, 32);
+    longest.ue(0x7FFFFFFFU);
+    write_file(root / "bitio" / "longest_codes", longest.bytes());
+
+    BitioOps widths;
+    for (int count = 1; count <= 32; ++count) {
+      widths.bits(0xA5C3F00FU, count);
+      widths.bit(count % 2 == 1);
+    }
+    write_file(root / "bitio" / "put_bits_widths", widths.bytes());
+
+    // The symbol shape of an inter frame: header, then per macroblock a
+    // SKIP bit or MV/QP deltas, a cbp and (count, run, level) blocks.
+    BitioOps frame;
+    frame.bits(0xD1, 8);
+    frame.bit(true);
+    frame.bits(28, 6);
+    frame.ue(12);
+    frame.ue(8);
+    for (int mb = 0; mb < 24; ++mb) {
+      const bool skip = mb % 3 == 1;
+      frame.bit(skip);
+      if (skip) continue;
+      frame.se(mb % 5 - 2);
+      frame.se(1 - mb % 4);
+      frame.se(mb % 7 == 0 ? 3 : 0);
+      frame.bits(static_cast<std::uint32_t>(mb * 11) & 0x3F, 6);
+      frame.ue(3);
+      for (int k = 0; k < 3; ++k) {
+        frame.ue(static_cast<std::uint32_t>(k * (mb % 6)));
+        frame.se(k == 0 ? -(mb % 9) - 1 : 1);
+      }
+    }
+    write_file(root / "bitio" / "frame_symbols", frame.bytes());
+  }
 
   // --- RoI metadata corpus: sidecars from the encodes above, with and
   // without foreground hull regions (including a degenerate 2-pt hull,

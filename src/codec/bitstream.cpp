@@ -4,81 +4,133 @@
 
 namespace dive::codec {
 
-void BitWriter::put_bit(bool bit) {
-  cur_ = static_cast<std::uint8_t>((cur_ << 1) | (bit ? 1 : 0));
-  if (++cur_bits_ == 8) {
-    bytes_.push_back(cur_);
-    cur_ = 0;
-    cur_bits_ = 0;
+namespace {
+
+void check_count(int count, const char* what) {
+  if (count < 0 || count > 32) throw std::invalid_argument(what);
+}
+
+}  // namespace
+
+void BitWriter::put_word(std::uint64_t value, int count) {
+  const int free = 64 - acc_bits_;  // 1..64
+  if (count < free) {
+    acc_ |= value << (free - count);
+    acc_bits_ += count;
+    return;
   }
-  ++bit_count_;
+  // The accumulator fills: append it as one big-endian word and keep the
+  // `rest` low bits of `value` as the new pending bits.
+  const int rest = count - free;  // 0..63
+  acc_ |= value >> rest;
+  const std::size_t n = bytes_.size();
+  bytes_.resize(n + 8);
+  for (int i = 0; i < 8; ++i)
+    bytes_[n + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(acc_ >> (56 - 8 * i));
+  acc_ = rest == 0 ? 0 : value << (64 - rest);
+  acc_bits_ = rest;
 }
 
 void BitWriter::put_bits(std::uint32_t value, int count) {
-  for (int i = count - 1; i >= 0; --i) put_bit((value >> i) & 1U);
+  check_count(count, "BitWriter::put_bits: count outside [0, 32]");
+  if (count == 0) return;
+  put_word(value & (~std::uint64_t{0} >> (64 - count)), count);
 }
 
 void BitWriter::put_ue(std::uint32_t value) {
-  // code = value + 1 in "leading zeros + binary" form.
+  // code = value + 1 in "leading zeros + binary" form: 2 * bits - 1 bits,
+  // i.e. the code itself right-aligned in that width. Only UINT32_MAX
+  // (a 65-bit code) needs a second word.
   const std::uint64_t code = static_cast<std::uint64_t>(value) + 1;
-  const int bits = 64 - std::countl_zero(code);
-  for (int i = 0; i < bits - 1; ++i) put_bit(false);
-  for (int i = bits - 1; i >= 0; --i) put_bit((code >> i) & 1U);
-}
-
-void BitWriter::put_se(std::int32_t value) {
-  const std::uint32_t mapped =
-      value > 0 ? static_cast<std::uint32_t>(value) * 2 - 1
-                : static_cast<std::uint32_t>(-static_cast<std::int64_t>(value)) * 2;
-  put_ue(mapped);
+  const int length = ue_bits(value);
+  if (length <= 64) {
+    put_word(code, length);
+  } else {
+    put_word(0, length - 64);
+    put_word(code, 64);
+  }
 }
 
 std::vector<std::uint8_t> BitWriter::finish() {
-  if (cur_bits_ > 0) {
-    bytes_.push_back(static_cast<std::uint8_t>(cur_ << (8 - cur_bits_)));
-    cur_ = 0;
-    cur_bits_ = 0;
-  }
+  const int tail = (acc_bits_ + 7) / 8;
+  for (int i = 0; i < tail; ++i)
+    bytes_.push_back(static_cast<std::uint8_t>(acc_ >> (56 - 8 * i)));
+  acc_ = 0;
+  acc_bits_ = 0;
   return std::move(bytes_);
 }
 
-int BitWriter::ue_bits(std::uint32_t value) {
-  const std::uint64_t code = static_cast<std::uint64_t>(value) + 1;
-  const int bits = 64 - std::countl_zero(code);
-  return 2 * bits - 1;
+void BitCounter::put_bits(std::uint32_t, int count) {
+  check_count(count, "BitCounter::put_bits: count outside [0, 32]");
+  bits_ += static_cast<std::size_t>(count);
 }
 
-int BitWriter::se_bits(std::int32_t value) {
-  const std::uint32_t mapped =
-      value > 0 ? static_cast<std::uint32_t>(value) * 2 - 1
-                : static_cast<std::uint32_t>(-static_cast<std::int64_t>(value)) * 2;
-  return ue_bits(mapped);
+void BitReader::refill() {
+  if (next_byte_ + 8 <= data_.size()) {
+    // Load the next 8 bytes as one big-endian word and keep the whole
+    // bytes that fit. The bits of the partial byte that also land below
+    // cache_bits_ are the stream's own next bits, so a later refill ORs
+    // the same values over them.
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < 8; ++i)
+      word = (word << 8) | data_[next_byte_ + i];
+    cache_ |= word >> cache_bits_;
+    const int take = (63 - cache_bits_) >> 3;
+    next_byte_ += static_cast<std::size_t>(take);
+    cache_bits_ += 8 * take;
+    return;
+  }
+  while (cache_bits_ <= 56 && next_byte_ < data_.size()) {
+    cache_ |= static_cast<std::uint64_t>(data_[next_byte_++])
+              << (56 - cache_bits_);
+    cache_bits_ += 8;
+  }
 }
 
 bool BitReader::get_bit() {
-  if (pos_byte_ >= data_.size())
+  if (cache_bits_ == 0) refill();
+  if (cache_bits_ == 0)
     throw BitstreamError("BitReader: read past end of stream");
-  const bool bit = (data_[pos_byte_] >> (7 - pos_bit_)) & 1U;
-  if (++pos_bit_ == 8) {
-    pos_bit_ = 0;
-    ++pos_byte_;
-  }
+  const bool bit = (cache_ >> 63) != 0;
+  consume(1);
   return bit;
 }
 
 std::uint32_t BitReader::get_bits(int count) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < count; ++i) v = (v << 1) | (get_bit() ? 1U : 0U);
+  check_count(count, "BitReader::get_bits: count outside [0, 32]");
+  if (count == 0) return 0;
+  if (cache_bits_ < count) refill();
+  if (cache_bits_ < count)
+    throw BitstreamError("BitReader: read past end of stream");
+  const auto v = static_cast<std::uint32_t>(cache_ >> (64 - count));
+  consume(count);
   return v;
 }
 
 std::uint32_t BitReader::get_ue() {
-  int zeros = 0;
-  while (!get_bit()) {
-    if (++zeros > 32) throw BitstreamError("BitReader: malformed ue code");
+  // After a refill the cache holds at least 56 bits or the rest of the
+  // stream, so the 33-bit prefix window is either fully visible or runs
+  // into the end.
+  if (cache_bits_ <= 32) refill();
+  const int zeros = std::countl_zero(cache_);
+  if (zeros > 32 && cache_bits_ > 32)
+    throw BitstreamError("BitReader: malformed ue code");
+  if (zeros >= cache_bits_)
+    throw BitstreamError("BitReader: read past end of stream");
+  const int length = 2 * zeros + 1;
+  std::uint64_t code;
+  if (length <= cache_bits_) {
+    code = cache_ >> (64 - length);
+    consume(length);
+  } else {
+    consume(zeros);
+    refill();
+    if (cache_bits_ < zeros + 1)
+      throw BitstreamError("BitReader: read past end of stream");
+    code = cache_ >> (63 - zeros);
+    consume(zeros + 1);
   }
-  std::uint64_t code = 1;
-  for (int i = 0; i < zeros; ++i) code = (code << 1) | (get_bit() ? 1U : 0U);
   // A 32-zero prefix admits 33-bit codes; anything whose value does not
   // fit uint32 is hostile input, not a real code — reject instead of
   // silently truncating.

@@ -1,8 +1,17 @@
 // Bit-level I/O with Exp-Golomb entropy codes — the serialization layer of
 // the codec (Sec. II-B step 3: entropy encoding of transformed/quantized
 // data).
+//
+// Writer and reader work a 64-bit word at a time: BitWriter packs codes
+// into a left-aligned accumulator and appends whole words, BitReader
+// serves reads from a cached word refilled from the byte stream. The
+// bytes and the BitstreamError cases are the same as a bit-at-a-time
+// implementation's. BitCounter takes the same calls as BitWriter and only
+// counts, so syntax written as a template over the sink (write_block,
+// write_frame_header) sizes a stream without producing it.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -10,31 +19,71 @@
 
 namespace dive::codec {
 
+/// Zigzag mapping of signed Exp-Golomb: 0,1,-1,2,-2,... -> 0,1,2,3,4,...
+inline std::uint32_t se_to_ue(std::int32_t value) {
+  return value > 0
+             ? static_cast<std::uint32_t>(value) * 2 - 1
+             : static_cast<std::uint32_t>(-static_cast<std::int64_t>(value)) *
+                   2;
+}
+
 class BitWriter {
  public:
-  void put_bit(bool bit);
-  void put_bits(std::uint32_t value, int count);  ///< MSB-first, count<=32
+  void put_bit(bool bit) { put_word(bit ? 1U : 0U, 1); }
+  /// MSB-first. Throws std::invalid_argument unless 0 <= count <= 32.
+  void put_bits(std::uint32_t value, int count);
 
   /// Unsigned Exp-Golomb.
   void put_ue(std::uint32_t value);
   /// Signed Exp-Golomb (zigzag mapping 0,1,-1,2,-2,...).
-  void put_se(std::int32_t value);
+  void put_se(std::int32_t value) { put_ue(se_to_ue(value)); }
 
   /// Pads the final partial byte with zeros and returns the buffer.
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
-  [[nodiscard]] std::size_t bit_count() const { return bit_count_; }
+  [[nodiscard]] std::size_t bit_count() const {
+    return bytes_.size() * 8 + static_cast<std::size_t>(acc_bits_);
+  }
 
   /// Size in bits of the Exp-Golomb code for `value` — used by motion
-  /// search for rate-aware cost.
-  static int ue_bits(std::uint32_t value);
-  static int se_bits(std::int32_t value);
+  /// search for rate-aware cost and by BitCounter.
+  static int ue_bits(std::uint32_t value) {
+    const std::uint64_t code = static_cast<std::uint64_t>(value) + 1;
+    return 2 * (64 - std::countl_zero(code)) - 1;
+  }
+  static int se_bits(std::int32_t value) { return ue_bits(se_to_ue(value)); }
 
  private:
+  /// Appends the low `count` bits of `value` (1 <= count <= 64; the bits
+  /// above `count` must be zero).
+  void put_word(std::uint64_t value, int count);
+
   std::vector<std::uint8_t> bytes_;
-  std::uint8_t cur_ = 0;
-  int cur_bits_ = 0;
-  std::size_t bit_count_ = 0;
+  std::uint64_t acc_ = 0;  ///< pending bits, left-aligned
+  int acc_bits_ = 0;       ///< 0..63
+};
+
+/// BitWriter's interface, counting bits instead of storing them.
+class BitCounter {
+ public:
+  void put_bit(bool) { ++bits_; }
+  /// Throws std::invalid_argument unless 0 <= count <= 32, as BitWriter.
+  void put_bits(std::uint32_t value, int count);
+  void put_ue(std::uint32_t value) {
+    bits_ += static_cast<std::size_t>(BitWriter::ue_bits(value));
+  }
+  void put_se(std::int32_t value) {
+    bits_ += static_cast<std::size_t>(BitWriter::se_bits(value));
+  }
+  /// Adds bits sized elsewhere (e.g. blocks counted while quantizing).
+  void add_bits(std::size_t bits) { bits_ += bits; }
+
+  [[nodiscard]] std::size_t bit_count() const { return bits_; }
+  /// Bytes BitWriter::finish would return for the same calls.
+  [[nodiscard]] std::size_t byte_count() const { return (bits_ + 7) / 8; }
+
+ private:
+  std::size_t bits_ = 0;
 };
 
 class BitstreamError : public std::runtime_error {
@@ -47,21 +96,34 @@ class BitReader {
   explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
 
   bool get_bit();
+  /// Throws std::invalid_argument unless 0 <= count <= 32.
   std::uint32_t get_bits(int count);
   std::uint32_t get_ue();
   std::int32_t get_se();
 
   [[nodiscard]] bool exhausted() const {
-    return pos_byte_ >= data_.size();
+    return bits_consumed() >= data_.size() * 8;
   }
   [[nodiscard]] std::size_t bits_consumed() const {
-    return pos_byte_ * 8 + pos_bit_;
+    return next_byte_ * 8 - static_cast<std::size_t>(cache_bits_);
   }
 
  private:
+  /// Tops the cache up to at least 56 bits, or to the end of the stream.
+  void refill();
+  /// Drops `count` (< 64) bits from the top of the cache.
+  void consume(int count) {
+    cache_ <<= count;
+    cache_bits_ -= count;
+  }
+
   std::span<const std::uint8_t> data_;
-  std::size_t pos_byte_ = 0;
-  int pos_bit_ = 0;
+  /// The next `cache_bits_` unread bits, left-aligned. The bits below
+  /// them are either zero or the stream's following bits, never anything
+  /// else.
+  std::uint64_t cache_ = 0;
+  int cache_bits_ = 0;
+  std::size_t next_byte_ = 0;  ///< first byte not yet in the cache
 };
 
 }  // namespace dive::codec

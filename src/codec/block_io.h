@@ -5,18 +5,23 @@
 // pairs in zigzag order.
 #pragma once
 
+#include <bit>
+#include <cstdint>
+
 #include "codec/bitstream.h"
 #include "codec/quant.h"
 
 namespace dive::codec {
 
-inline void write_block(BitWriter& bw, const QuantBlock& levels) {
+/// Writes `levels` to `sink`: a BitWriter, or a BitCounter to size it.
+template <class Sink>
+void write_block(Sink& sink, const QuantBlock& levels) {
   const auto& zz = zigzag_order();
   int nonzero = 0;
   for (int i = 0; i < 64; ++i)
     if (levels[static_cast<std::size_t>(zz[static_cast<std::size_t>(i)])] != 0)
       ++nonzero;
-  bw.put_ue(static_cast<std::uint32_t>(nonzero));
+  sink.put_ue(static_cast<std::uint32_t>(nonzero));
   int run = 0;
   for (int i = 0; i < 64 && nonzero > 0; ++i) {
     const std::int32_t level =
@@ -24,12 +29,39 @@ inline void write_block(BitWriter& bw, const QuantBlock& levels) {
     if (level == 0) {
       ++run;
     } else {
-      bw.put_ue(static_cast<std::uint32_t>(run));
-      bw.put_se(level);
+      sink.put_ue(static_cast<std::uint32_t>(run));
+      sink.put_se(level);
       run = 0;
       --nonzero;
     }
   }
+}
+
+/// quantize() fused with sizing: fills `levels` and returns the length in
+/// bits of write_block(levels), or 0 when every level is zero (the block
+/// is not coded). Only the zero runs depend on the scan order, so the
+/// nonzero levels are moved to a mask over zigzag positions and the runs
+/// read off its set bits. The differential suite checks the result
+/// against write_block into a BitWriter.
+inline int quantize_block_bits(const Block8x8& coeffs, int qp,
+                               QuantBlock& levels) {
+  std::uint64_t nonzero = quantize(coeffs, qp, levels);
+  if (nonzero == 0) return 0;
+  const auto& rank = zigzag_rank();
+  std::uint64_t scan = 0;  // nonzero levels by zigzag position
+  int bits =
+      BitWriter::ue_bits(static_cast<std::uint32_t>(std::popcount(nonzero)));
+  for (; nonzero != 0; nonzero &= nonzero - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(nonzero));
+    scan |= std::uint64_t{1} << rank[i];
+    bits += BitWriter::se_bits(levels[i]);
+  }
+  for (int next = 0; scan != 0; scan &= scan - 1) {
+    const int pos = std::countr_zero(scan);
+    bits += BitWriter::ue_bits(static_cast<std::uint32_t>(pos - next));
+    next = pos + 1;
+  }
+  return bits;
 }
 
 inline void read_block(BitReader& br, QuantBlock& levels) {

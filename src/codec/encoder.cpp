@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -34,14 +35,23 @@ void residual_dct(const video::Plane& src, int bx, int by,
   forward_dct(residual, coeffs);
 }
 
+/// Largest |coeff| of a block (four running maxima, so the compares do
+/// not form one serial chain).
+double max_abs(const Block8x8& coeffs) {
+  std::array<double, 4> m{};
+  for (std::size_t i = 0; i < 64; i += 4)
+    for (std::size_t j = 0; j < 4; ++j)
+      m[j] = std::max(m[j], std::abs(coeffs[i + j]));
+  return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
+}
+
 /// Transform + quantize the (src - pred) residual of one 8x8 block.
 /// Returns true when any level is nonzero.
 bool transform_block(const video::Plane& src, int bx, int by,
                      const Block8x8& pred, int qp, QuantBlock& levels) {
   Block8x8 coeffs;
   residual_dct(src, bx, by, pred, coeffs);
-  quantize(coeffs, qp, levels);
-  return !all_zero(levels);
+  return quantize(coeffs, qp, levels) != 0;
 }
 
 int mb_qp(int base_qp, const QpOffsetMap* offsets, int col, int row) {
@@ -160,6 +170,7 @@ Encoder::InterPlan Encoder::build_inter_plan(
   InterPlan plan;
   plan.preds.resize(mb_count * kBlocksPerMb);
   plan.coeffs.resize(mb_count * kBlocksPerMb);
+  plan.max_abs.assign(mb_count * kBlocksPerMb, 0.0);
   plan.skip.assign(mb_count, 0);
   plan.eff_motion = *motion;
 
@@ -169,7 +180,7 @@ Encoder::InterPlan Encoder::build_inter_plan(
   // mirroring bitstream emission), so rows stay independent and the
   // decisions are bit-identical for every thread count. A skipped
   // macroblock is predicted at the predicted MV and never pays the
-  // residual DCT; its coefficients stay zero (value-initialized).
+  // residual DCT; its coefficients (and their max |coeff|) stay zero.
   const bool skip_on = config_.skip_blocks;
   const auto skip_budget =
       static_cast<std::uint32_t>(std::max(0, config_.skip_threshold));
@@ -199,6 +210,7 @@ Encoder::InterPlan Encoder::build_inter_plan(
         const std::size_t i = base + static_cast<std::size_t>(b);
         residual_dct(plane_of(src, blk.plane), blk.bx, blk.by, plan.preds[i],
                      plan.coeffs[i]);
+        plan.max_abs[i] = max_abs(plan.coeffs[i]);
       }
     }
   };
@@ -207,8 +219,9 @@ Encoder::InterPlan Encoder::build_inter_plan(
   return plan;
 }
 
-Encoder::PreparedInter Encoder::prepare_inter_trial(
-    const InterPlan& plan, int base_qp, const QpOffsetMap* offsets) const {
+void Encoder::prepare_inter_trial(const InterPlan& plan, int base_qp,
+                                  const QpOffsetMap* offsets,
+                                  Trial& trial) const {
   base_qp = std::clamp(base_qp, kMinQp, kMaxQp);
   DIVE_OBS_SPAN(span, obs_, "codec.inter_trial", obs::kTrackCodec);
   span.flow(frame_ctx_);
@@ -218,34 +231,47 @@ Encoder::PreparedInter Encoder::prepare_inter_trial(
   const std::size_t mb_count =
       static_cast<std::size_t>(mb_cols) * static_cast<std::size_t>(mb_rows);
 
-  PreparedInter prep;
+  trial.base_qp = base_qp;
+  PreparedInter& prep = trial.prep;
   prep.base_qp = base_qp;
 
   // Parallel by row: quantize the precomputed residual coefficients at
-  // this trial's QP and decide each macroblock's SKIP bit. Each row
-  // writes a disjoint slice of the scratch arrays. Nothing is
+  // this trial's QP, size the coded blocks, and decide each macroblock's
+  // SKIP bit. Each row writes a disjoint slice of the arrays, and every
+  // per-mb entry, so a previous trial's storage is reused as is. Levels
+  // are written only for coded blocks and read only where the cbp bit is
+  // set; a block whose largest |coeff| lies inside the dead zone
+  // quantizes to all zeros, so it is never visited. Nothing is
   // reconstructed here: only the committed trial is, by
   // reconstruct_inter.
   prep.levels.resize(mb_count * kBlocksPerMb);
-  prep.cbp.assign(mb_count, 0);
-  prep.qps.assign(mb_count, base_qp);
-  prep.skip.assign(mb_count, 0);
+  prep.cbp.resize(mb_count);
+  prep.block_bits.resize(mb_count);
+  prep.qps.resize(mb_count);
+  prep.skip.resize(mb_count);
 
   const auto quant_row = [&](int row) {
     for (int col = 0; col < mb_cols; ++col) {
       const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
       const int qp = mb_qp(base_qp, offsets, col, row);
       prep.qps[mb] = qp;
+      int mask = 0;
+      int bits = 0;
       if (plan.skip[mb] == 0) {
         const std::size_t base = mb * kBlocksPerMb;
-        int mask = 0;
+        const double deadzone = quant_step(qp).deadzone;
         for (int b = 0; b < kBlocksPerMb; ++b) {
           const std::size_t i = base + static_cast<std::size_t>(b);
-          quantize(plan.coeffs[i], qp, prep.levels[i]);
-          if (!all_zero(prep.levels[i])) mask |= 1 << b;
+          if (plan.max_abs[i] <= deadzone) continue;
+          const int block_bits =
+              quantize_block_bits(plan.coeffs[i], qp, prep.levels[i]);
+          if (block_bits == 0) continue;
+          mask |= 1 << b;
+          bits += block_bits;
         }
-        prep.cbp[mb] = mask;
       }
+      prep.cbp[mb] = mask;
+      prep.block_bits[mb] = bits;
       // SKIP bit semantics: "this macroblock's MV equals the predicted MV
       // and it carries no residual" — the decoder copies the reference
       // at the predicted MV. Threshold-forced skips satisfy the
@@ -258,7 +284,6 @@ Encoder::PreparedInter Encoder::prepare_inter_trial(
   };
   if (pool_) pool_->parallel_for(0, mb_rows, quant_row);
   else for (int row = 0; row < mb_rows; ++row) quant_row(row);
-  return prep;
 }
 
 video::Frame Encoder::reconstruct_inter(const InterPlan& plan,
@@ -282,46 +307,56 @@ video::Frame Encoder::reconstruct_inter(const InterPlan& plan,
   return recon;
 }
 
-std::vector<std::uint8_t> Encoder::emit_inter_trial(
-    const PreparedInter& prep, const InterPlan& plan) const {
-  // Serial raster-order bitstream emission. This is the only
-  // order-dependent state (prev_qp chain, MV prediction), so running it
-  // serially keeps the bytes bit-identical for every thread count. It
-  // reads only the prepared trial and the plan's coded field, so a
-  // rate-control trial can be sized without ever being reconstructed.
+template <class Sink>
+void Encoder::code_inter_trial(Sink& sink, const PreparedInter& prep,
+                               const InterPlan& plan) const {
+  // Serial raster-order pass. This is the only order-dependent state
+  // (prev_qp chain, MV prediction), so running it serially keeps the
+  // bytes bit-identical for every thread count. It reads only the
+  // prepared trial and the plan's coded field, so a rate-control trial
+  // can be sized without ever being reconstructed or emitted: a
+  // BitCounter adds the block sizes counted while quantizing.
   const int mb_cols = config_.width / kMb;
   const int mb_rows = config_.height / kMb;
-  BitWriter bw;
-  write_frame_header(bw, {FrameType::kInter, prep.base_qp, mb_cols, mb_rows});
+  write_frame_header(sink,
+                     {FrameType::kInter, prep.base_qp, mb_cols, mb_rows});
   int prev_qp = prep.base_qp;
   for (int row = 0; row < mb_rows; ++row) {
     for (int col = 0; col < mb_cols; ++col) {
       const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
-      const std::size_t base = mb * kBlocksPerMb;
-      bw.put_bit(prep.skip[mb] != 0);
+      sink.put_bit(prep.skip[mb] != 0);
       if (prep.skip[mb] != 0) continue;
       const MotionVector mv = plan.eff_motion.at(col, row);
       const MotionVector pred_mv = predicted_mv(plan.eff_motion, col, row);
-      bw.put_se(mv.dx - pred_mv.dx);
-      bw.put_se(mv.dy - pred_mv.dy);
-      bw.put_se(prep.qps[mb] - prev_qp);
+      sink.put_se(mv.dx - pred_mv.dx);
+      sink.put_se(mv.dy - pred_mv.dy);
+      sink.put_se(prep.qps[mb] - prev_qp);
       prev_qp = prep.qps[mb];
-      bw.put_bits(static_cast<std::uint32_t>(prep.cbp[mb]), 6);
-      for (int b = 0; b < kBlocksPerMb; ++b)
-        if (prep.cbp[mb] & (1 << b))
-          write_block(bw, prep.levels[base + static_cast<std::size_t>(b)]);
+      sink.put_bits(static_cast<std::uint32_t>(prep.cbp[mb]), 6);
+      if constexpr (std::is_same_v<Sink, BitCounter>) {
+        sink.add_bits(static_cast<std::size_t>(prep.block_bits[mb]));
+      } else {
+        const std::size_t base = mb * kBlocksPerMb;
+        for (int b = 0; b < kBlocksPerMb; ++b)
+          if (prep.cbp[mb] & (1 << b))
+            write_block(sink, prep.levels[base + static_cast<std::size_t>(b)]);
+      }
     }
   }
-  return bw.finish();
 }
 
-Encoder::Trial Encoder::run_inter_trial(const InterPlan& plan, int base_qp,
-                                        const QpOffsetMap* offsets) const {
-  Trial trial;
-  trial.prep = prepare_inter_trial(plan, base_qp, offsets);
-  trial.base_qp = trial.prep.base_qp;
-  trial.data = emit_inter_trial(trial.prep, plan);
-  return trial;
+std::size_t Encoder::size_inter_trial(const PreparedInter& prep,
+                                      const InterPlan& plan) const {
+  BitCounter counter;
+  code_inter_trial(counter, prep, plan);
+  return counter.byte_count();
+}
+
+std::vector<std::uint8_t> Encoder::emit_inter_trial(
+    const PreparedInter& prep, const InterPlan& plan) const {
+  BitWriter bw;
+  code_inter_trial(bw, prep, plan);
+  return bw.finish();
 }
 
 Encoder::Trial Encoder::run_intra_trial(const video::Frame& src, int base_qp,
@@ -373,7 +408,8 @@ EncodedFrame Encoder::commit(Trial trial, const InterPlan* plan,
   has_reference_ = true;
 
   EncodedFrame out;
-  out.data = std::move(trial.data);
+  out.data = plan != nullptr ? emit_inter_trial(trial.prep, *plan)
+                             : std::move(trial.data);
   out.type = plan != nullptr ? FrameType::kInter : FrameType::kIntra;
   out.base_qp = trial.base_qp;
   out.psnr_y = video::psnr_y(src, reference_);
@@ -419,8 +455,9 @@ EncodedFrame Encoder::encode(const video::Frame& src, int base_qp,
   std::optional<InterPlan> plan;
   if (next_frame_type(src) == FrameType::kInter)
     plan = build_inter_plan(src, motion);
-  Trial trial = plan ? run_inter_trial(*plan, base_qp, offsets)
-                     : run_intra_trial(src, base_qp, offsets);
+  Trial trial;
+  if (plan) prepare_inter_trial(*plan, base_qp, offsets, trial);
+  else trial = run_intra_trial(src, base_qp, offsets);
   return commit(std::move(trial), plan ? &*plan : nullptr, src);
 }
 
@@ -447,11 +484,14 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
   // is the trial that would be committed if the search stopped now: the
   // smallest fitting QP, else the largest overshooting one. Later QPs lie
   // inside the narrowed range, so a fitting trial always replaces it and
-  // an overshooting one does until something fits.
+  // an overshooting one does until something fits. Inter trials are
+  // sized by counting bits; only the committed one is emitted. A trial
+  // that is not kept lends its storage to the next.
   int lo = kMinQp;
   int hi = kMaxQp;
   int qp = std::clamp(last_qp_, kMinQp, kMaxQp);
-  std::optional<Trial> chosen;
+  Trial chosen;
+  Trial trial;
   bool fitted = false;
 
   for (int iter = 0; iter < std::max(1, config_.rate_iterations); ++iter) {
@@ -459,23 +499,25 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
     // Intra prediction depends on the QP-dependent reconstruction, so an
     // intra trial is always a full pass.
     if (!plan) ++rc_stats_.full_transform_passes;
-    Trial trial = plan ? run_inter_trial(*plan, qp, offsets)
-                       : run_intra_trial(src, qp, offsets);
-    const bool fits = trial.data.size() <= target_bytes;
+    if (plan) prepare_inter_trial(*plan, qp, offsets, trial);
+    else trial = run_intra_trial(src, qp, offsets);
+    const std::size_t bytes =
+        plan ? size_inter_trial(trial.prep, *plan) : trial.data.size();
+    const bool fits = bytes <= target_bytes;
     if (fits) hi = trial.base_qp - 1;
     else lo = trial.base_qp + 1;
-    if (fits || !fitted) chosen = std::move(trial);
+    if (fits || !fitted) std::swap(chosen, trial);
     fitted = fitted || fits;
     if (lo > hi) break;
     qp = (lo + hi) / 2;
   }
 
-  span.arg("chosen_qp", chosen->base_qp);
+  span.arg("chosen_qp", chosen.base_qp);
   if (obs_handles_.trials_attempted != nullptr) {
     obs_handles_.trials_attempted->add(rc_stats_.trials_attempted);
     obs_handles_.full_passes->add(rc_stats_.full_transform_passes);
   }
-  return commit(std::move(*chosen), plan ? &*plan : nullptr, src);
+  return commit(std::move(chosen), plan ? &*plan : nullptr, src);
 }
 
 }  // namespace dive::codec

@@ -15,9 +15,9 @@
 // QP-independent work of an inter frame — motion field, motion-
 // compensated predictions, and the DCT coefficients of the prediction
 // residual — is computed once per frame; each QP trial only re-quantizes
-// and entropy-codes, and only the committed trial is reconstructed. The
-// search never revisits a QP. encode() runs the same trial and commit
-// steps at one fixed QP.
+// and counts bits, and only the committed trial is emitted and
+// reconstructed. The search never revisits a QP. encode() runs the same
+// trial and commit steps at one fixed QP, with no sizing pass.
 //
 // References are read only through RefPlanes (codec/ref_planes.h), built
 // from reference_ once per encode call and dropped with it.
@@ -191,6 +191,7 @@ class Encoder {
   struct InterPlan {
     std::vector<Block8x8> preds;   ///< mb_count * 6, block-major
     std::vector<Block8x8> coeffs;  ///< mb_count * 6, block-major
+    std::vector<double> max_abs;   ///< max |coeff| per block
     std::vector<std::uint8_t> skip;  ///< per-mb threshold-forced SKIP
     /// Coded field: SKIP entries replaced by their predicted MV (the
     /// exact field the decoder will reconstruct).
@@ -198,22 +199,24 @@ class Encoder {
   };
 
   /// Output of the parallel half of an inter trial: quantized levels,
-  /// coded-block pattern, QP and emitted SKIP bit per macroblock. Enough
-  /// to emit the trial (and so size it for rate control) and, for the
-  /// committed trial only, to reconstruct it (reconstruct_inter).
+  /// coded-block pattern, coded-block bits, QP and emitted SKIP bit per
+  /// macroblock. Enough to size the trial for rate control and, for the
+  /// committed trial only, to emit and reconstruct it.
   struct PreparedInter {
     std::vector<QuantBlock> levels;  ///< mb_count * 6, block-major
     std::vector<int> cbp;            ///< coded-block pattern per mb
+    std::vector<int> block_bits;     ///< bits of the coded blocks per mb
     std::vector<int> qps;            ///< resolved QP per mb
     std::vector<std::uint8_t> skip;  ///< emitted SKIP bit per mb
     int base_qp = 0;
   };
 
-  /// One rate-control trial. An intra trial carries its reconstruction
-  /// (DC prediction needs it while coding); an inter trial carries the
-  /// levels the reconstruction is built from if it is committed.
+  /// One rate-control trial. An intra trial carries its bytes and its
+  /// reconstruction (DC prediction needs it while coding); an inter trial
+  /// carries the levels its bytes and reconstruction are built from if it
+  /// is committed.
   struct Trial {
-    std::vector<std::uint8_t> data;
+    std::vector<std::uint8_t> data;  ///< intra only
     int base_qp = 0;
     video::Frame recon;  ///< intra only
     PreparedInter prep;  ///< inter only
@@ -230,26 +233,32 @@ class Encoder {
   /// `motion` is given, and computes the QP-independent plan.
   [[nodiscard]] InterPlan build_inter_plan(const video::Frame& src,
                                            const MotionField* motion) const;
-  [[nodiscard]] PreparedInter prepare_inter_trial(const InterPlan& plan,
-                                                  int base_qp,
-                                                  const QpOffsetMap* offsets)
-      const;
+  /// The parallel half of an inter trial at `base_qp`, into `trial`
+  /// (reusing its storage).
+  void prepare_inter_trial(const InterPlan& plan, int base_qp,
+                           const QpOffsetMap* offsets, Trial& trial) const;
   /// Reconstruction of an inter trial (row-parallel), run once per frame
   /// on the committed trial.
   [[nodiscard]] video::Frame reconstruct_inter(const InterPlan& plan,
                                                const PreparedInter& prep)
       const;
+  /// The serial bitstream syntax of an inter trial into a BitWriter or a
+  /// BitCounter, so sizing and emission cannot disagree.
+  template <class Sink>
+  void code_inter_trial(Sink& sink, const PreparedInter& prep,
+                        const InterPlan& plan) const;
+  /// Bytes the trial would emit, counted without emitting.
+  [[nodiscard]] std::size_t size_inter_trial(const PreparedInter& prep,
+                                             const InterPlan& plan) const;
   [[nodiscard]] std::vector<std::uint8_t> emit_inter_trial(
       const PreparedInter& prep, const InterPlan& plan) const;
-  [[nodiscard]] Trial run_inter_trial(const InterPlan& plan, int base_qp,
-                                      const QpOffsetMap* offsets) const;
   [[nodiscard]] Trial run_intra_trial(const video::Frame& src, int base_qp,
                                       const QpOffsetMap* offsets) const;
 
   /// Commits `trial` as the frame: its reconstruction becomes
-  /// reference_ (an inter trial is reconstructed from `plan`, which is
-  /// null for intra frames), then PSNR against `src`, codec-state
-  /// bookkeeping and obs.
+  /// reference_ (an inter trial is emitted and reconstructed from `plan`,
+  /// which is null for intra frames), then PSNR against `src`,
+  /// codec-state bookkeeping and obs.
   EncodedFrame commit(Trial trial, const InterPlan* plan,
                       const video::Frame& src);
 

@@ -1,33 +1,55 @@
 #include "codec/quant.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace dive::codec {
 
-double qp_step(int qp) {
-  qp = std::clamp(qp, kMinQp, kMaxQp);
-  return 0.625 * std::pow(2.0, static_cast<double>(qp) / 6.0);
+const QuantStep& quant_step(int qp) {
+  static const std::array<QuantStep, kMaxQp + 1> table = [] {
+    std::array<QuantStep, kMaxQp + 1> t{};
+    for (int q = kMinQp; q <= kMaxQp; ++q) {
+      const double step = 0.625 * std::pow(2.0, static_cast<double>(q) / 6.0);
+      t[static_cast<std::size_t>(q)] = {step, step / 6.0};
+    }
+    return t;
+  }();
+  return table[static_cast<std::size_t>(std::clamp(qp, kMinQp, kMaxQp))];
 }
 
-void quantize(const Block8x8& coeffs, int qp, QuantBlock& levels) {
-  const double step = qp_step(qp);
-  // Dead zone of 1/6 step suppresses near-zero noise coefficients, which
-  // is what makes low-texture blocks cheap (and their MVs noisy).
-  const double deadzone = step / 6.0;
-  for (int i = 0; i < 64; ++i) {
-    const double c = coeffs[static_cast<std::size_t>(i)];
-    if (std::abs(c) <= deadzone) {
-      levels[static_cast<std::size_t>(i)] = 0;
-    } else {
-      levels[static_cast<std::size_t>(i)] =
-          static_cast<std::int32_t>(std::lround(c / step));
-    }
+std::uint64_t quantize(const Block8x8& coeffs, int qp, QuantBlock& levels) {
+  const QuantStep& q = quant_step(qp);
+  // Most coefficients of a residual block lie inside the dead zone, so
+  // find the rest first (branch-free, a byte of the mask at a time so the
+  // shifts are constants) and divide only those.
+  std::uint64_t live = 0;
+  for (std::size_t i = 0; i < 64; i += 8) {
+    std::uint64_t byte = 0;
+    for (std::size_t j = 0; j < 8; ++j)
+      byte |= static_cast<std::uint64_t>(std::abs(coeffs[i + j]) > q.deadzone)
+              << j;
+    live |= byte << i;
   }
+  levels.fill(0);
+  std::uint64_t nonzero = 0;
+  for (; live != 0; live &= live - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(live));
+    // Round half away from zero, exactly as std::lround: the quotient
+    // minus its truncation is its exact fractional part.
+    const double x = coeffs[i] / q.step;
+    const auto t = static_cast<std::int32_t>(x);
+    const double frac = x - static_cast<double>(t);
+    const std::int32_t level =
+        t + (frac >= 0.5 ? 1 : 0) - (frac <= -0.5 ? 1 : 0);
+    levels[i] = level;
+    nonzero |= static_cast<std::uint64_t>(level != 0) << i;
+  }
+  return nonzero;
 }
 
 void dequantize(const QuantBlock& levels, int qp, Block8x8& coeffs) {
-  const double step = qp_step(qp);
+  const double step = quant_step(qp).step;
   for (int i = 0; i < 64; ++i) {
     coeffs[static_cast<std::size_t>(i)] =
         static_cast<double>(levels[static_cast<std::size_t>(i)]) * step;
@@ -53,9 +75,15 @@ const std::array<int, 64>& zigzag_order() {
   return order;
 }
 
-bool all_zero(const QuantBlock& levels) {
-  return std::all_of(levels.begin(), levels.end(),
-                     [](std::int32_t l) { return l == 0; });
+const std::array<int, 64>& zigzag_rank() {
+  static const std::array<int, 64> rank = [] {
+    std::array<int, 64> r{};
+    const auto& zz = zigzag_order();
+    for (int i = 0; i < 64; ++i)
+      r[static_cast<std::size_t>(zz[static_cast<std::size_t>(i)])] = i;
+    return r;
+  }();
+  return rank;
 }
 
 }  // namespace dive::codec

@@ -31,12 +31,14 @@ struct FrameHeader {
   int mb_rows = 0;
 };
 
-inline void write_frame_header(BitWriter& bw, const FrameHeader& h) {
-  bw.put_bits(0xD1, 8);  // magic
-  bw.put_bit(h.type == FrameType::kInter);
-  bw.put_bits(static_cast<std::uint32_t>(h.base_qp), 6);
-  bw.put_ue(static_cast<std::uint32_t>(h.mb_cols));
-  bw.put_ue(static_cast<std::uint32_t>(h.mb_rows));
+/// Writes `h` to `sink`: a BitWriter, or a BitCounter to size it.
+template <class Sink>
+void write_frame_header(Sink& sink, const FrameHeader& h) {
+  sink.put_bits(0xD1, 8);  // magic
+  sink.put_bit(h.type == FrameType::kInter);
+  sink.put_bits(static_cast<std::uint32_t>(h.base_qp), 6);
+  sink.put_ue(static_cast<std::uint32_t>(h.mb_cols));
+  sink.put_ue(static_cast<std::uint32_t>(h.mb_rows));
 }
 
 /// Parses and validates a frame header against the decoder's current
