@@ -1,5 +1,5 @@
 // Microbenchmarks of the codec substrate (google-benchmark): transform,
-// quantization, SAD kernels (scalar vs. SIMD dispatch), the five
+// quantization and SAD kernels (scalar vs. SIMD dispatch), the five
 // motion-search methods, bit I/O, and full frame encode/decode.
 //
 // Besides the google-benchmark suite, main() emits four machine-readable
@@ -35,6 +35,7 @@
 #include "video/sse_kernels.h"
 #include "obs/obs.h"
 #include "util/rng.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -53,39 +54,59 @@ video::Frame textured_frame(int w, int h, std::uint64_t seed) {
   return f;
 }
 
+// Transform and quantizer kernels: Arg(0) the canonical scalar kernel,
+// Arg(1) the dispatched one (AVX2 when available), as BM_SadKernel.
+const char* block_kernel_label(bool dispatched) {
+  return dispatched && util::simd_avx2() ? "avx2" : "scalar";
+}
+
 void BM_ForwardDct(benchmark::State& state) {
   util::Rng rng(1);
   codec::Block8x8 in, out;
   for (auto& v : in) v = rng.uniform(-128, 128);
+  const bool dispatched = state.range(0) != 0;
+  const auto fn = dispatched ? &codec::forward_dct : &codec::forward_dct_scalar;
   for (auto _ : state) {
-    codec::forward_dct(in, out);
+    fn(in, out);
     benchmark::DoNotOptimize(out);
   }
+  state.SetLabel(block_kernel_label(dispatched));
 }
-BENCHMARK(BM_ForwardDct);
+BENCHMARK(BM_ForwardDct)->Arg(0)->Arg(1);
 
 void BM_InverseDct(benchmark::State& state) {
   util::Rng rng(2);
   codec::Block8x8 in, out;
   for (auto& v : in) v = rng.uniform(-512, 512);
+  const bool dispatched = state.range(0) != 0;
+  const auto fn = dispatched ? &codec::inverse_dct : &codec::inverse_dct_scalar;
   for (auto _ : state) {
-    codec::inverse_dct(in, out);
+    fn(in, out);
     benchmark::DoNotOptimize(out);
   }
+  state.SetLabel(block_kernel_label(dispatched));
 }
-BENCHMARK(BM_InverseDct);
+BENCHMARK(BM_InverseDct)->Arg(0)->Arg(1);
 
+// Args: {kernel arm, QP}.
 void BM_Quantize(benchmark::State& state) {
   util::Rng rng(3);
   codec::Block8x8 in;
   codec::QuantBlock levels;
   for (auto& v : in) v = rng.uniform(-512, 512);
+  const bool dispatched = state.range(0) != 0;
+  const auto fn = dispatched ? &codec::quantize : &codec::quantize_scalar;
+  const int qp = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    codec::quantize(in, static_cast<int>(state.range(0)), levels);
+    benchmark::DoNotOptimize(fn(in, qp, levels));
     benchmark::DoNotOptimize(levels);
   }
+  state.SetLabel(block_kernel_label(dispatched));
 }
-BENCHMARK(BM_Quantize)->Arg(10)->Arg(30)->Arg(50);
+BENCHMARK(BM_Quantize)
+    ->Args({0, 10})->Args({1, 10})
+    ->Args({0, 30})->Args({1, 30})
+    ->Args({0, 50})->Args({1, 50});
 
 // One search candidate through the padded reference planes: Arg(0) a
 // full-pel vector, Arg(1) a half-pel one. Both are one strided block

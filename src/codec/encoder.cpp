@@ -10,6 +10,7 @@
 
 #include "codec/bitstream.h"
 #include "codec/block_io.h"
+#include "codec/block_pixels.h"
 #include "codec/dct.h"
 #include "codec/quant.h"
 #include "codec/reconstruct.h"
@@ -27,11 +28,9 @@ constexpr int kMb = kMacroblockSize;
 void residual_dct(const video::Plane& src, int bx, int by,
                   const Block8x8& pred, Block8x8& coeffs) {
   Block8x8 residual;
-  for (int y = 0; y < kBlockSize; ++y)
-    for (int x = 0; x < kBlockSize; ++x)
-      residual[static_cast<std::size_t>(y * kBlockSize + x)] =
-          static_cast<double>(src.at(bx + x, by + y)) -
-          pred[static_cast<std::size_t>(y * kBlockSize + x)];
+  residual_block_u8(
+      src.data.data() + static_cast<std::size_t>(by) * src.width + bx,
+      src.width, pred, residual);
   forward_dct(residual, coeffs);
 }
 
@@ -134,7 +133,7 @@ FrameType Encoder::next_frame_type(const video::Frame& src) {
     return FrameType::kIntra;
   if (config_.scene_change_detection && config_.scene_change_luma_delta > 0.0) {
     const double step =
-        std::abs(mean_luma(src.y) - mean_luma(reference_.y));
+        std::abs(mean_luma(src.y) - reference_mean_luma_);
     if (step > config_.scene_change_luma_delta) {
       ++scene_changes_;
       if (obs_handles_.scene_cuts != nullptr) obs_handles_.scene_cuts->add();
@@ -406,6 +405,8 @@ EncodedFrame Encoder::commit(Trial trial, const InterPlan* plan,
   reference_ = plan != nullptr ? reconstruct_inter(*plan, trial.prep)
                                : std::move(trial.recon);
   has_reference_ = true;
+  if (config_.scene_change_detection)
+    reference_mean_luma_ = mean_luma(reference_.y);
 
   EncodedFrame out;
   out.data = plan != nullptr ? emit_inter_trial(trial.prep, *plan)

@@ -284,6 +284,7 @@ class Encoder {
   std::unique_ptr<util::ThreadPool> pool_;  ///< null when serial
   video::Frame reference_;
   bool has_reference_ = false;
+  double reference_mean_luma_ = 0.0;  ///< scene-cut detector's input
   bool force_intra_ = false;
   int frame_index_ = 0;
   int last_qp_ = 30;

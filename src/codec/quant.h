@@ -33,7 +33,13 @@ inline double qp_step(int qp) { return quant_step(qp).step; }
 /// to nearest with ties away from zero (|c / step| must be below 2^31).
 /// Returns the nonzero levels as a mask over raster indices (bit i set
 /// when levels[i] != 0), so zero means nothing to code.
+/// Dispatches on the process's SIMD level (util/simd.h) to an AVX2
+/// kernel equal to the scalar one bit for bit.
 std::uint64_t quantize(const Block8x8& coeffs, int qp, QuantBlock& levels);
+
+/// Canonical scalar quantizer (the reference the SIMD kernel matches).
+std::uint64_t quantize_scalar(const Block8x8& coeffs, int qp,
+                              QuantBlock& levels);
 
 /// Levels -> reconstructed coefficients.
 void dequantize(const QuantBlock& levels, int qp, Block8x8& coeffs);

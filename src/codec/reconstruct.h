@@ -9,11 +9,11 @@
 // both sides compile exactly as if written in place.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 
 #include "codec/bitstream.h"
+#include "codec/block_pixels.h"
 #include "codec/dct.h"
 #include "codec/quant.h"
 #include "codec/ref_planes.h"
@@ -106,10 +106,6 @@ inline MotionVector chroma_mv(MotionVector mv) {
   return {mv.dx / 2, mv.dy / 2};
 }
 
-inline std::uint8_t clamp_pixel(double v) {
-  return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
-}
-
 /// DC intra prediction (H.264-style): every sample is the mean of the
 /// reconstructed samples above and left of the 8x8 block at (bx, by),
 /// 128 when it has neither.
@@ -137,13 +133,8 @@ inline Block8x8 dc_predict(const video::Plane& recon, int bx, int by) {
 /// `mv` is the displacement in half-pel units of that plane.
 inline Block8x8 mc_predict(const RefPlanes& ref, int bx, int by,
                            MotionVector mv) {
-  const std::uint8_t* r = ref.block(bx, by, mv);
-  const int stride = ref.stride();
   Block8x8 pred;
-  for (int y = 0; y < kBlockSize; ++y)
-    for (int x = 0; x < kBlockSize; ++x)
-      pred[static_cast<std::size_t>(y * kBlockSize + x)] =
-          static_cast<double>(r[y * stride + x]);
+  load_block_u8(ref.block(bx, by, mv), ref.stride(), pred);
   return pred;
 }
 
@@ -166,17 +157,14 @@ inline void predict_inter_mb(const RefPlanes& ref_y, const RefPlanes& ref_u,
 inline void reconstruct_block(video::Plane& recon, int bx, int by,
                               const Block8x8& pred, const QuantBlock* levels,
                               int qp) {
-  Block8x8 res{};
+  Block8x8 res;
   if (levels != nullptr) {
     Block8x8 deq;
     dequantize(*levels, qp, deq);
     inverse_dct(deq, res);
   }
-  for (int y = 0; y < kBlockSize; ++y)
-    for (int x = 0; x < kBlockSize; ++x) {
-      const auto i = static_cast<std::size_t>(y * kBlockSize + x);
-      recon.at(bx + x, by + y) = clamp_pixel(pred[i] + res[i]);
-    }
+  store_block_u8(pred, levels != nullptr ? &res : nullptr,
+                 &recon.at(bx, by), recon.width);
 }
 
 /// Reconstructs the six blocks of an inter macroblock from

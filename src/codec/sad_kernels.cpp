@@ -1,16 +1,8 @@
 #include "codec/sad_kernels.h"
 
-#include <cstdlib>
-
-#if !defined(DIVE_DISABLE_SIMD) && (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define DIVE_SAD_X86 1
+#if defined(DIVE_SIMD_X86)
 #include <immintrin.h>
-#endif
-
-#if !defined(DIVE_DISABLE_SIMD) && defined(__aarch64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define DIVE_SAD_NEON 1
+#elif defined(DIVE_SIMD_NEON)
 #include <arm_neon.h>
 #endif
 
@@ -19,16 +11,6 @@ namespace dive::codec {
 namespace {
 constexpr int kMb = 16;
 }  // namespace
-
-const char* to_string(SadKernel k) {
-  switch (k) {
-    case SadKernel::kScalar: return "scalar";
-    case SadKernel::kSse2: return "sse2";
-    case SadKernel::kAvx2: return "avx2";
-    case SadKernel::kNeon: return "neon";
-  }
-  return "?";
-}
 
 std::uint32_t sad_16x16_scalar(const std::uint8_t* cur, int cur_stride,
                                const std::uint8_t* ref, int ref_stride) {
@@ -46,7 +28,7 @@ std::uint32_t sad_16x16_scalar(const std::uint8_t* cur, int cur_stride,
 
 namespace {
 
-#if defined(DIVE_SAD_X86)
+#if defined(DIVE_SIMD_X86)
 
 // PSADBW computes the exact u8 absolute-difference sum per 8-byte lane,
 // so both x86 kernels are bit-equal to the scalar reference by ISA
@@ -90,9 +72,9 @@ __attribute__((target("avx2"))) std::uint32_t sad_16x16_avx2(
          static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(s, 8)));
 }
 
-#endif  // DIVE_SAD_X86
+#endif  // DIVE_SIMD_X86
 
-#if defined(DIVE_SAD_NEON)
+#if defined(DIVE_SIMD_NEON)
 
 // VABD on u8 is exact; VADDLV widens to u16 before the cross-lane sum
 // (one row sums to at most 16*255 = 4080 < 65535), so the NEON kernel is
@@ -110,46 +92,22 @@ std::uint32_t sad_16x16_neon(const std::uint8_t* cur, int cur_stride,
   return acc;
 }
 
-#endif  // DIVE_SAD_NEON
-
-#if !defined(DIVE_DISABLE_SIMD)
-bool env_forces_scalar() {
-  const char* e = std::getenv("DIVE_FORCE_SCALAR");
-  if (e == nullptr || *e == '\0') return false;
-  return !(e[0] == '0' && e[1] == '\0');
-}
-#endif
-
-struct Resolved {
-  SadKernel kind = SadKernel::kScalar;
-  Sad16Fn fn = &sad_16x16_scalar;
-};
-
-Resolved resolve() {
-#if !defined(DIVE_DISABLE_SIMD)
-  if (!env_forces_scalar()) {
-#if defined(DIVE_SAD_X86)
-    if (__builtin_cpu_supports("avx2"))
-      return {SadKernel::kAvx2, &sad_16x16_avx2};
-    if (__builtin_cpu_supports("sse2"))
-      return {SadKernel::kSse2, &sad_16x16_sse2};
-#elif defined(DIVE_SAD_NEON)
-    return {SadKernel::kNeon, &sad_16x16_neon};
-#endif
-  }
-#endif
-  return {};
-}
-
-const Resolved& resolved() {
-  static const Resolved r = resolve();
-  return r;
-}
+#endif  // DIVE_SIMD_NEON
 
 }  // namespace
 
-SadKernel active_sad_kernel() { return resolved().kind; }
+SadKernel active_sad_kernel() { return util::simd_level(); }
 
-Sad16Fn sad_16x16_fn() { return resolved().fn; }
+Sad16Fn sad_16x16_fn() {
+  switch (util::simd_level()) {
+#if defined(DIVE_SIMD_X86)
+    case util::SimdLevel::kAvx2: return &sad_16x16_avx2;
+    case util::SimdLevel::kSse2: return &sad_16x16_sse2;
+#elif defined(DIVE_SIMD_NEON)
+    case util::SimdLevel::kNeon: return &sad_16x16_neon;
+#endif
+    default: return &sad_16x16_scalar;
+  }
+}
 
 }  // namespace dive::codec

@@ -2,11 +2,8 @@
 //
 // The scalar kernel is the canonical reference: every SIMD variant must
 // return the exact same sum for the same inputs (SAD is integer, so this
-// is achievable and enforced by the `differential` test label). Dispatch
-// order: the DIVE_DISABLE_SIMD compile gate wins, then the
-// DIVE_FORCE_SCALAR environment variable (any value other than "0"),
-// then CPU detection (AVX2 > SSE2 on x86, NEON on AArch64). The choice
-// is resolved once per process on first use.
+// is achievable and enforced by the `differential` test label). The
+// kernel follows the process-wide SIMD level of util/simd.h.
 //
 // Kernels operate on raw row pointers with independent strides so they
 // serve both full planes (stride == width, including odd widths) and the
@@ -18,12 +15,13 @@
 
 #include <cstdint>
 
+#include "util/simd.h"
+
 namespace dive::codec {
 
-/// Which concrete kernel backs sad_16x16_fn() in this process.
-enum class SadKernel : std::uint8_t { kScalar, kSse2, kAvx2, kNeon };
-
-const char* to_string(SadKernel k);
+/// Which concrete kernel backs sad_16x16_fn(): the process's SIMD level.
+using SadKernel = util::SimdLevel;
+using util::to_string;
 
 /// Per-searcher kernel policy (MotionSearchConfig::sad). kAuto uses the
 /// process-wide dispatched kernel; kScalar pins the reference kernel so

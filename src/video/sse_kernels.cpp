@@ -1,31 +1,14 @@
 #include "video/sse_kernels.h"
 
 #include <algorithm>
-#include <cstdlib>
 
-#if !defined(DIVE_DISABLE_SIMD) && (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define DIVE_SSE_X86 1
+#if defined(DIVE_SIMD_X86)
 #include <immintrin.h>
-#endif
-
-#if !defined(DIVE_DISABLE_SIMD) && defined(__aarch64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define DIVE_SSE_NEON 1
+#elif defined(DIVE_SIMD_NEON)
 #include <arm_neon.h>
 #endif
 
 namespace dive::video {
-
-const char* to_string(SseKernel k) {
-  switch (k) {
-    case SseKernel::kScalar: return "scalar";
-    case SseKernel::kSse2: return "sse2";
-    case SseKernel::kAvx2: return "avx2";
-    case SseKernel::kNeon: return "neon";
-  }
-  return "?";
-}
 
 std::uint64_t sse_u8_scalar(const std::uint8_t* a, const std::uint8_t* b,
                             std::size_t n) {
@@ -45,7 +28,7 @@ namespace {
 // 4096 vectors peaks at ~1.07e9 < 2^31 — no lane can overflow.
 constexpr std::size_t kBlockBytes = 4096 * 16;
 
-#if defined(DIVE_SSE_X86)
+#if defined(DIVE_SIMD_X86)
 
 __attribute__((target("sse2"))) std::uint64_t sse_u8_sse2(
     const std::uint8_t* a, const std::uint8_t* b, std::size_t n) {
@@ -115,9 +98,9 @@ __attribute__((target("avx2"))) std::uint64_t sse_u8_avx2(
   return total;
 }
 
-#endif  // DIVE_SSE_X86
+#endif  // DIVE_SIMD_X86
 
-#if defined(DIVE_SSE_NEON)
+#if defined(DIVE_SIMD_NEON)
 
 std::uint64_t sse_u8_neon(const std::uint8_t* a, const std::uint8_t* b,
                           std::size_t n) {
@@ -144,44 +127,22 @@ std::uint64_t sse_u8_neon(const std::uint8_t* a, const std::uint8_t* b,
   return total;
 }
 
-#endif  // DIVE_SSE_NEON
-
-#if !defined(DIVE_DISABLE_SIMD)
-bool env_forces_scalar() {
-  const char* e = std::getenv("DIVE_FORCE_SCALAR");
-  if (e == nullptr || *e == '\0') return false;
-  return !(e[0] == '0' && e[1] == '\0');
-}
-#endif
-
-struct Resolved {
-  SseKernel kind = SseKernel::kScalar;
-  SseU8Fn fn = &sse_u8_scalar;
-};
-
-Resolved resolve() {
-#if !defined(DIVE_DISABLE_SIMD)
-  if (!env_forces_scalar()) {
-#if defined(DIVE_SSE_X86)
-    if (__builtin_cpu_supports("avx2")) return {SseKernel::kAvx2, &sse_u8_avx2};
-    if (__builtin_cpu_supports("sse2")) return {SseKernel::kSse2, &sse_u8_sse2};
-#elif defined(DIVE_SSE_NEON)
-    return {SseKernel::kNeon, &sse_u8_neon};
-#endif
-  }
-#endif
-  return {};
-}
-
-const Resolved& resolved() {
-  static const Resolved r = resolve();
-  return r;
-}
+#endif  // DIVE_SIMD_NEON
 
 }  // namespace
 
-SseKernel active_sse_kernel() { return resolved().kind; }
+SseKernel active_sse_kernel() { return util::simd_level(); }
 
-SseU8Fn sse_u8_fn() { return resolved().fn; }
+SseU8Fn sse_u8_fn() {
+  switch (util::simd_level()) {
+#if defined(DIVE_SIMD_X86)
+    case util::SimdLevel::kAvx2: return &sse_u8_avx2;
+    case util::SimdLevel::kSse2: return &sse_u8_sse2;
+#elif defined(DIVE_SIMD_NEON)
+    case util::SimdLevel::kNeon: return &sse_u8_neon;
+#endif
+    default: return &sse_u8_scalar;
+  }
+}
 
 }  // namespace dive::video

@@ -5,11 +5,8 @@
 // kernel is the canonical reference and every SIMD variant must return
 // the exact same integer sum for the same inputs (squared differences of
 // u8 are integers, and the u64 accumulator cannot overflow for any
-// realistic plane — 2^64 / 255^2 pixels is ~280 petapixels). Dispatch
-// order: the DIVE_DISABLE_SIMD compile gate wins, then the
-// DIVE_FORCE_SCALAR environment variable (any value other than "0"),
-// then CPU detection (AVX2 > SSE2 on x86, NEON on AArch64), resolved
-// once per process on first use.
+// realistic plane — 2^64 / 255^2 pixels is ~280 petapixels). The
+// kernel follows the process-wide SIMD level of util/simd.h.
 //
 // Kernels operate on contiguous byte spans: planes store their pixels
 // densely, so PSNR over a plane is one call — no stride plumbing needed.
@@ -18,12 +15,13 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/simd.h"
+
 namespace dive::video {
 
-/// Which concrete kernel backs sse_u8_fn() in this process.
-enum class SseKernel : std::uint8_t { kScalar, kSse2, kAvx2, kNeon };
-
-const char* to_string(SseKernel k);
+/// Which concrete kernel backs sse_u8_fn(): the process's SIMD level.
+using SseKernel = util::SimdLevel;
+using util::to_string;
 
 /// Sum of squared differences between `n` bytes at `a` and `b`.
 using SseU8Fn = std::uint64_t (*)(const std::uint8_t* a,
