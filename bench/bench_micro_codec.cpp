@@ -1,6 +1,7 @@
 // Microbenchmarks of the codec substrate (google-benchmark): transform,
 // quantization and SAD kernels (scalar vs. SIMD dispatch), the five
-// motion-search methods, bit I/O, and full frame encode/decode.
+// motion-search methods, bit I/O, block emission, and full frame
+// encode/decode.
 //
 // Besides the google-benchmark suite, main() emits four machine-readable
 // records (bench_record.h, schema-checked in CI):
@@ -17,6 +18,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -25,6 +27,7 @@
 
 #include "bench_record.h"
 #include "codec/bitstream.h"
+#include "codec/block_io.h"
 #include "codec/dct.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
@@ -282,17 +285,19 @@ void BM_EncodeToTarget(benchmark::State& state) {
   codec::Encoder enc({.width = 256, .height = 128});
   enc.encode(textured_frame(256, 128, 9), 26);
   const auto frame = textured_frame(256, 128, 10);
-  int trials = 0, full_passes = 0, iters = 0;
+  int trials = 0, full_passes = 0, cut = 0, iters = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(enc.encode_to_target(frame, 6000));
     trials += enc.rate_control_stats().trials_attempted;
     full_passes += enc.rate_control_stats().full_transform_passes;
+    cut += enc.rate_control_stats().trials_cut;
     ++iters;
   }
   state.counters["trials/frame"] =
       static_cast<double>(trials) / std::max(iters, 1);
   state.counters["full_passes/frame"] =
       static_cast<double>(full_passes) / std::max(iters, 1);
+  state.counters["cut/frame"] = static_cast<double>(cut) / std::max(iters, 1);
 }
 BENCHMARK(BM_EncodeToTarget);
 
@@ -429,6 +434,49 @@ void BM_BitReader(benchmark::State& state) {
                           static_cast<std::int64_t>(stream.data.size()));
 }
 BENCHMARK(BM_BitReader);
+
+// Emission of 4096 coded residual-like blocks (coefficients decaying
+// along the zigzag scan, quantized at QP 26, about 7 nonzero levels per
+// block): Arg(0) the 64-position write_block_reference, Arg(1) the
+// encoder's write_block driven by the zigzag mask quantize_block_bits
+// built. Both write the same bits.
+void BM_WriteBlock(benchmark::State& state) {
+  struct Coded {
+    codec::QuantBlock levels;
+    std::uint64_t scan;
+  };
+  std::vector<Coded> blocks;
+  util::Rng rng(17);
+  const auto& rank = codec::zigzag_rank();
+  while (blocks.size() < 4096) {
+    codec::Block8x8 coeffs;
+    for (std::size_t i = 0; i < 64; ++i)
+      coeffs[i] = rng.uniform(-1, 1) * 400.0 /
+                  ((1.0 + rank[i]) * (1.0 + rank[i]));
+    Coded b{};
+    if (codec::quantize_block_bits(coeffs, 26, b.levels, b.scan) != 0)
+      blocks.push_back(b);
+  }
+  const bool masked = state.range(0) != 0;
+  std::size_t nonzero = 0;
+  for (const Coded& b : blocks)
+    nonzero += static_cast<std::size_t>(std::popcount(b.scan));
+  for (auto _ : state) {
+    codec::BitWriter bw;
+    if (masked) {
+      for (const Coded& b : blocks) codec::write_block(bw, b.levels, b.scan);
+    } else {
+      for (const Coded& b : blocks) codec::write_block_reference(bw, b.levels);
+    }
+    benchmark::DoNotOptimize(bw.finish());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(blocks.size()));
+  state.counters["levels/block"] =
+      static_cast<double>(nonzero) / static_cast<double>(blocks.size());
+  state.SetLabel(masked ? "mask" : "reference");
+}
+BENCHMARK(BM_WriteBlock)->Arg(0)->Arg(1);
 
 // --- Machine-readable records (bench_record.h) ----------------------
 

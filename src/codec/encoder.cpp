@@ -1,7 +1,9 @@
 #include "codec/encoder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
@@ -23,6 +25,8 @@ namespace dive::codec {
 namespace {
 
 constexpr int kMb = kMacroblockSize;
+/// prepare_inter_trial's bit limit when no trial may be cut.
+constexpr std::size_t kNoBitLimit = std::numeric_limits<std::size_t>::max();
 
 /// Forward DCT of the (src - pred) residual of one 8x8 block.
 void residual_dct(const video::Plane& src, int bx, int by,
@@ -45,12 +49,14 @@ double max_abs(const Block8x8& coeffs) {
 }
 
 /// Transform + quantize the (src - pred) residual of one 8x8 block.
-/// Returns true when any level is nonzero.
-bool transform_block(const video::Plane& src, int bx, int by,
-                     const Block8x8& pred, int qp, QuantBlock& levels) {
+/// Returns the nonzero levels by zigzag position (write_block's mask), so
+/// zero means the block is not coded.
+std::uint64_t transform_block(const video::Plane& src, int bx, int by,
+                              const Block8x8& pred, int qp,
+                              QuantBlock& levels) {
   Block8x8 coeffs;
   residual_dct(src, bx, by, pred, coeffs);
-  return quantize(coeffs, qp, levels) != 0;
+  return zigzag_scan(quantize(coeffs, qp, levels));
 }
 
 int mb_qp(int base_qp, const QpOffsetMap* offsets, int col, int row) {
@@ -92,6 +98,7 @@ void Encoder::set_obs(obs::ObsContext* obs) {
   obs_handles_.motion_searches = &m.counter("codec.motion_searches");
   obs_handles_.trials_attempted = &m.counter("codec.rc.trials_attempted");
   obs_handles_.full_passes = &m.counter("codec.rc.full_transform_passes");
+  obs_handles_.trials_cut = &m.counter("codec.rc.trials_cut");
   obs_handles_.skip_skipped_mbs = &m.counter("codec.skip.skipped_mbs");
   obs_handles_.skip_inter_mbs = &m.counter("codec.skip.inter_mbs");
   obs_handles_.scene_cuts = &m.counter("codec.scene_cuts");
@@ -166,6 +173,9 @@ Encoder::InterPlan Encoder::build_inter_plan(
   const RefPlanes ref_u(reference_.u, pad);
   const RefPlanes ref_v(reference_.v, pad);
 
+  // preds and coeffs are not zero-filled (codec/scratch.h): every
+  // prediction is written below, and coefficients are written for every
+  // block of a non-SKIP macroblock, the only ones a trial reads.
   InterPlan plan;
   plan.preds.resize(mb_count * kBlocksPerMb);
   plan.coeffs.resize(mb_count * kBlocksPerMb);
@@ -218,9 +228,9 @@ Encoder::InterPlan Encoder::build_inter_plan(
   return plan;
 }
 
-void Encoder::prepare_inter_trial(const InterPlan& plan, int base_qp,
+bool Encoder::prepare_inter_trial(const InterPlan& plan, int base_qp,
                                   const QpOffsetMap* offsets,
-                                  Trial& trial) const {
+                                  std::size_t bit_limit, Trial& trial) const {
   base_qp = std::clamp(base_qp, kMinQp, kMaxQp);
   DIVE_OBS_SPAN(span, obs_, "codec.inter_trial", obs::kTrackCodec);
   span.flow(frame_ctx_);
@@ -238,18 +248,28 @@ void Encoder::prepare_inter_trial(const InterPlan& plan, int base_qp,
   // this trial's QP, size the coded blocks, and decide each macroblock's
   // SKIP bit. Each row writes a disjoint slice of the arrays, and every
   // per-mb entry, so a previous trial's storage is reused as is. Levels
-  // are written only for coded blocks and read only where the cbp bit is
-  // set; a block whose largest |coeff| lies inside the dead zone
-  // quantizes to all zeros, so it is never visited. Nothing is
-  // reconstructed here: only the committed trial is, by
-  // reconstruct_inter.
+  // and scan masks are written only for coded blocks and read only where
+  // the cbp bit is set, so they are not zero-filled; a block whose
+  // largest |coeff| lies inside the dead zone quantizes to all zeros, so
+  // it is never visited. Nothing is reconstructed here: only the
+  // committed trial is, by reconstruct_inter.
+  //
+  // `block_bits` sums the completed rows' block bits. Once it passes
+  // `bit_limit` a row that has not started returns at once. The sum ends
+  // above the limit exactly when the whole trial's block bits do (a row
+  // is only skipped after the sum has passed it), so whether a trial is
+  // cut does not depend on the thread count.
   prep.levels.resize(mb_count * kBlocksPerMb);
+  prep.scans.resize(mb_count * kBlocksPerMb);
   prep.cbp.resize(mb_count);
   prep.block_bits.resize(mb_count);
   prep.qps.resize(mb_count);
   prep.skip.resize(mb_count);
 
+  std::atomic<std::size_t> block_bits{0};
   const auto quant_row = [&](int row) {
+    if (block_bits.load(std::memory_order_relaxed) > bit_limit) return;
+    std::size_t row_bits = 0;
     for (int col = 0; col < mb_cols; ++col) {
       const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
       const int qp = mb_qp(base_qp, offsets, col, row);
@@ -262,15 +282,16 @@ void Encoder::prepare_inter_trial(const InterPlan& plan, int base_qp,
         for (int b = 0; b < kBlocksPerMb; ++b) {
           const std::size_t i = base + static_cast<std::size_t>(b);
           if (plan.max_abs[i] <= deadzone) continue;
-          const int block_bits =
-              quantize_block_bits(plan.coeffs[i], qp, prep.levels[i]);
-          if (block_bits == 0) continue;
+          const int coded_bits = quantize_block_bits(
+              plan.coeffs[i], qp, prep.levels[i], prep.scans[i]);
+          if (coded_bits == 0) continue;
           mask |= 1 << b;
-          bits += block_bits;
+          bits += coded_bits;
         }
       }
       prep.cbp[mb] = mask;
       prep.block_bits[mb] = bits;
+      row_bits += static_cast<std::size_t>(bits);
       // SKIP bit semantics: "this macroblock's MV equals the predicted MV
       // and it carries no residual" — the decoder copies the reference
       // at the predicted MV. Threshold-forced skips satisfy the
@@ -280,9 +301,11 @@ void Encoder::prepare_inter_trial(const InterPlan& plan, int base_qp,
                            predicted_mv(plan.eff_motion, col, row);
       prep.skip[mb] = at_pred && prep.cbp[mb] == 0;
     }
+    block_bits.fetch_add(row_bits, std::memory_order_relaxed);
   };
   if (pool_) pool_->parallel_for(0, mb_rows, quant_row);
   else for (int row = 0; row < mb_rows; ++row) quant_row(row);
+  return block_bits.load(std::memory_order_relaxed) <= bit_limit;
 }
 
 video::Frame Encoder::reconstruct_inter(const InterPlan& plan,
@@ -338,7 +361,8 @@ void Encoder::code_inter_trial(Sink& sink, const PreparedInter& prep,
         const std::size_t base = mb * kBlocksPerMb;
         for (int b = 0; b < kBlocksPerMb; ++b)
           if (prep.cbp[mb] & (1 << b))
-            write_block(sink, prep.levels[base + static_cast<std::size_t>(b)]);
+            write_block(sink, prep.levels[base + static_cast<std::size_t>(b)],
+                        prep.scans[base + static_cast<std::size_t>(b)]);
       }
     }
   }
@@ -386,12 +410,12 @@ Encoder::Trial Encoder::run_intra_trial(const video::Frame& src, int base_qp,
         video::Plane& rp = plane_of(trial.recon, blk.plane);
         const Block8x8 pred = dc_predict(rp, blk.bx, blk.by);
         QuantBlock levels;
-        const bool coded = transform_block(plane_of(src, blk.plane), blk.bx,
-                                           blk.by, pred, qp, levels);
-        bw.put_bit(coded);
-        if (coded) write_block(bw, levels);
-        reconstruct_block(rp, blk.bx, blk.by, pred, coded ? &levels : nullptr,
-                          qp);
+        const std::uint64_t scan = transform_block(
+            plane_of(src, blk.plane), blk.bx, blk.by, pred, qp, levels);
+        bw.put_bit(scan != 0);
+        if (scan != 0) write_block(bw, levels, scan);
+        reconstruct_block(rp, blk.bx, blk.by, pred,
+                          scan != 0 ? &levels : nullptr, qp);
       }
     }
   }
@@ -457,8 +481,11 @@ EncodedFrame Encoder::encode(const video::Frame& src, int base_qp,
   if (next_frame_type(src) == FrameType::kInter)
     plan = build_inter_plan(src, motion);
   Trial trial;
-  if (plan) prepare_inter_trial(*plan, base_qp, offsets, trial);
-  else trial = run_intra_trial(src, base_qp, offsets);
+  if (plan) {
+    (void)prepare_inter_trial(*plan, base_qp, offsets, kNoBitLimit, trial);
+  } else {
+    trial = run_intra_trial(src, base_qp, offsets);
+  }
   return commit(std::move(trial), plan ? &*plan : nullptr, src);
 }
 
@@ -488,6 +515,15 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
   // an overshooting one does until something fits. Inter trials are
   // sized by counting bits; only the committed one is emitted. A trial
   // that is not kept lends its storage to the next.
+  //
+  // After a fit, an overshooting trial can never be committed, so an
+  // inter trial stops once its block bits alone pass 8 * target_bytes
+  // (saturating): block bits are a lower bound on its size, so such a
+  // trial cannot fit. It counts as tried and not fitting, is never
+  // swapped into `chosen`, and the next trial rewrites every per-mb entry
+  // it left stale.
+  const std::size_t fit_limit =
+      target_bytes > kNoBitLimit / 8 ? kNoBitLimit : 8 * target_bytes;
   int lo = kMinQp;
   int hi = kMaxQp;
   int qp = std::clamp(last_qp_, kMinQp, kMaxQp);
@@ -500,11 +536,18 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
     // Intra prediction depends on the QP-dependent reconstruction, so an
     // intra trial is always a full pass.
     if (!plan) ++rc_stats_.full_transform_passes;
-    if (plan) prepare_inter_trial(*plan, qp, offsets, trial);
-    else trial = run_intra_trial(src, qp, offsets);
-    const std::size_t bytes =
-        plan ? size_inter_trial(trial.prep, *plan) : trial.data.size();
-    const bool fits = bytes <= target_bytes;
+    bool fits = false;
+    if (plan) {
+      if (prepare_inter_trial(*plan, qp, offsets,
+                              fitted ? fit_limit : kNoBitLimit, trial)) {
+        fits = size_inter_trial(trial.prep, *plan) <= target_bytes;
+      } else {
+        ++rc_stats_.trials_cut;
+      }
+    } else {
+      trial = run_intra_trial(src, qp, offsets);
+      fits = trial.data.size() <= target_bytes;
+    }
     if (fits) hi = trial.base_qp - 1;
     else lo = trial.base_qp + 1;
     if (fits || !fitted) std::swap(chosen, trial);
@@ -517,6 +560,7 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
   if (obs_handles_.trials_attempted != nullptr) {
     obs_handles_.trials_attempted->add(rc_stats_.trials_attempted);
     obs_handles_.full_passes->add(rc_stats_.full_transform_passes);
+    obs_handles_.trials_cut->add(rc_stats_.trials_cut);
   }
   return commit(std::move(chosen), plan ? &*plan : nullptr, src);
 }

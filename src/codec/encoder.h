@@ -16,8 +16,17 @@
 // compensated predictions, and the DCT coefficients of the prediction
 // residual — is computed once per frame; each QP trial only re-quantizes
 // and counts bits, and only the committed trial is emitted and
-// reconstructed. The search never revisits a QP. encode() runs the same
-// trial and commit steps at one fixed QP, with no sizing pass.
+// reconstructed. The search never revisits a QP. Once a trial has fitted,
+// a later trial stops as soon as its block bits alone pass the budget: it
+// can no longer be committed (RateControlStats::trials_cut). encode()
+// runs the same trial and commit steps at one fixed QP, with no sizing
+// pass.
+//
+// Per-call scratch (the plan's predictions and coefficients, a trial's
+// levels and zigzag masks) is sized without zero-filling (codec/
+// scratch.h): every element that is read was written first, as DESIGN §7
+// lists buffer by buffer. Each coded block is emitted from the zigzag
+// nonzero mask its quantizer pass built, not by walking all 64 positions.
 //
 // References are read only through RefPlanes (codec/ref_planes.h), built
 // from reference_ once per encode call and dropped with it.
@@ -31,6 +40,7 @@
 #include "codec/motion_search.h"
 #include "codec/quant.h"
 #include "codec/ref_planes.h"
+#include "codec/scratch.h"
 #include "codec/types.h"
 #include "obs/frame_context.h"
 #include "util/thread_pool.h"
@@ -85,6 +95,11 @@ struct RateControlStats {
   /// inter frame regardless of trial count; every intra trial is a full
   /// pass.
   int full_transform_passes = 0;
+  /// Inter trials stopped early: some earlier trial of the frame fitted
+  /// and this one's block bits alone passed 8 * target_bytes, so it could
+  /// not fit and was never counted in full (included in
+  /// trials_attempted).
+  int trials_cut = 0;
 };
 
 struct EncodedFrame {
@@ -189,9 +204,12 @@ class Encoder {
   /// the forward DCT of the prediction residual. SKIP macroblocks carry
   /// predictions at the predicted MV and never pay the residual DCT.
   struct InterPlan {
-    std::vector<Block8x8> preds;   ///< mb_count * 6, block-major
-    std::vector<Block8x8> coeffs;  ///< mb_count * 6, block-major
-    std::vector<double> max_abs;   ///< max |coeff| per block
+    /// mb_count * 6, block-major; every block is written.
+    ScratchVector<Block8x8> preds;
+    /// mb_count * 6, block-major; written for non-SKIP macroblocks only,
+    /// read only where max_abs passes the dead zone (never for SKIP).
+    ScratchVector<Block8x8> coeffs;
+    std::vector<double> max_abs;   ///< max |coeff| per block, 0 for SKIP
     std::vector<std::uint8_t> skip;  ///< per-mb threshold-forced SKIP
     /// Coded field: SKIP entries replaced by their predicted MV (the
     /// exact field the decoder will reconstruct).
@@ -203,7 +221,10 @@ class Encoder {
   /// macroblock. Enough to size the trial for rate control and, for the
   /// committed trial only, to emit and reconstruct it.
   struct PreparedInter {
-    std::vector<QuantBlock> levels;  ///< mb_count * 6, block-major
+    /// mb_count * 6, block-major. Both are written for coded blocks only
+    /// and read only where the cbp bit is set.
+    ScratchVector<QuantBlock> levels;
+    ScratchVector<std::uint64_t> scans;  ///< nonzero levels by zigzag position
     std::vector<int> cbp;            ///< coded-block pattern per mb
     std::vector<int> block_bits;     ///< bits of the coded blocks per mb
     std::vector<int> qps;            ///< resolved QP per mb
@@ -234,9 +255,13 @@ class Encoder {
   [[nodiscard]] InterPlan build_inter_plan(const video::Frame& src,
                                            const MotionField* motion) const;
   /// The parallel half of an inter trial at `base_qp`, into `trial`
-  /// (reusing its storage).
-  void prepare_inter_trial(const InterPlan& plan, int base_qp,
-                           const QpOffsetMap* offsets, Trial& trial) const;
+  /// (reusing its storage). Returns false when the trial was cut: its
+  /// block bits passed `bit_limit`, so rows may have been left unprepared
+  /// and the trial must be neither sized nor committed.
+  [[nodiscard]] bool prepare_inter_trial(const InterPlan& plan, int base_qp,
+                                         const QpOffsetMap* offsets,
+                                         std::size_t bit_limit,
+                                         Trial& trial) const;
   /// Reconstruction of an inter trial (row-parallel), run once per frame
   /// on the committed trial.
   [[nodiscard]] video::Frame reconstruct_inter(const InterPlan& plan,
@@ -268,6 +293,7 @@ class Encoder {
     obs::Counter* motion_searches = nullptr;
     obs::Counter* trials_attempted = nullptr;
     obs::Counter* full_passes = nullptr;
+    obs::Counter* trials_cut = nullptr;
     obs::Counter* skip_skipped_mbs = nullptr;
     obs::Counter* skip_inter_mbs = nullptr;
     obs::Counter* scene_cuts = nullptr;

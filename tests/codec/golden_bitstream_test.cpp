@@ -17,6 +17,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <new>
+#include <string>
 #include <vector>
 
 #include "codec/decoder.h"
@@ -55,21 +58,46 @@ std::uint64_t fnv1a(std::uint64_t h, const std::vector<std::uint8_t>& bytes) {
   return h;
 }
 
+/// Hands nonzero memory back to the encoder's scratch: allocates buffers
+/// the size of the inter plan's and a trial's scratch (which the encoder
+/// does not zero-fill) for a w x h frame, four of each, fills them with
+/// 0x40 bytes and frees them, so the allocator serves those sizes from
+/// poisoned memory. As a double 0x40 bytes read about 32.5 and as a level
+/// about 1.08e9, so an element read before it is written changes the
+/// bytes or the reconstruction. The frames are small enough that these
+/// sizes come from the heap, not from fresh zeroed mmap pages.
+void poison_heap(int w, int h) {
+  const std::size_t blocks = static_cast<std::size_t>(w / kMacroblockSize) *
+                             static_cast<std::size_t>(h / kMacroblockSize) * 6;
+  std::vector<void*> held;
+  for (int copy = 0; copy < 4; ++copy)
+    for (const std::size_t bytes :
+         {blocks * sizeof(Block8x8), blocks * sizeof(Block8x8),
+          blocks * sizeof(QuantBlock), blocks * sizeof(std::uint64_t)}) {
+      void* p = ::operator new(bytes);
+      std::memset(p, 0x40, bytes);
+      held.push_back(p);
+    }
+  for (void* p : held) ::operator delete(p);
+}
+
 /// Digest of the full encoded sequence (6 frames, 1 intra + 5 inter) at
 /// one base QP and search method, frame boundaries mixed in via the
-/// per-frame size.
+/// per-frame size. With `poison`, the heap is poisoned before every frame.
 std::uint64_t sequence_digest(int qp,
                               MotionSearchMethod method =
-                                  MotionSearchMethod::kHex) {
+                                  MotionSearchMethod::kHex,
+                              int threads = 2, bool poison = false) {
   Encoder enc({.width = 128,
                .height = 64,
                .search = {.method = method},
-               .threads = 2});
+               .threads = threads});
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (int i = 0; i < 6; ++i) {
-    const EncodedFrame out = enc.encode(
-        golden_frame(128, 64, 1200 + static_cast<std::uint64_t>(i), i * 4),
-        qp);
+    const video::Frame cur =
+        golden_frame(128, 64, 1200 + static_cast<std::uint64_t>(i), i * 4);
+    if (poison) poison_heap(128, 64);
+    const EncodedFrame out = enc.encode(cur, qp);
     h ^= out.data.size();
     h *= 0x100000001b3ULL;
     h = fnv1a(h, out.data);
@@ -169,6 +197,41 @@ TEST(GoldenBitstream, GoldenSequenceStillDecodes) {
     const EncodedFrame out = enc.encode(cur, 22);
     const auto decoded = dec.decode(out.data);
     ASSERT_EQ(decoded.frame, enc.reference()) << "frame " << i;
+  }
+}
+
+TEST(GoldenBitstream, PoisonedHeapKeepsDigestsAndDecoderAgreement) {
+  // The encoder leaves its plan and trial scratch unwritten where it is
+  // never read (DESIGN §7). With that memory poisoned before every frame,
+  // the golden digests must still hold, and under rate control (where
+  // overshooting trials are cut and leave stale rows behind) the
+  // encoder's reconstruction must still equal the decoder's output and
+  // every frame the bytes of a fixed-QP encode at the committed QP.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (const auto& point : kGolden)
+      EXPECT_EQ(sequence_digest(point.qp, point.method, threads, true),
+                point.digest)
+          << "qp=" << point.qp << " method=" << to_string(point.method);
+
+    for (const std::size_t target : {300U, 900U, 2500U}) {
+      SCOPED_TRACE("target=" + std::to_string(target));
+      const EncoderConfig cfg{.width = 128, .height = 64, .threads = threads};
+      Encoder enc(cfg);
+      Encoder fixed(cfg);
+      Decoder dec;
+      for (int i = 0; i < 6; ++i) {
+        const video::Frame cur =
+            golden_frame(128, 64, 1200 + static_cast<std::uint64_t>(i), i * 4);
+        poison_heap(128, 64);
+        const EncodedFrame out = enc.encode_to_target(cur, target);
+        poison_heap(128, 64);
+        ASSERT_EQ(dec.decode(out.data).frame, enc.reference()) << "frame " << i;
+        poison_heap(128, 64);
+        ASSERT_EQ(fixed.encode(cur, out.base_qp).data, out.data)
+            << "frame " << i;
+      }
+    }
   }
 }
 

@@ -1,12 +1,16 @@
-// Differential check of the table-driven quantizer and the fused
-// quantize-and-count pass: levels must equal the libm definition the
-// codec has always used, |c| <= step/6 ? 0 : lround(c / step) with
-// step = 0.625 * 2^(qp/6), at every QP; and the counted block size must
-// equal what write_block emits for the same levels.
+// Differential check of the table-driven quantizer, the fused
+// quantize-and-count pass and the mask-driven block writer: levels must
+// equal the libm definition the codec has always used,
+// |c| <= step/6 ? 0 : lround(c / step) with step = 0.625 * 2^(qp/6), at
+// every QP; the counted block size must equal what the 64-position
+// write_block_reference emits for the same levels; and write_block, driven
+// by the zigzag mask the count built, must emit those bits exactly and
+// read back as the same levels.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "codec/bitstream.h"
@@ -77,32 +81,83 @@ TEST(QuantDifferential, QuantizeMatchesLroundReferenceAtEveryQp) {
   }
 }
 
+/// Block shapes past the random sweep: the last zigzag coefficient
+/// alone, the first and the last, and every coefficient at the largest
+/// level the quantizer allows (|c / step| just below 2^31), all positive,
+/// all negative and alternating.
+Block8x8 edge_block(int kind, int qp) {
+  const auto& zz = zigzag_order();
+  const double extreme = 2147483000.0 * reference_step(qp);
+  Block8x8 coeffs{};
+  switch (kind) {
+    case 0: coeffs[static_cast<std::size_t>(zz[63])] = -extreme; break;
+    case 1:
+      coeffs[static_cast<std::size_t>(zz[0])] = extreme;
+      coeffs[static_cast<std::size_t>(zz[63])] = extreme;
+      break;
+    case 2: coeffs.fill(extreme); break;
+    case 3: coeffs.fill(-extreme); break;
+    default:
+      for (std::size_t i = 0; i < 64; ++i)
+        coeffs[i] = i % 2 == 0 ? extreme : -extreme;
+  }
+  return coeffs;
+}
+
 TEST(QuantDifferential, FusedBlockBitsEqualWrittenBlockLength) {
   util::Rng rng(16);
+  constexpr int kRandomTrials = 40;
+  constexpr int kEdgeTrials = 5;
   for (int qp = kMinQp; qp <= kMaxQp; ++qp) {
-    for (int trial = 0; trial < 40; ++trial) {
+    for (int trial = 0; trial < kRandomTrials + kEdgeTrials; ++trial) {
       // From all-zero through sparse to dense blocks: each coefficient is
-      // live with a per-block probability.
-      const double live = trial / 39.0;
+      // live with a per-block probability. Then the edge shapes.
       Block8x8 coeffs{};
-      for (auto& c : coeffs)
-        if (rng.chance(live)) c = rng.uniform(-2100, 2100) * rng.uniform(0, 1);
+      if (trial < kRandomTrials) {
+        const double live = trial / (kRandomTrials - 1.0);
+        for (auto& c : coeffs)
+          if (rng.chance(live))
+            c = rng.uniform(-2100, 2100) * rng.uniform(0, 1);
+      } else {
+        coeffs = edge_block(trial - kRandomTrials, qp);
+      }
       QuantBlock plain;
       QuantBlock fused;
-      const bool coded = quantize(coeffs, qp, plain) != 0;
-      const int bits = quantize_block_bits(coeffs, qp, fused);
+      std::uint64_t scan = ~std::uint64_t{0};
+      const std::uint64_t raster = quantize(coeffs, qp, plain);
+      const int bits = quantize_block_bits(coeffs, qp, fused, scan);
       ASSERT_EQ(fused, plain) << "qp " << qp;
-      if (!coded) {
+      // The intra path's mask: quantize's raster mask moved to zigzag.
+      ASSERT_EQ(zigzag_scan(raster), scan) << "qp " << qp;
+      if (raster == 0) {
         EXPECT_EQ(bits, 0);
+        EXPECT_EQ(scan, 0U);
         continue;
       }
+      SCOPED_TRACE("qp " + std::to_string(qp) + " trial " +
+                   std::to_string(trial));
       BitWriter bw;
-      write_block(bw, plain);
+      write_block_reference(bw, plain);
       BitCounter bc;
-      write_block(bc, plain);
-      ASSERT_EQ(static_cast<std::size_t>(bits), bw.bit_count())
-          << "qp " << qp << " trial " << trial;
+      write_block_reference(bc, plain);
+      ASSERT_EQ(static_cast<std::size_t>(bits), bw.bit_count());
       ASSERT_EQ(bc.bit_count(), bw.bit_count());
+
+      // The mask-driven writer emits the reference's bits exactly, into
+      // either sink, and they read back as the same levels.
+      BitWriter masked;
+      write_block(masked, plain, scan);
+      BitCounter masked_count;
+      write_block(masked_count, plain, scan);
+      ASSERT_EQ(masked_count.bit_count(), bw.bit_count());
+      const std::vector<std::uint8_t> want = bw.finish();
+      const std::vector<std::uint8_t> got = masked.finish();
+      ASSERT_EQ(got, want);
+      BitReader br(got);
+      QuantBlock read;
+      read_block(br, read);
+      ASSERT_EQ(read, plain);
+      ASSERT_EQ(br.bits_consumed(), static_cast<std::size_t>(bits));
     }
   }
 }
