@@ -9,7 +9,9 @@
 // Profiling: set DIVE_TRACE_OUT=/path/to/trace.json to run the final
 // DiVE pass with tracing on and write a Chrome trace-event file (open it
 // at ui.perfetto.dev); a metrics table for the same run is printed to
-// stdout. DIVE_BENCH_CLIPS / DIVE_BENCH_FRAMES scale the dataset.
+// stdout. DIVE_LEDGER_OUT=/path/to/ledger.json writes the same pass's
+// frame ledger for tools/trace_report.py. DIVE_BENCH_CLIPS /
+// DIVE_BENCH_FRAMES scale the dataset.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -52,12 +54,16 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.to_string().c_str());
 
   // Render one annotated frame: run DiVE on a clip and draw its final
-  // detections into the raw frame. With DIVE_TRACE_OUT set this pass is
-  // also the profiled one: full metrics + a Perfetto-loadable trace.
+  // detections into the raw frame. With DIVE_TRACE_OUT or DIVE_LEDGER_OUT
+  // set this pass is also the profiled one: full metrics plus a
+  // Perfetto-loadable trace and/or the frame ledger.
   const char* trace_out = std::getenv("DIVE_TRACE_OUT");
+  const char* ledger_out = std::getenv("DIVE_LEDGER_OUT");
+  const bool want_trace = trace_out != nullptr && *trace_out != '\0';
+  const bool want_ledger = ledger_out != nullptr && *ledger_out != '\0';
   obs::ObsContext obs_ctx;
   harness::SchemeOptions render_opts;
-  if (trace_out != nullptr && *trace_out != '\0') {
+  if (want_trace || want_ledger) {
     obs_ctx.tracer.set_enabled(true);
     render_opts.obs = &obs_ctx;
   }
@@ -76,12 +82,21 @@ int main(int argc, char** argv) {
               last.detections.size());
 
   if (render_opts.obs != nullptr) {
-    if (obs_ctx.tracer.write_chrome_json(trace_out, obs::TraceClock::kSim)) {
-      std::printf("wrote %s (%zu trace events; open at ui.perfetto.dev)\n",
-                  trace_out, obs_ctx.tracer.event_count());
-    } else {
-      std::fprintf(stderr, "failed to write trace to %s\n", trace_out);
-      return 1;
+    if (want_trace) {
+      if (!obs_ctx.tracer.write_chrome_json(trace_out, obs::TraceClock::kSim,
+                                            &obs_ctx.ledger)) {
+        std::fprintf(stderr, "failed to write trace to %s\n", trace_out);
+        return 1;
+      }
+      std::printf("wrote %s (open at ui.perfetto.dev)\n", trace_out);
+    }
+    if (want_ledger) {
+      if (!obs_ctx.ledger.write_json(ledger_out)) {
+        std::fprintf(stderr, "failed to write ledger to %s\n", ledger_out);
+        return 1;
+      }
+      std::printf("wrote %s (%zu frames; render with tools/trace_report.py)\n",
+                  ledger_out, obs_ctx.ledger.size());
     }
     std::printf("\n");
     obs_ctx.metrics.to_table().print(std::cout);

@@ -8,7 +8,8 @@
 // FrameTraceContext, so the exports carry per-frame causality:
 //   DIVE_TRACE_OUT=serve_trace.json   Perfetto trace; the "frame" flow
 //                                     arrows link one frame's encode →
-//                                     uplink → admission → infer spans
+//                                     uplink → admission → inference
+//                                     spans (derived from the ledger)
 //                                     across tracks.
 //   DIVE_LEDGER_OUT=serve_ledger.json Per-frame stage breakdown for
 //                                     tools/trace_report.py.
@@ -75,16 +76,15 @@ int main() {
     std::printf("\n");
     obs_ctx.ledger.autopsy_table().print(std::cout);
     if (trace_out != nullptr && *trace_out != '\0') {
-      if (!obs_ctx.tracer.write_chrome_json(trace_out,
-                                            obs::TraceClock::kSim)) {
+      if (!obs_ctx.tracer.write_chrome_json(trace_out, obs::TraceClock::kSim,
+                                            &obs_ctx.ledger)) {
         std::fprintf(stderr, "failed to write trace to %s\n", trace_out);
         return 1;
       }
       std::printf(
-          "\nwrote %s (%zu events; open at ui.perfetto.dev — the \"frame\" "
-          "flow arrows\nfollow one frame across agent/serve/session "
-          "tracks)\n",
-          trace_out, obs_ctx.tracer.event_count());
+          "\nwrote %s (open at ui.perfetto.dev — the \"frame\" flow "
+          "arrows\nfollow one frame across codec/net/session tracks)\n",
+          trace_out);
     }
     if (ledger_out != nullptr && *ledger_out != '\0') {
       if (!obs_ctx.ledger.write_json(ledger_out)) {

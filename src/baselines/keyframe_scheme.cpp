@@ -6,6 +6,16 @@
 
 namespace dive::baselines {
 
+namespace {
+
+/// Upload every Nth frame as a key frame.
+constexpr int kKeyframeInterval = 6;
+/// Additional trigger: a key frame is also forced when the mean |luma
+/// diff| between consecutive frames spikes above this (scene change).
+constexpr double kDiffTrigger = 20.0;
+
+}  // namespace
+
 KeyframeScheme::KeyframeScheme(KeyframeSchemeConfig config,
                                codec::EncoderConfig encoder_config,
                                std::shared_ptr<net::Uplink> uplink,
@@ -20,11 +30,11 @@ KeyframeScheme::KeyframeScheme(KeyframeSchemeConfig config,
 
 bool KeyframeScheme::is_keyframe(const video::Frame& frame) const {
   if (!has_keyframe_) return true;
-  if (frame_index_ - last_keyframe_index_ >= config_.keyframe_interval)
+  if (frame_index_ - last_keyframe_index_ >= kKeyframeInterval)
     return true;
   // Scene-change trigger on the consecutive-frame difference.
   return has_previous_ && video::mean_abs_diff_y(frame, previous_raw_) >
-                              config_.diff_trigger;
+                              kDiffTrigger;
 }
 
 void KeyframeScheme::adopt_ready_results(util::SimTime now) {
@@ -75,8 +85,8 @@ core::FrameOutcome KeyframeScheme::process_frame(const video::Frame& frame,
     const long spacing =
         has_keyframe_
             ? std::clamp(frame_index_ - last_keyframe_index_, 1L,
-                         static_cast<long>(config_.keyframe_interval))
-            : config_.keyframe_interval;
+                         static_cast<long>(kKeyframeInterval))
+            : kKeyframeInterval;
     const double spacing_budget =
         budget_rate * static_cast<double>(spacing) / config_.fps;
     const double deliverable =

@@ -23,10 +23,6 @@
 namespace dive::baselines {
 
 struct KeyframeSchemeConfig {
-  int keyframe_interval = 6;    ///< upload every Nth frame
-  /// Additional trigger: a key frame is also forced when the mean |luma
-  /// diff| between consecutive frames spikes above this (scene change).
-  double diff_trigger = 20.0;
   double fps = 12.0;
   core::AgentLatencies latencies;
   core::BandwidthEstimatorConfig bandwidth;

@@ -191,8 +191,6 @@ Encoder::InterPlan Encoder::build_inter_plan(
   // macroblock is predicted at the predicted MV and never pays the
   // residual DCT; its coefficients (and their max |coeff|) stay zero.
   const bool skip_on = config_.skip_blocks;
-  const auto skip_budget =
-      static_cast<std::uint32_t>(std::max(0, config_.skip_threshold));
   const Sad16Fn sad_fn = searcher_.sad_fn();
   const auto plan_row = [&](int row) {
     for (int col = 0; col < mb_cols; ++col) {
@@ -204,7 +202,7 @@ Encoder::InterPlan Encoder::build_inter_plan(
       if (skip_on) {
         const std::uint32_t pred_sad =
             sad_16x16(src.y, ref_y, col * kMb, row * kMb, pred, sad_fn);
-        skip = pred_sad < skip_budget;
+        skip = pred_sad < kSkipThreshold;
       }
       if (skip) {
         plan.skip[mb] = 1;
@@ -531,7 +529,7 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
   Trial trial;
   bool fitted = false;
 
-  for (int iter = 0; iter < std::max(1, config_.rate_iterations); ++iter) {
+  for (int iter = 0; iter < kRateIterations; ++iter) {
     ++rc_stats_.trials_attempted;
     // Intra prediction depends on the QP-dependent reconstruction, so an
     // intra trial is always a full pass.

@@ -54,12 +54,17 @@ class Distribution;
 
 namespace dive::codec {
 
+/// QP trials encode_to_target runs per frame.
+inline constexpr int kRateIterations = 5;
+/// Luma SAD budget (16x16, so 512 = 2 per pixel) under which a macroblock
+/// is forced to SKIP when EncoderConfig::skip_blocks is on.
+inline constexpr std::uint32_t kSkipThreshold = 512;
+
 struct EncoderConfig {
   int width = 0;   ///< must be a multiple of 16
   int height = 0;  ///< must be a multiple of 16
   MotionSearchConfig search{};
   int gop_length = 120;         ///< distance between intra frames
-  int rate_iterations = 5;      ///< QP trials for encode_to_target
   /// Worker lanes (including the calling thread) for motion search and
   /// the inter-frame macroblock loop. 0 = DIVE_THREADS env var, else all
   /// hardware threads; 1 = fully serial. Output is bit-identical for
@@ -67,15 +72,12 @@ struct EncoderConfig {
   int threads = 0;
   /// Per-macroblock SKIP mode: when the luma SAD at the PREDICTED motion
   /// vector (the left-neighbor chain the bitstream codes against) is
-  /// below skip_threshold, the macroblock is coded as a one-bit SKIP —
+  /// below kSkipThreshold, the macroblock is coded as a one-bit SKIP —
   /// the decoder copies the reference at the predicted MV and no
   /// residual is transformed, quantized, or emitted. Changes the
   /// bitstream (that is the point); deterministic for every thread
   /// count / kernel setting.
   bool skip_blocks = true;
-  /// Luma SAD budget (16x16, so 512 = 2 per pixel) under which a
-  /// macroblock is forced to SKIP. Only meaningful with skip_blocks.
-  int skip_threshold = 512;
   /// Average-luma scene-change detection (the DSV encoders' heuristic):
   /// when the mean luma of the incoming frame differs from the current
   /// reference's by more than scene_change_luma_delta, the frame is

@@ -13,6 +13,9 @@ namespace dive::codec {
 namespace {
 
 constexpr int kMb = kMacroblockSize;
+/// Coarse-level candidates carried down the pyramid for kHme. More
+/// candidates approach exhaustive quality at linear extra cost.
+constexpr int kHmeCandidates = 3;
 
 }  // namespace
 
@@ -316,7 +319,7 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
           const int top_shift = top + 1;  // downsample factor 1 << shift
           const int n_top = kMb >> top_shift;
           const int top_range = std::max(1, range >> top_shift);
-          CandidateList cands(std::max(1, config_.hme_candidates));
+          CandidateList cands(kHmeCandidates);
           const video::Plane& tc = pyr->cur.levels[static_cast<std::size_t>(top)];
           const RefPlanes& tr = pyr->ref_planes[static_cast<std::size_t>(top)];
           const int tx = cx >> top_shift;

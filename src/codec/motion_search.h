@@ -49,9 +49,6 @@ struct MotionSearchConfig {
   /// the luma). 2 gives a 3-level pyramid; clamped so the coarsest block
   /// stays at least 4x4.
   int hme_levels = 2;
-  /// Coarse-level candidates carried down the pyramid for kHme. More
-  /// candidates approach exhaustive quality at linear extra cost.
-  int hme_candidates = 3;
 };
 
 /// Downsampled luma pyramid for hierarchical search. levels[0] is the

@@ -45,13 +45,12 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
   obs::ObsContext* obs = config_.obs;
   if (obs != nullptr) obs->tracer.set_sim_now(capture_time);
   // Causal identity for this frame (single-agent pipeline = session 0):
-  // encoder/edge spans join its flow, the ledger collects its stages.
+  // encoder spans join its flow, the ledger collects its stages.
   const std::uint64_t frame_index = frame_seq_++;
   obs::FrameTraceContext trace_ctx;
   if (obs != nullptr) {
     trace_ctx = obs->ledger.begin_frame(0, frame_index, capture_time);
     encoder_.set_frame_context(trace_ctx);
-    server_->set_frame_context(trace_ctx);
   }
   DIVE_OBS_SPAN(frame_span, obs, "agent.frame", obs::kTrackAgent);
   frame_span.flow(trace_ctx);
@@ -134,12 +133,8 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
   const util::SimTime ready =
       capture_time + config_.latencies.analysis + config_.latencies.encode;
   if (obs != nullptr) {
-    // Simulated-timeline view of the Fig. 5 pipeline: the modelled
-    // on-agent compute interval; the uplink and edge emit their own.
-    obs->tracer.span_at("agent.analyze+encode", obs::kTrackAgent,
-                        capture_time, ready,
-                        {{"bytes", static_cast<long long>(encoded.bytes())}},
-                        trace_ctx.flow_id());
+    // The modelled on-agent compute interval of the Fig. 5 pipeline; the
+    // uplink records its own stages.
     obs->ledger.stage(trace_ctx, obs::FrameStage::kEncode, capture_time,
                       ready);
     if (config_.roi_metadata) {

@@ -22,15 +22,6 @@ InferenceResult EdgeServer::process(std::span<const std::uint8_t> data,
         .add(static_cast<std::int64_t>(result.detections.size()));
     obs_->metrics.distribution("edge.service_ms", "ms")
         .add(util::to_millis(result.result_at_agent - arrival));
-    const util::SimTime served =
-        result.result_at_agent - config_.downlink_delay;
-    const std::uint64_t flow = frame_ctx_.flow_id();
-    obs_->tracer.span_at(
-        "edge.process", obs::kTrackEdge, arrival, served,
-        {{"detections", static_cast<long long>(result.detections.size())}},
-        flow);
-    obs_->tracer.span_at("edge.downlink", obs::kTrackEdge, served,
-                         result.result_at_agent, {}, flow);
   }
   return result;
 }

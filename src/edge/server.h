@@ -19,7 +19,6 @@
 #include "codec/decoder.h"
 #include "edge/detection.h"
 #include "edge/detector.h"
-#include "obs/frame_context.h"
 #include "util/rng.h"
 #include "util/sim_clock.h"
 
@@ -90,17 +89,10 @@ class EdgeServer {
   [[nodiscard]] std::uint64_t frames_processed() const { return processed_; }
 
   /// Attaches an observability context (non-owning, null detaches):
-  /// "edge.*" counters and a per-frame service span on obs::kTrackEdge
-  /// spanning arrival -> result-at-agent (simulated time).
+  /// "edge.*" counters and the service-time distribution (simulated
+  /// time). The frame's inference/result stages are the caller's to
+  /// record in the ledger.
   void set_obs(obs::ObsContext* obs) { obs_ = obs; }
-
-  /// Causal identity of the frame the next process() call serves: its
-  /// edge spans join the frame's flow and its inference/result stages
-  /// land in the ledger. Set per frame by the agent; an invalid (default)
-  /// context observes nothing extra.
-  void set_frame_context(const obs::FrameTraceContext& ctx) {
-    frame_ctx_ = ctx;
-  }
 
  private:
   ServerConfig config_;
@@ -108,7 +100,6 @@ class EdgeServer {
   ChromaDetector detector_;
   util::Rng rng_;  ///< base seed; per-frame streams are forked off it
   obs::ObsContext* obs_ = nullptr;
-  obs::FrameTraceContext frame_ctx_;
   std::uint64_t processed_ = 0;
 };
 

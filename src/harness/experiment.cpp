@@ -47,7 +47,6 @@ codec::EncoderConfig encoder_config_for(const data::Clip& clip,
   cfg.search.method = options.search;
   cfg.gop_length = options.gop_length;
   cfg.skip_blocks = options.skip_blocks;
-  if (options.skip_threshold >= 0) cfg.skip_threshold = options.skip_threshold;
   return cfg;
 }
 
@@ -82,14 +81,12 @@ std::unique_ptr<core::AnalyticsScheme> make_scheme(
     case SchemeKind::kO3: {
       baselines::KeyframeSchemeConfig cfg;
       cfg.fps = clip.fps;
-      cfg.keyframe_interval = options.keyframe_interval;
       return std::make_unique<baselines::O3Scheme>(cfg, enc_cfg, uplink,
                                                    server);
     }
     case SchemeKind::kEaar: {
       baselines::KeyframeSchemeConfig cfg;
       cfg.fps = clip.fps;
-      cfg.keyframe_interval = options.keyframe_interval;
       return std::make_unique<baselines::EaarScheme>(
           cfg, baselines::EaarConfig{}, enc_cfg, uplink, server);
     }

@@ -58,8 +58,6 @@ struct SchemeOptions {
   /// Per-macroblock SKIP coding (encoder.h): forced reference copies for
   /// macroblocks whose residual at the predicted MV is negligible.
   bool skip_blocks = true;
-  /// Luma SAD budget for a forced SKIP; <0 keeps the encoder default.
-  int skip_threshold = -1;
   /// Fixed background delta for Fig. 11 (-1 = adaptive).
   int fixed_delta = -1;
   bool enable_offline_tracking = true;  ///< Fig. 13
@@ -67,7 +65,6 @@ struct SchemeOptions {
   /// it (DiVE only; see roi/). Off: uploads and encoded bytes are
   /// byte-identical to a build without the RoI subsystem.
   bool roi_metadata = false;
-  int keyframe_interval = 6;            ///< O3 / EAAR
   int gop_length = 48;
   std::uint64_t seed = 99;
   /// Optional observability context, forwarded into the DiVE agent (and

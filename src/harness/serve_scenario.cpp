@@ -220,16 +220,8 @@ ServeScenarioResult run_serve_scenario(const ServeScenarioOptions& options) {
       const util::SimTime ready =
           capture + options.latencies.analysis + options.latencies.encode;
       if (options.obs != nullptr) {
-        // The modeled encode interval as a flow-linked span on the
-        // session's track (encoder ScopedSpans are wall-clocked and
-        // anchor at a sim instant; this is the sim-time stage).
-        options.obs->tracer.span_at(
-            "agent.encode", obs::kTrackSessionBase +
-                                static_cast<std::uint32_t>(s),
-            capture, ready,
-            {{"frame", static_cast<long long>(f)},
-             {"bytes", static_cast<long long>(encoded.bytes())}},
-            ctx.flow_id());
+        // The modeled encode interval: the frame's sim-time encode stage
+        // (the encoder's own ScopedSpans are wall-clocked).
         options.obs->ledger.stage(ctx, obs::FrameStage::kEncode, capture,
                                   ready);
         if (options.roi_metadata) {

@@ -13,16 +13,13 @@ Uplink::Uplink(std::shared_ptr<const BandwidthTrace> trace,
   if (trace_ == nullptr) throw std::invalid_argument("Uplink: null trace");
 }
 
-/// Metric/span/ledger bookkeeping shared by both transmit paths;
-/// everything is computed from simulated timestamps, so observation is
-/// deterministic.
-TransmitResult Uplink::record(const char* span_name, const TransmitResult& r,
-                              double bytes, util::SimTime enqueue_time,
+/// Metric and ledger bookkeeping of one transmission; everything is
+/// computed from simulated timestamps, so observation is deterministic.
+TransmitResult Uplink::record(const TransmitResult& r, double bytes,
+                              util::SimTime enqueue_time,
                               const obs::FrameTraceContext* trace) {
   if (obs_ == nullptr) return r;
   auto& m = obs_->metrics;
-  const std::uint64_t flow =
-      trace != nullptr && trace->valid() ? trace->flow_id() : 0;
   m.counter("net.transmits").add();
   m.distribution("net.queue_ms", "ms")
       .add(util::to_millis(r.started - enqueue_time));
@@ -32,14 +29,8 @@ TransmitResult Uplink::record(const char* span_name, const TransmitResult& r,
         .add(static_cast<std::int64_t>(bytes));
     m.distribution("net.transmit_ms", "ms")
         .add(util::to_millis(r.sent_complete - r.started));
-    obs_->tracer.span_at(span_name, obs::kTrackNet, r.started,
-                         r.sent_complete,
-                         {{"bytes", static_cast<long long>(bytes)}}, flow);
   } else {
     m.counter("net.outages").add();
-    obs_->tracer.span_at("net.timeout", obs::kTrackNet, r.started,
-                         r.gave_up_at,
-                         {{"bytes", static_cast<long long>(bytes)}}, flow);
   }
   if (trace != nullptr && trace->valid()) {
     auto& ledger = obs_->ledger;
@@ -52,31 +43,6 @@ TransmitResult Uplink::record(const char* span_name, const TransmitResult& r,
                    r.arrival);
   }
   return r;
-}
-
-TransmitResult Uplink::transmit(double bytes, util::SimTime enqueue_time,
-                                const obs::FrameTraceContext* trace) {
-  const util::SimTime start = std::max(enqueue_time, busy_until_);
-  // A generous horizon: nothing in the evaluation waits more than minutes.
-  const util::SimTime horizon = start + 600 * util::kMicrosPerSec;
-  const util::SimTime complete =
-      trace_->time_to_send(start, bytes, horizon + 1);
-  if (complete > horizon) {
-    // The trace cannot move the data inside the horizon (an outage longer
-    // than the horizon): report the failure instead of fabricating a
-    // horizon-clamped completion time (mirrors transmit_with_timeout).
-    TransmitResult r;
-    r.delivered = false;
-    r.started = start;
-    r.gave_up_at = horizon;
-    busy_until_ = std::max(busy_until_, horizon);
-    return record("net.transmit", r, bytes, enqueue_time, trace);
-  }
-  busy_until_ = complete;
-  return record("net.transmit",
-                {true, start, complete, complete + config_.propagation_delay,
-                 0},
-                bytes, enqueue_time, trace);
 }
 
 TransmitResult Uplink::transmit_with_timeout(
@@ -93,17 +59,12 @@ TransmitResult Uplink::transmit_with_timeout(
     r.gave_up_at = deadline;
     // Dropped frame: the radio is idle again from the moment we gave up.
     busy_until_ = std::max(busy_until_, deadline);
-    return record("net.transmit", r, bytes, enqueue_time, trace);
+    return record(r, bytes, enqueue_time, trace);
   }
   busy_until_ = complete;
-  return record("net.transmit",
-                {true, head_time, complete,
+  return record({true, head_time, complete,
                  complete + config_.propagation_delay, 0},
                 bytes, enqueue_time, trace);
-}
-
-double Uplink::capacity_between(util::SimTime t0, util::SimTime t1) const {
-  return trace_->bytes_between(t0, t1);
 }
 
 }  // namespace dive::net

@@ -42,39 +42,27 @@ class Uplink {
   Uplink(std::shared_ptr<const BandwidthTrace> trace, UplinkConfig config);
 
   /// Transmits `bytes` enqueued at `enqueue_time`; the link serializes
-  /// after any earlier traffic completes. Patience is bounded by a 600 s
-  /// horizon: when the trace cannot move the data inside it (an extreme
-  /// outage), the result reports `delivered == false` with `gave_up_at`
-  /// set to the horizon rather than a fabricated completion time.
-  /// `trace` (optional) ties the transmission to a frame: the uplink
-  /// span joins the frame's flow and the queue/serialize/propagation
-  /// intervals are recorded into the context's FrameLedger.
-  TransmitResult transmit(double bytes, util::SimTime enqueue_time,
-                          const obs::FrameTraceContext* trace = nullptr);
-
-  /// Transmits unless the head-of-line timer (config.head_timeout)
-  /// expires first; on expiry the frame is dropped and the link is left
-  /// idle (real stacks flush the socket on outage detection).
+  /// after any earlier traffic completes. If the head-of-line timer
+  /// (config.head_timeout) expires first, the frame is dropped and the
+  /// link is left idle (real stacks flush the socket on outage
+  /// detection). `trace` (optional) ties the transmission to a frame:
+  /// its queue/serialize/propagation intervals are recorded into the
+  /// context's FrameLedger.
   TransmitResult transmit_with_timeout(
       double bytes, util::SimTime enqueue_time,
       const obs::FrameTraceContext* trace = nullptr);
-
-  /// Bytes the link could move in [t0, t1) — used by tests and by
-  /// bandwidth-estimator ground truth.
-  [[nodiscard]] double capacity_between(util::SimTime t0,
-                                        util::SimTime t1) const;
 
   [[nodiscard]] util::SimTime busy_until() const { return busy_until_; }
   [[nodiscard]] const UplinkConfig& config() const { return config_; }
 
   /// Attaches an observability context (non-owning, null detaches):
-  /// "net.*" counters/distributions and serialization spans on
-  /// obs::kTrackNet, all derived from simulated time (deterministic).
+  /// "net.*" counters/distributions and the frame's uplink stages in the
+  /// ledger, all derived from simulated time (deterministic).
   void set_obs(obs::ObsContext* obs) { obs_ = obs; }
 
  private:
-  TransmitResult record(const char* span_name, const TransmitResult& r,
-                        double bytes, util::SimTime enqueue_time,
+  TransmitResult record(const TransmitResult& r, double bytes,
+                        util::SimTime enqueue_time,
                         const obs::FrameTraceContext* trace);
 
   std::shared_ptr<const BandwidthTrace> trace_;

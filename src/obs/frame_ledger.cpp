@@ -16,6 +16,36 @@ constexpr std::array<const char*, kFrameStageCount> kStageNames = {
     "batch_wait",     "inference",  "result",
 };
 
+/// The one mapping from a ledger stage to its sim-clock trace span
+/// (DESIGN §10): named `<layer>.<stage>`, placed on the shared net track
+/// or on the frame's session track.
+struct StageTrace {
+  const char* name;
+  bool net_track;
+};
+constexpr std::array<StageTrace, kFrameStageCount> kStageTrace = {{
+    {"agent.encode", false},
+    {"agent.sidecar", false},
+    {"net.uplink_queue", true},
+    {"net.transmit", true},
+    {"net.propagation", true},
+    {"edge.admission_wait", false},
+    {"edge.batch_wait", false},
+    {"edge.inference", false},
+    {"edge.result", false},
+}};
+
+/// Drop instants, named after the outcome in the layer that dropped the
+/// frame; they sit on the session track at the drop time.
+const char* drop_trace_name(FrameOutcome outcome) {
+  switch (outcome) {
+    case FrameOutcome::kDroppedUplink: return "net.dropped_uplink";
+    case FrameOutcome::kDroppedQueue: return "edge.dropped_queue";
+    case FrameOutcome::kDroppedDeadline: return "edge.dropped_deadline";
+    default: return nullptr;
+  }
+}
+
 double quantile_of(std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const double pos = q * static_cast<double>(sorted.size() - 1);
@@ -290,6 +320,37 @@ bool FrameLedger::write_json(const std::string& path) const {
   const std::string json = to_json();
   out.write(json.data(), static_cast<std::streamsize>(json.size()));
   return static_cast<bool>(out);
+}
+
+std::vector<TraceEvent> FrameLedger::trace_events() const {
+  std::vector<TraceEvent> events;
+  for (const FrameRecord& record : records()) {
+    const std::uint32_t session_track =
+        kTrackSessionBase + record.ctx.session_id;
+    const auto add = [&](const char* name, std::uint32_t track,
+                         util::SimTime begin, util::SimTime end) {
+      TraceEvent ev;
+      ev.name = name;
+      ev.track = track;
+      ev.sim_begin = begin;
+      ev.sim_end = end;
+      ev.flow = record.ctx.flow_id();
+      ev.args = {{"session", static_cast<long long>(record.ctx.session_id)},
+                 {"frame", static_cast<long long>(record.ctx.frame_index)}};
+      events.push_back(std::move(ev));
+    };
+    for (std::size_t i = 0; i < kFrameStageCount; ++i) {
+      const FrameRecord::StageSpan& span = record.stages[i];
+      if (!span.set) continue;
+      add(kStageTrace[i].name,
+          kStageTrace[i].net_track ? kTrackNet : session_track, span.begin,
+          span.end);
+    }
+    if (is_drop(record.outcome))
+      add(drop_trace_name(record.outcome), session_track, record.finished,
+          record.finished);
+  }
+  return events;
 }
 
 void FrameLedger::publish(MetricsRegistry& registry) const {

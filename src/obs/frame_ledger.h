@@ -13,6 +13,10 @@
 //   - a deadline-miss autopsy: every dropped-or-late frame names its
 //     dominant stage (today drops are counted but causeless).
 //
+// The ledger is the only record of a frame's sim-time stages: the kSim
+// Chrome export derives their trace spans from it (trace_events), so no
+// pipeline stage writes a span for an interval it records here.
+//
 // Determinism: contexts are minted on the orchestrating thread in
 // capture order and all stage times are simulated, so every export
 // (JSON, tables) is byte-identical across encoder thread counts. All
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "obs/frame_context.h"
+#include "obs/trace.h"
 #include "util/sim_clock.h"
 #include "util/table.h"
 
@@ -136,6 +141,12 @@ class FrameLedger {
   /// deterministic bytes (sim integers, mint order).
   [[nodiscard]] std::string to_json() const;
   bool write_json(const std::string& path) const;
+
+  /// The sim-clock trace view of every record, in mint order: one span
+  /// per set stage and one instant per drop, each carrying the frame's
+  /// flow id and {session, frame} args. Tracer::to_chrome_json(kSim,
+  /// ledger) lays these out beside the tracer's own events.
+  [[nodiscard]] std::vector<TraceEvent> trace_events() const;
 
   /// Aggregates into the registry under obs.ledger.* (idempotent).
   void publish(MetricsRegistry& registry) const;

@@ -4,8 +4,11 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <numeric>
+
+#include "obs/frame_ledger.h"
 
 namespace dive::obs {
 
@@ -44,8 +47,6 @@ std::string track_name(std::uint32_t track) {
     case kTrackAgent: return "agent";
     case kTrackCodec: return "codec";
     case kTrackNet: return "net";
-    case kTrackEdge: return "edge";
-    case kTrackServe: return "serve";
     default: break;
   }
   if (track >= kTrackSessionBase)
@@ -154,11 +155,15 @@ void Tracer::clear() {
   open_stacks_.clear();
 }
 
-std::string Tracer::to_chrome_json(TraceClock clock) const {
-  std::vector<TraceEvent> events;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    events = events_;
+std::string Tracer::to_chrome_json(TraceClock clock,
+                                  const FrameLedger* ledger) const {
+  std::vector<TraceEvent> events = snapshot();
+  // The ledger's stage spans join the tracer's own events before the one
+  // sort and flow pass below, so a frame's flow chain spans both.
+  if (clock == TraceClock::kSim && ledger != nullptr) {
+    std::vector<TraceEvent> derived = ledger->trace_events();
+    events.insert(events.end(), std::make_move_iterator(derived.begin()),
+                  std::make_move_iterator(derived.end()));
   }
 
   // Wall export skips sim-only span_at events (they carry no wall data).
@@ -247,11 +252,11 @@ std::string Tracer::to_chrome_json(TraceClock clock) const {
   return out;
 }
 
-bool Tracer::write_chrome_json(const std::string& path,
-                               TraceClock clock) const {
+bool Tracer::write_chrome_json(const std::string& path, TraceClock clock,
+                               const FrameLedger* ledger) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) return false;
-  const std::string json = to_chrome_json(clock);
+  const std::string json = to_chrome_json(clock, ledger);
   out.write(json.data(), static_cast<std::streamsize>(json.size()));
   return static_cast<bool>(out);
 }

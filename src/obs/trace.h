@@ -3,25 +3,30 @@
 //
 // Every span carries a dual timestamp:
 //   - sim time: the simulated clock the repo's latency model runs on.
-//     Orchestrating code anchors it per frame via set_sim_now(), and
-//     components with modelled intervals (uplink serialization, edge
-//     service) emit explicit spans via span_at().
+//     Orchestrating code anchors it per frame via set_sim_now(). A
+//     frame's modelled stage intervals (encode, uplink, admission,
+//     batching, inference, result) are recorded once, in the FrameLedger,
+//     and the kSim export derives their spans from it
+//     (FrameLedger::trace_events); span_at() is left for sim intervals
+//     the ledger has no stage for.
 //   - wall time: captured automatically by ScopedSpan (steady_clock) for
 //     real host profiling of the compute stages.
 //
-// Export clocks: TraceClock::kSim lays spans out on the simulated
-// timeline and omits all wall-clock data — for a fixed seed the exported
-// bytes are identical across runs and encoder thread counts (product
-// instrumentation records spans from the orchestrating thread onto fixed
-// logical tracks). TraceClock::kWall lays out the same spans by host
-// time; those bytes naturally differ run to run.
+// Export clocks: TraceClock::kSim lays spans (plus the ledger's derived
+// stage spans) out on the simulated timeline and omits all wall-clock
+// data — for a fixed seed the exported bytes are identical across runs
+// and encoder thread counts (product instrumentation records spans from
+// the orchestrating thread onto fixed logical tracks). TraceClock::kWall
+// lays out the same spans by host time, without sim-only events; those
+// bytes naturally differ run to run.
 //
 // Flow events: spans tagged with a FrameTraceContext flow id are linked
 // across tracks by Chrome flow events ("s"/"t"/"f") in the export, so
 // Perfetto draws arrows following one frame through encode -> uplink ->
-// admission -> batch -> inference. Flow ids are deterministic mint
-// sequences, so the kSim export stays byte-identical across thread
-// counts.
+// admission -> batch -> inference. Derived stage spans carry the frame's
+// flow id too, so one chain runs through both sources. Flow ids are
+// deterministic mint sequences, so the kSim export stays byte-identical
+// across thread counts.
 //
 // Overhead: when tracing is disabled (the default) a span is one relaxed
 // atomic load; compiling with DIVE_OBS_DISABLED removes the macro call
@@ -47,12 +52,12 @@ namespace dive::obs {
 inline constexpr std::uint32_t kTrackAgent = 0;
 inline constexpr std::uint32_t kTrackCodec = 1;
 inline constexpr std::uint32_t kTrackNet = 2;
-inline constexpr std::uint32_t kTrackEdge = 3;
-inline constexpr std::uint32_t kTrackServe = 4;
-/// Per-session serve tracks: kTrackSessionBase + session_id.
+/// Per-session tracks: kTrackSessionBase + session_id.
 inline constexpr std::uint32_t kTrackSessionBase = 16;
 
 enum class TraceClock { kSim, kWall };
+
+class FrameLedger;
 
 struct TraceEvent {
   std::string name;
@@ -111,12 +116,16 @@ class Tracer {
   void clear();
 
   /// Chrome trace-event JSON ("traceEvents" array of complete events plus
-  /// track-name metadata). See TraceClock above for determinism.
+  /// track-name metadata). See TraceClock above for determinism. With a
+  /// `ledger`, the kSim export also lays out its derived stage spans;
+  /// the kWall export never does (they carry no wall data).
   [[nodiscard]] std::string to_chrome_json(
-      TraceClock clock = TraceClock::kSim) const;
+      TraceClock clock = TraceClock::kSim,
+      const FrameLedger* ledger = nullptr) const;
   /// Writes to_chrome_json to `path`; returns false on I/O failure.
   bool write_chrome_json(const std::string& path,
-                         TraceClock clock = TraceClock::kSim) const;
+                         TraceClock clock = TraceClock::kSim,
+                         const FrameLedger* ledger = nullptr) const;
 
  private:
   std::atomic<bool> enabled_{false};

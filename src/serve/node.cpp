@@ -35,30 +35,18 @@ AdmissionVerdict ServeNode::submit(FrameJob job) {
       scheduler_.estimated_completion(job.arrival);
   const AdmissionVerdict verdict = admission_.decide(
       s, job.capture_time, predicted_done, config_.server.downlink_delay);
-  const std::uint64_t flow = job.trace.flow_id();
   switch (verdict) {
     case AdmissionVerdict::kQueueFull:
       ++counters.dropped_queue;
-      if (obs_ != nullptr) {
-        obs_->tracer.instant("serve.drop_queue", obs::kTrackServe, job.arrival,
-                             {{"session", job.session_id},
-                              {"frame", static_cast<long long>(job.frame_index)}},
-                             flow);
+      if (obs_ != nullptr)
         obs_->ledger.outcome(job.trace, obs::FrameOutcome::kDroppedQueue,
                              job.arrival);
-      }
       return verdict;
     case AdmissionVerdict::kDeadline:
       ++counters.dropped_deadline;
-      if (obs_ != nullptr) {
-        obs_->tracer.instant("serve.drop_deadline", obs::kTrackServe,
-                             job.arrival,
-                             {{"session", job.session_id},
-                              {"frame", static_cast<long long>(job.frame_index)}},
-                             flow);
+      if (obs_ != nullptr)
         obs_->ledger.outcome(job.trace, obs::FrameOutcome::kDroppedDeadline,
                              job.arrival);
-      }
       return verdict;
     case AdmissionVerdict::kAdmit: break;
   }
@@ -70,7 +58,7 @@ AdmissionVerdict ServeNode::submit(FrameJob job) {
                          obs::kTrackSessionBase + job.session_id, job.arrival,
                          {{"frame", static_cast<long long>(job.frame_index)},
                           {"depth", static_cast<long long>(s.queue_depth())}},
-                         flow);
+                         job.trace.flow_id());
   }
   s.on_admitted();
 
@@ -152,34 +140,11 @@ std::vector<JobResult> ServeNode::realize(std::vector<Batch> batches) {
       counters.e2e_ms.add(
           util::to_millis(r.result_at_agent - job.capture_time));
       if (obs_ != nullptr) {
-        // Wait decomposition on the session's own track, flow-linked to
-        // the frame's encode/uplink spans: [arrival, open) waited for a
-        // worker+window (admission wait), [open', start) for the batch
-        // to form. open can precede this member's arrival (it joined an
-        // already-open window), so the boundary clamps to arrival.
-        const std::uint32_t track = obs::kTrackSessionBase + job.session_id;
+        // Wait decomposition: [arrival, open) waited for a worker+window
+        // (admission wait), [open', start) for the batch to form. open
+        // can precede this member's arrival (it joined an already-open
+        // window), so the boundary clamps to arrival.
         const util::SimTime open_at = std::max(job.arrival, batch.open);
-        const std::uint64_t flow = job.trace.flow_id();
-        obs_->tracer.span_at(
-            "serve.admission_wait", track, job.arrival, open_at,
-            {{"frame", static_cast<long long>(job.frame_index)}}, flow);
-        obs_->tracer.span_at(
-            "serve.batch_wait", track, open_at, batch.start,
-            {{"frame", static_cast<long long>(job.frame_index)},
-             {"batch", static_cast<long long>(batch.jobs.size())}},
-            flow);
-        // One span per completed inference on the session's own track:
-        // queue wait is visible as the gap from the preceding
-        // serve.queued instant to this span's start.
-        obs_->tracer.span_at(
-            "serve.infer", track, batch.start, batch.done,
-            {{"frame", static_cast<long long>(job.frame_index)},
-             {"batch", static_cast<long long>(batch.jobs.size())},
-             {"detections", static_cast<long long>(r.detections.size())}},
-            flow);
-        obs_->tracer.span_at(
-            "serve.result", track, batch.done, r.result_at_agent,
-            {{"frame", static_cast<long long>(job.frame_index)}}, flow);
         auto& ledger = obs_->ledger;
         ledger.stage(job.trace, obs::FrameStage::kAdmissionWait, job.arrival,
                      open_at);

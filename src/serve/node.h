@@ -98,11 +98,11 @@ class ServeNode {
   [[nodiscard]] const ServeNodeConfig& config() const { return config_; }
 
   /// Attaches an observability context (non-owning, null detaches).
-  /// Every realized inference emits a span on its session's track
-  /// (obs::kTrackSessionBase + id) over [infer_start, infer_done] in
-  /// simulated time; admission rejections emit instants on
-  /// obs::kTrackServe; drain() republishes ServeMetrics into the
-  /// registry so all layers share one export surface.
+  /// Every admitted frame leaves a serve.queued instant (with its queue
+  /// depth) on its session's track; its admission/batch/inference/result
+  /// stages and drop outcomes go to the frame ledger, which the sim trace
+  /// export derives spans from. drain() republishes ServeMetrics into
+  /// the registry so all layers share one export surface.
   void set_obs(obs::ObsContext* obs) { obs_ = obs; }
 
  private:

@@ -87,7 +87,7 @@ TEST(RateControl, CountedSizeDecidesEveryFitExactly) {
             int chosen = -1;
             bool fitted = false;
             int misses_after_fit = 0;
-            for (int iter = 0; iter < cfg.rate_iterations; ++iter) {
+            for (int iter = 0; iter < kRateIterations; ++iter) {
               const bool fits = size_at(qp) <= target;
               if (fitted && !fits) ++misses_after_fit;
               if (fits) hi = qp - 1;

@@ -179,7 +179,7 @@ TEST(Tracer, SpanAtAndInstantCarrySimInterval) {
   Tracer tracer;
   tracer.set_enabled(true);
   tracer.span_at("net.transmit", kTrackNet, 2000, 2500, {{"bytes", 128}});
-  tracer.instant("serve.drop_queue", kTrackServe, 3000, {{"session", 2}});
+  tracer.instant("serve.queued", kTrackSessionBase + 2, 3000, {{"depth", 2}});
   const auto events = tracer.snapshot();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].sim_begin, 2000);
@@ -327,8 +327,8 @@ TEST(Tracer, FlowEventsChainAcrossTracks) {
   // flow 9 (single member: no arrows) and one unflowed span.
   tracer.span_at("agent.encode", kTrackSessionBase, 0, 16'000, {}, 5);
   tracer.span_at("net.transmit", kTrackNet, 16'000, 36'000, {}, 5);
-  tracer.span_at("serve.infer", kTrackSessionBase, 50'000, 67'000, {}, 5);
-  tracer.span_at("edge.process", kTrackEdge, 70'000, 80'000, {}, 9);
+  tracer.span_at("edge.inference", kTrackSessionBase, 50'000, 67'000, {}, 5);
+  tracer.span_at("agent.mot_track", kTrackAgent, 70'000, 80'000, {}, 9);
   tracer.span_at("agent.frame", kTrackAgent, 0, 80'000);
 
   const std::string json = tracer.to_chrome_json(TraceClock::kSim);
@@ -500,6 +500,72 @@ TEST(FrameLedger, TablesAndPublishSummarize) {
   EXPECT_EQ(reg.counter("obs.ledger.frames").value(), 4);
   EXPECT_EQ(reg.counter("obs.ledger.completed").value(), 3);
   EXPECT_EQ(reg.counter("obs.ledger.dropped").value(), 1);
+}
+
+TEST(FrameLedger, TraceEventsFollowTheStageTable) {
+  FrameLedger ledger;
+  const FrameTraceContext done = ledger.begin_frame(2, 7, 0, 400'000);
+  ledger.stage(done, FrameStage::kEncode, 0, 16'000);
+  ledger.stage(done, FrameStage::kTransmit, 16'000, 36'000);
+  ledger.stage(done, FrameStage::kInference, 46'000, 67'000);
+  ledger.outcome(done, FrameOutcome::kCompleted, 75'000);
+  const FrameTraceContext lost = ledger.begin_frame(1, 3, 10'000);
+  ledger.stage(lost, FrameStage::kEncode, 10'000, 26'000);
+  ledger.outcome(lost, FrameOutcome::kDroppedQueue, 50'000);
+
+  const std::vector<TraceEvent> events = ledger.trace_events();
+  ASSERT_EQ(events.size(), 5u);
+  const auto expect_event = [](const TraceEvent& ev, const char* name,
+                               std::uint32_t track, util::SimTime begin,
+                               util::SimTime end,
+                               const FrameTraceContext& ctx) {
+    EXPECT_EQ(ev.name, name);
+    EXPECT_EQ(ev.track, track);
+    EXPECT_EQ(ev.sim_begin, begin);
+    EXPECT_EQ(ev.sim_end, end);
+    EXPECT_EQ(ev.flow, ctx.flow_id());
+    EXPECT_EQ(ev.wall_begin_ns, 0u);  // sim-only
+    ASSERT_EQ(ev.args.size(), 2u);
+    EXPECT_EQ(ev.args[0], (std::pair<std::string, long long>("session",
+                                                             ctx.session_id)));
+    EXPECT_EQ(ev.args[1],
+              (std::pair<std::string, long long>(
+                  "frame", static_cast<long long>(ctx.frame_index))));
+  };
+  // Mint order, stages in causal order, the drop instant last.
+  expect_event(events[0], "agent.encode", kTrackSessionBase + 2, 0, 16'000,
+               done);
+  expect_event(events[1], "net.transmit", kTrackNet, 16'000, 36'000, done);
+  expect_event(events[2], "edge.inference", kTrackSessionBase + 2, 46'000,
+               67'000, done);
+  expect_event(events[3], "agent.encode", kTrackSessionBase + 1, 10'000,
+               26'000, lost);
+  expect_event(events[4], "edge.dropped_queue", kTrackSessionBase + 1,
+               50'000, 50'000, lost);
+
+  // The kSim export lays them out beside the tracer's own events, and one
+  // flow chain runs through both sources; the kWall export skips them.
+  Tracer tracer;
+  tracer.set_enabled(true);
+  tracer.span_at("agent.mot_track", kTrackAgent, 26'000, 40'000, {},
+                 lost.flow_id());
+  const std::string sim = tracer.to_chrome_json(TraceClock::kSim, &ledger);
+  expect_valid_chrome_json(sim);
+  EXPECT_NE(sim.find("\"name\":\"edge.dropped_queue\""), std::string::npos);
+  EXPECT_NE(sim.find("session-2"), std::string::npos);
+  const std::string lost_id =
+      "\"cat\":\"flow\",\"id\":" + std::to_string(lost.flow_id());
+  std::size_t members = 0;
+  for (std::size_t at = sim.find(lost_id); at != std::string::npos;
+       at = sim.find(lost_id, at + 1))
+    ++members;
+  EXPECT_EQ(members, 3u);  // encode, mot_track, drop instant
+  // Without a ledger the export holds the tracer's events only.
+  EXPECT_EQ(tracer.to_chrome_json(TraceClock::kSim).find("agent.encode"),
+            std::string::npos);
+  const std::string wall = tracer.to_chrome_json(TraceClock::kWall, &ledger);
+  EXPECT_EQ(wall.find("agent.encode"), std::string::npos);
+  EXPECT_EQ(wall.find("agent.mot_track"), std::string::npos);
 }
 
 // -------------------------------------------------- metric snapshotter

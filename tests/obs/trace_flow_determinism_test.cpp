@@ -49,7 +49,7 @@ ObsExports run_observed(int encoder_threads, bool roi_metadata) {
   const harness::ServeScenarioResult r = harness::run_serve_scenario(opt);
 
   ObsExports out;
-  out.trace = ctx.tracer.to_chrome_json(obs::TraceClock::kSim);
+  out.trace = ctx.tracer.to_chrome_json(obs::TraceClock::kSim, &ctx.ledger);
   out.ledger = ctx.ledger.to_json();
   out.timeline = timeline.to_csv();
   out.records = ctx.ledger.records();

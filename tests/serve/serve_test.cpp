@@ -463,10 +463,10 @@ TEST(ServeScenario, ObsContextCollectsSpansAndMetrics) {
 
   // drain() published the node's metrics into the shared registry...
   EXPECT_EQ(ctx.metrics.counter("serve.completed").value(), r.completed);
-  // ...and every completed inference left a span on its session track.
+  // ...and every completed inference derives a span on its session track.
   std::size_t infer_spans = 0;
-  for (const auto& ev : ctx.tracer.snapshot()) {
-    if (ev.name == "serve.infer") {
+  for (const auto& ev : ctx.ledger.trace_events()) {
+    if (ev.name == "edge.inference") {
       ++infer_spans;
       EXPECT_GE(ev.track, obs::kTrackSessionBase);
       EXPECT_GE(ev.sim_end, ev.sim_begin);
