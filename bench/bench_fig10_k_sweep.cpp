@@ -17,7 +17,7 @@ int main() {
       "error decreases with k and converges near k=70; time linear in k");
 
   const auto spec = bench::scaled(data::kitti_like(), 3, 56);
-  const int k_step = harness::env_int("DIVE_BENCH_K_STEP", 10);
+  const int k_step = util::env_int("DIVE_BENCH_K_STEP", 10);
 
   // Pre-compute the motion fields once (they do not depend on k).
   struct FrameSample {

@@ -15,7 +15,7 @@ int main() {
   // Clips must span more than the largest outage interval (20 s), or all
   // intervals degenerate to "one outage per clip".
   const double clip_seconds =
-      harness::env_int("DIVE_BENCH_SECONDS", 23);
+      util::env_int("DIVE_BENCH_SECONDS", 23);
   data::DatasetSpec specs[] = {
       bench::scaled(data::robotcar_like(), 1, 72),
       bench::scaled(data::nuscenes_like(), 1, 72),

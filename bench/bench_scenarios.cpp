@@ -18,14 +18,15 @@
 
 #include "bench_record.h"
 #include "harness/scenario_fuzzer.h"
+#include "util/env.h"
 #include "util/table.h"
 
 int main() {
   using namespace dive;
 
   harness::FuzzerOptions opt;
-  opt.frames_per_clip = harness::env_int("DIVE_BENCH_FRAMES", 36);
-  opt.seeds_per_case = harness::env_int("DIVE_BENCH_SEEDS", 1);
+  opt.frames_per_clip = util::env_int("DIVE_BENCH_FRAMES", 36);
+  opt.seeds_per_case = util::env_int("DIVE_BENCH_SEEDS", 1);
 
   // Condition x motion matrix under the ample-bandwidth profile: the
   // weather/scene dimension with the network held comfortable.

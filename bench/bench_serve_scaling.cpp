@@ -21,13 +21,14 @@
 #include "harness/experiment.h"
 #include "harness/serve_scenario.h"
 #include "obs/obs.h"
+#include "util/env.h"
 #include "util/table.h"
 
 int main() {
   using namespace dive;
 
-  const int frames = harness::env_int("DIVE_BENCH_FRAMES", 24);
-  const int max_sessions = harness::env_int("DIVE_BENCH_SESSIONS", 64);
+  const int frames = util::env_int("DIVE_BENCH_FRAMES", 24);
+  const int max_sessions = util::env_int("DIVE_BENCH_SESSIONS", 64);
 
   util::TextTable table("edge-node scaling (2 workers, batch<=4, deadline 400 ms)");
   table.set_header({"sessions", "frames", "offload%", "drop_q", "drop_dl",

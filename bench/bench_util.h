@@ -6,6 +6,7 @@
 
 #include "data/dataset.h"
 #include "harness/experiment.h"
+#include "util/env.h"
 #include "util/table.h"
 
 namespace dive::bench {
@@ -14,8 +15,8 @@ namespace dive::bench {
 /// override the defaults (the paper-scale runs use larger values).
 inline data::DatasetSpec scaled(data::DatasetSpec spec, int default_clips,
                                 int default_frames) {
-  spec.clip_count = harness::env_int("DIVE_BENCH_CLIPS", default_clips);
-  spec.frames_per_clip = harness::env_int("DIVE_BENCH_FRAMES", default_frames);
+  spec.clip_count = util::env_int("DIVE_BENCH_CLIPS", default_clips);
+  spec.frames_per_clip = util::env_int("DIVE_BENCH_FRAMES", default_frames);
   return spec;
 }
 

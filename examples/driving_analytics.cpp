@@ -19,6 +19,7 @@
 
 #include "harness/experiment.h"
 #include "obs/obs.h"
+#include "util/env.h"
 #include "util/table.h"
 #include "video/image_ops.h"
 
@@ -28,8 +29,8 @@ int main(int argc, char** argv) {
 
   std::printf("urban driving scenario, %.1f Mbps uplink\n\n", mbps);
   const auto spec = data::nuscenes_like(
-      harness::env_int("DIVE_BENCH_CLIPS", 2),
-      harness::env_int("DIVE_BENCH_FRAMES", 48));
+      util::env_int("DIVE_BENCH_CLIPS", 2),
+      util::env_int("DIVE_BENCH_FRAMES", 48));
   const auto clips = data::generate_dataset(spec);
 
   harness::NetworkScenario net;

@@ -24,14 +24,15 @@
 #include "harness/experiment.h"
 #include "harness/serve_scenario.h"
 #include "obs/obs.h"
+#include "util/env.h"
 #include "util/table.h"
 
 int main() {
   using namespace dive;
 
   harness::ServeScenarioOptions opt = harness::default_serve_options();
-  opt.sessions = harness::env_int("DIVE_BENCH_SESSIONS", 8);
-  opt.frames_per_session = harness::env_int("DIVE_BENCH_FRAMES", 36);
+  opt.sessions = util::env_int("DIVE_BENCH_SESSIONS", 8);
+  opt.frames_per_session = util::env_int("DIVE_BENCH_FRAMES", 36);
 
   std::printf(
       "serving %d agents on one edge node: %d workers, batch<=%zu "

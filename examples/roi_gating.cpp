@@ -16,6 +16,7 @@
 
 #include "harness/experiment.h"
 #include "harness/serve_scenario.h"
+#include "util/env.h"
 #include "util/table.h"
 
 int main() {
@@ -23,8 +24,8 @@ int main() {
   using util::TextTable;
 
   harness::ServeScenarioOptions opt = harness::default_serve_options();
-  opt.sessions = harness::env_int("DIVE_BENCH_SESSIONS", 12);
-  opt.frames_per_session = harness::env_int("DIVE_BENCH_FRAMES", 24);
+  opt.sessions = util::env_int("DIVE_BENCH_SESSIONS", 12);
+  opt.frames_per_session = util::env_int("DIVE_BENCH_FRAMES", 24);
 
   std::printf(
       "%d agents on one edge node (%d workers, batch<=%zu), "

@@ -4,6 +4,22 @@
 
 namespace dive::baselines {
 
+namespace {
+
+/// Budget split between the low-quality and high-quality passes.
+constexpr double kPass1BudgetShare = 0.45;
+/// Feedback regions are detection boxes inflated by this padding.
+constexpr double kRegionPaddingPx = 14.0;
+/// Background offset applied outside feedback regions in pass 2.
+constexpr int kPass2BackgroundDelta = 18;
+/// When the uplink backlog at capture exceeds this, the frame is
+/// skipped (stale result reused) — real DDS deployments drop to a lower
+/// processing rate rather than queueing unboundedly, since each frame
+/// costs two serialized uploads plus a feedback round trip.
+constexpr util::SimTime kSkipBacklog = util::from_millis(70.0);
+
+}  // namespace
+
 DdsScheme::DdsScheme(DdsConfig config, codec::EncoderConfig encoder_config,
                      std::shared_ptr<net::Uplink> uplink,
                      const edge::ServerConfig& server_config,
@@ -23,9 +39,9 @@ core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
   // Behind the camera: skip this frame and keep the stale result. The
   // encoders do not advance, so encoder and decoder references stay in
   // sync without an intra resync.
-  if (uplink_->busy_until() - capture_time > config_.skip_backlog) {
+  if (uplink_->busy_until() - capture_time > kSkipBacklog) {
     outcome.detections = last_detections_;
-    outcome.response_time = config_.latencies.local_track;
+    outcome.response_time = core::kAgentLatencies.local_track;
     return outcome;
   }
 
@@ -34,10 +50,10 @@ core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
 
   // ---- Pass 1: whole frame, low quality ----
   const auto budget1 = static_cast<std::size_t>(
-      frame_budget * config_.pass1_budget_share);
+      frame_budget * kPass1BudgetShare);
   const codec::EncodedFrame pass1 =
       encoder_low_.encode_to_target(frame, budget1);
-  const util::SimTime ready1 = capture_time + config_.latencies.encode;
+  const util::SimTime ready1 = capture_time + core::kAgentLatencies.encode;
   const net::TransmitResult tx1 = uplink_->transmit_with_timeout(
       static_cast<double>(pass1.bytes()), ready1);
   if (!tx1.delivered) {
@@ -46,7 +62,7 @@ core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
     encoder_high_.request_intra();
     outcome.detections = last_detections_;
     outcome.response_time =
-        (tx1.gave_up_at - capture_time) + config_.latencies.local_track;
+        (tx1.gave_up_at - capture_time) + core::kAgentLatencies.local_track;
     return outcome;
   }
   bandwidth_.add_transmission(static_cast<double>(pass1.bytes()), tx1.started,
@@ -58,15 +74,14 @@ core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
   // ---- Feedback -> pass 2 QP map ----
   const int mb_cols = frame.width() / codec::kMacroblockSize;
   const int mb_rows = frame.height() / codec::kMacroblockSize;
-  codec::QpOffsetMap offsets(
-      mb_cols, mb_rows,
-      static_cast<std::int8_t>(config_.pass2_background_delta));
+  codec::QpOffsetMap offsets(mb_cols, mb_rows,
+                             static_cast<std::int8_t>(kPass2BackgroundDelta));
   const double mb = codec::kMacroblockSize;
   for (const auto& det : feedback.detections) {
-    const geom::Box roi{det.box.x0 - config_.region_padding_px,
-                        det.box.y0 - config_.region_padding_px,
-                        det.box.x1 + config_.region_padding_px,
-                        det.box.y1 + config_.region_padding_px};
+    const geom::Box roi{det.box.x0 - kRegionPaddingPx,
+                        det.box.y0 - kRegionPaddingPx,
+                        det.box.x1 + kRegionPaddingPx,
+                        det.box.y1 + kRegionPaddingPx};
     const int c0 = std::max(0, static_cast<int>(roi.x0 / mb));
     const int c1 = std::min(mb_cols - 1, static_cast<int>(roi.x1 / mb));
     const int r0 = std::max(0, static_cast<int>(roi.y0 / mb));
@@ -77,12 +92,12 @@ core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
 
   // ---- Pass 2: high-quality regions, after the feedback lands ----
   const auto budget2 = static_cast<std::size_t>(
-      std::max(1.0, frame_budget * (1.0 - config_.pass1_budget_share)));
+      std::max(1.0, frame_budget * (1.0 - kPass1BudgetShare)));
   const codec::EncodedFrame pass2 =
       encoder_high_.encode_to_target(frame, budget2, &offsets);
   outcome.base_qp = pass2.base_qp;
   const util::SimTime ready2 =
-      feedback.result_at_agent + config_.latencies.encode;
+      feedback.result_at_agent + core::kAgentLatencies.encode;
   const net::TransmitResult tx2 = uplink_->transmit_with_timeout(
       static_cast<double>(pass2.bytes()), ready2);
   if (!tx2.delivered) {

@@ -20,18 +20,6 @@ namespace dive::baselines {
 
 struct DdsConfig {
   double fps = 12.0;
-  /// Budget split between the low-quality and high-quality passes.
-  double pass1_budget_share = 0.45;
-  /// Feedback regions are detection boxes inflated by this padding.
-  double region_padding_px = 14.0;
-  /// Background offset applied outside feedback regions in pass 2.
-  int pass2_background_delta = 18;
-  /// When the uplink backlog at capture exceeds this, the frame is
-  /// skipped (stale result reused) — real DDS deployments drop to a lower
-  /// processing rate rather than queueing unboundedly, since each frame
-  /// costs two serialized uploads plus a feedback round trip.
-  util::SimTime skip_backlog = util::from_millis(70.0);
-  core::AgentLatencies latencies;
   core::BandwidthEstimatorConfig bandwidth;
 };
 

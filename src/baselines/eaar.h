@@ -10,23 +10,13 @@
 
 namespace dive::baselines {
 
-struct EaarConfig {
-  int high_quality_qp = 30;
-  int low_quality_qp = 40;
-  /// Cached detection boxes are inflated by this many pixels when forming
-  /// the ROI map (objects move between key frames).
-  double roi_padding_px = 12.0;
-};
-
 class EaarScheme final : public KeyframeScheme {
  public:
-  EaarScheme(KeyframeSchemeConfig config, EaarConfig eaar,
-             codec::EncoderConfig encoder_config,
+  EaarScheme(KeyframeSchemeConfig config, codec::EncoderConfig encoder_config,
              std::shared_ptr<net::Uplink> uplink,
              std::shared_ptr<edge::EdgeServer> server)
       : KeyframeScheme(config, encoder_config, std::move(uplink),
-                       std::move(server)),
-        eaar_(eaar) {}
+                       std::move(server)) {}
 
   [[nodiscard]] const char* name() const override { return "EAAR"; }
 
@@ -34,11 +24,10 @@ class EaarScheme final : public KeyframeScheme {
   codec::EncodedFrame encode_keyframe(const video::Frame& frame,
                                       std::size_t budget_bytes) override;
 
+  /// Pipelining saves the server's decode latency plus half its
+  /// inference latency (ServerConfig), never landing before `arrival`.
   util::SimTime adjust_result_time(util::SimTime nominal,
                                    util::SimTime arrival) const override;
-
- private:
-  EaarConfig eaar_;
 };
 
 }  // namespace dive::baselines

@@ -25,8 +25,7 @@ KeyframeScheme::KeyframeScheme(KeyframeSchemeConfig config,
       tracker_searcher_(encoder_config.search),
       uplink_(std::move(uplink)),
       server_(std::move(server)),
-      bandwidth_(config.bandwidth),
-      tracker_(config.tracker) {}
+      bandwidth_(config.bandwidth) {}
 
 bool KeyframeScheme::is_keyframe(const video::Frame& frame) const {
   if (!has_keyframe_) return true;
@@ -73,7 +72,7 @@ core::FrameOutcome KeyframeScheme::process_frame(const video::Frame& frame,
   }
   // ...then replace it if a fresher edge result has landed (it is
   // fast-forwarded through the same history, ending at this frame too).
-  adopt_ready_results(capture_time + config_.latencies.local_track);
+  adopt_ready_results(capture_time + core::kAgentLatencies.local_track);
 
   const bool keyframe = is_keyframe(frame);
   util::SimTime keyframe_result_at = 0;
@@ -96,7 +95,7 @@ core::FrameOutcome KeyframeScheme::process_frame(const video::Frame& frame,
     codec::EncodedFrame encoded = encode_keyframe(frame, budget);
     outcome.base_qp = encoded.base_qp;
 
-    const util::SimTime ready = capture_time + config_.latencies.encode;
+    const util::SimTime ready = capture_time + core::kAgentLatencies.encode;
     const net::TransmitResult tx = uplink_->transmit_with_timeout(
         static_cast<double>(encoded.bytes()), ready);
     if (tx.delivered) {
@@ -129,8 +128,8 @@ core::FrameOutcome KeyframeScheme::process_frame(const video::Frame& frame,
     outcome.response_time = keyframe_result_at - capture_time;
   } else {
     outcome.offloaded = false;
-    outcome.response_time = config_.latencies.local_track +
-                            (keyframe ? config_.latencies.encode : 0);
+    outcome.response_time = core::kAgentLatencies.local_track +
+                            (keyframe ? core::kAgentLatencies.encode : 0);
   }
 
   previous_raw_ = frame;

@@ -24,9 +24,7 @@ namespace dive::baselines {
 
 struct KeyframeSchemeConfig {
   double fps = 12.0;
-  core::AgentLatencies latencies;
   core::BandwidthEstimatorConfig bandwidth;
-  core::OfflineTrackerConfig tracker;
 };
 
 class KeyframeScheme : public core::AnalyticsScheme {
@@ -53,6 +51,7 @@ class KeyframeScheme : public core::AnalyticsScheme {
   }
 
   codec::Encoder& encoder() { return encoder_; }
+  [[nodiscard]] const edge::EdgeServer& server() const { return *server_; }
   core::BandwidthEstimator& bandwidth() { return bandwidth_; }
   [[nodiscard]] const edge::DetectionList& last_keyframe_detections() const {
     return current_;

@@ -13,14 +13,14 @@ core::FrameOutcome RawStreamScheme::process_frame(const video::Frame& frame,
 
   const codec::EncodedFrame encoded = encoder_.encode_to_target(frame, target);
   outcome.base_qp = encoded.base_qp;
-  const util::SimTime ready = capture_time + config_.latencies.encode;
+  const util::SimTime ready = capture_time + core::kAgentLatencies.encode;
   const net::TransmitResult tx = uplink_->transmit_with_timeout(
       static_cast<double>(encoded.bytes()), ready);
   if (!tx.delivered) {
     encoder_.request_intra();
     outcome.detections = last_detections_;
     outcome.response_time =
-        (tx.gave_up_at - capture_time) + config_.latencies.local_track;
+        (tx.gave_up_at - capture_time) + core::kAgentLatencies.local_track;
     return outcome;
   }
   bandwidth_.add_transmission(static_cast<double>(encoded.bytes()), tx.started,

@@ -16,7 +16,6 @@ namespace dive::baselines {
 
 struct RawStreamConfig {
   double fps = 12.0;
-  core::AgentLatencies latencies;
   core::BandwidthEstimatorConfig bandwidth;
 };
 

@@ -16,6 +16,8 @@ constexpr int kMb = kMacroblockSize;
 /// Coarse-level candidates carried down the pyramid for kHme. More
 /// candidates approach exhaustive quality at linear extra cost.
 constexpr int kHmeCandidates = 3;
+/// Rate-cost weight of the MV bits in pattern searches.
+constexpr double kLambda = 6.0;
 
 }  // namespace
 
@@ -132,20 +134,20 @@ struct Candidate {
 /// counted for the half-pel codes actually emitted into the stream.
 std::uint32_t pattern_cost(const video::Plane& cur, const RefPlanes& ref,
                            int cx, int cy, int dx, int dy, MotionVector pred,
-                           double lambda, Sad16Fn fast) {
+                           Sad16Fn fast) {
   const std::uint32_t dist =
       sad_16x16(cur, ref, cx, cy, MotionVector::from_fullpel(dx, dy), fast);
   const int bits = BitWriter::se_bits(2 * dx - pred.dx) +
                    BitWriter::se_bits(2 * dy - pred.dy);
-  return dist + static_cast<std::uint32_t>(lambda * bits);
+  return dist + static_cast<std::uint32_t>(kLambda * bits);
 }
 
 void consider(Candidate& best, const video::Plane& cur,
               const RefPlanes& ref, int cx, int cy, int dx, int dy,
-              MotionVector pred, double lambda, int range, Sad16Fn fast) {
+              MotionVector pred, int range, Sad16Fn fast) {
   if (std::abs(dx) > range || std::abs(dy) > range) return;
   const std::uint32_t cost =
-      pattern_cost(cur, ref, cx, cy, dx, dy, pred, lambda, fast);
+      pattern_cost(cur, ref, cx, cy, dx, dy, pred, fast);
   if (cost < best.cost) {
     best.cost = cost;
     best.dx = dx;
@@ -156,14 +158,12 @@ void consider(Candidate& best, const video::Plane& cur,
 template <std::size_t N>
 void refine(Candidate& best, const std::array<std::pair<int, int>, N>& pattern,
             const video::Plane& cur, const RefPlanes& ref, int cx, int cy,
-            MotionVector pred, double lambda, int range, int max_iters,
-            Sad16Fn fast) {
+            MotionVector pred, int range, int max_iters, Sad16Fn fast) {
   for (int iter = 0; iter < max_iters; ++iter) {
     const int cdx = best.dx;
     const int cdy = best.dy;
     for (const auto& [dx, dy] : pattern) {
-      consider(best, cur, ref, cx, cy, cdx + dx, cdy + dy, pred, lambda,
-               range, fast);
+      consider(best, cur, ref, cx, cy, cdx + dx, cdy + dy, pred, range, fast);
     }
     if (best.dx == cdx && best.dy == cdy) break;
   }
@@ -233,7 +233,6 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
                                           std::uint32_t& best_sad,
                                           const PyramidPair* pyr) const {
   const int range = config_.range;
-  const double lambda = config_.lambda;
   const Sad16Fn fast = sad_fn_;
   const bool exhaustive = config_.method == MotionSearchMethod::kEsa ||
                           config_.method == MotionSearchMethod::kTesa;
@@ -260,29 +259,25 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
     // Pattern searches start from the predictor and the zero vector.
     const int pfx = pred.dx / 2;
     const int pfy = pred.dy / 2;
-    consider(best, cur, ref, cx, cy, 0, 0, pred, lambda, range, fast);
-    consider(best, cur, ref, cx, cy, pfx, pfy, pred, lambda, range, fast);
+    consider(best, cur, ref, cx, cy, 0, 0, pred, range, fast);
+    consider(best, cur, ref, cx, cy, pfx, pfy, pred, range, fast);
 
     switch (config_.method) {
       case MotionSearchMethod::kDia:
-        refine(best, kDiamond, cur, ref, cx, cy, pred, lambda, range,
-               2 * range, fast);
+        refine(best, kDiamond, cur, ref, cx, cy, pred, range, 2 * range, fast);
         break;
       case MotionSearchMethod::kHex:
-        refine(best, kHexagon, cur, ref, cx, cy, pred, lambda, range, range,
-               fast);
-        refine(best, kDiamond, cur, ref, cx, cy, pred, lambda, range, 2,
-               fast);
+        refine(best, kHexagon, cur, ref, cx, cy, pred, range, range, fast);
+        refine(best, kDiamond, cur, ref, cx, cy, pred, range, 2, fast);
         break;
       case MotionSearchMethod::kUmh: {
         // 1) Cross search at progressively coarser stride.
         for (int d = 2; d <= range; d += 2) {
-          consider(best, cur, ref, cx, cy, d, 0, pred, lambda, range, fast);
-          consider(best, cur, ref, cx, cy, -d, 0, pred, lambda, range, fast);
+          consider(best, cur, ref, cx, cy, d, 0, pred, range, fast);
+          consider(best, cur, ref, cx, cy, -d, 0, pred, range, fast);
           if (d <= range / 2) {
-            consider(best, cur, ref, cx, cy, 0, d, pred, lambda, range, fast);
-            consider(best, cur, ref, cx, cy, 0, -d, pred, lambda, range,
-                     fast);
+            consider(best, cur, ref, cx, cy, 0, d, pred, range, fast);
+            consider(best, cur, ref, cx, cy, 0, -d, pred, range, fast);
           }
         }
         // 2) 5x5 full search around the current best.
@@ -290,7 +285,7 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
         const int c5y = best.dy;
         for (int dy = -2; dy <= 2; ++dy)
           for (int dx = -2; dx <= 2; ++dx)
-            consider(best, cur, ref, cx, cy, c5x + dx, c5y + dy, pred, lambda,
+            consider(best, cur, ref, cx, cy, c5x + dx, c5y + dy, pred,
                      range, fast);
         // 3) Uneven multi-hexagon rings.
         const int rcx = best.dx;
@@ -298,13 +293,11 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
         for (int scale = 1; scale * 4 <= range; scale *= 2) {
           for (const auto& [dx, dy] : kHexadecagon)
             consider(best, cur, ref, cx, cy, rcx + dx * scale,
-                     rcy + dy * scale, pred, lambda, range, fast);
+                     rcy + dy * scale, pred, range, fast);
         }
         // 4) Hexagon + diamond refinement.
-        refine(best, kHexagon, cur, ref, cx, cy, pred, lambda, range, range,
-               fast);
-        refine(best, kDiamond, cur, ref, cx, cy, pred, lambda, range, 2,
-               fast);
+        refine(best, kHexagon, cur, ref, cx, cy, pred, range, range, fast);
+        refine(best, kDiamond, cur, ref, cx, cy, pred, range, 2, fast);
         break;
       }
       case MotionSearchMethod::kHme: {
@@ -354,11 +347,10 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
             for (int dy = -1; dy <= 1; ++dy)
               for (int dx = -1; dx <= 1; ++dx)
                 consider(best, cur, ref, cx, cy, 2 * c.dx + dx,
-                         2 * c.dy + dy, pred, lambda, range, fast);
+                         2 * c.dy + dy, pred, range, fast);
           }
         }
-        refine(best, kDiamond, cur, ref, cx, cy, pred, lambda, range, 2,
-               fast);
+        refine(best, kDiamond, cur, ref, cx, cy, pred, range, 2, fast);
         break;
       }
       case MotionSearchMethod::kEsa:

@@ -39,7 +39,6 @@ struct MotionSearchConfig {
   /// (vehicle turns reach ~15-25 px/frame at our focal lengths) inside
   /// the window; vectors at the limit are saturated and unreliable.
   int range = 24;
-  double lambda = 6.0;   ///< rate-cost weight for pattern searches
   /// SAD kernel policy for the interior 16x16 fast path. kAuto follows
   /// the process-wide dispatch (SIMD when available, see sad_kernels.h);
   /// kScalar pins the canonical scalar kernel. Every kernel returns the

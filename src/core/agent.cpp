@@ -30,8 +30,7 @@ DiveAgent::DiveAgent(DiveConfig config, codec::EncoderConfig encoder_config,
       extractor_(config.foreground),
       qp_assigner_(config.qp),
       bandwidth_(config.bandwidth),
-      tracker_(config.tracker),
-      gate_(config.roi_gate, server_.get()) {
+      gate_(roi::RoiGateConfig{}, server_.get()) {
   if (config_.obs != nullptr) {
     encoder_.set_obs(config_.obs);
     uplink_->set_obs(config_.obs);
@@ -131,7 +130,7 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
   const std::size_t upload_bytes = encoded.bytes() + sidecar.size();
 
   const util::SimTime ready =
-      capture_time + config_.latencies.analysis + config_.latencies.encode;
+      capture_time + kAgentLatencies.analysis + kAgentLatencies.encode;
   if (obs != nullptr) {
     // The modelled on-agent compute interval of the Fig. 5 pipeline; the
     // uplink records its own stages.
@@ -168,12 +167,12 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
     bandwidth_.add_transmission(static_cast<double>(upload_bytes),
                                 tx.started, tx.sent_complete);
     edge::InferenceResult inference;
+    roi::GatePlan plan;  // set only on the metadata lane
     {
       DIVE_OBS_SPAN(span, obs, "agent.edge_infer", obs::kTrackAgent);
       if (config_.roi_metadata) {
-        inference = gate_.process(encoded.data, &meta, tx.arrival,
-                                  &last_plan_);
-        span.arg("gated", last_plan_.gated ? 1 : 0);
+        inference = gate_.process(encoded.data, &meta, tx.arrival, &plan);
+        span.arg("gated", plan.gated ? 1 : 0);
       } else {
         inference = server_->process(encoded.data, tx.arrival);
       }
@@ -199,11 +198,9 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
         auto& m = obs->metrics;
         m.counter("roi.sidecar_bytes", "bytes")
             .add(static_cast<std::int64_t>(sidecar.size()));
-        m.counter(last_plan_.gated ? "roi.gated_frames" : "roi.full_frames")
-            .add();
-        m.distribution("roi.pixel_fraction", "ratio")
-            .add(last_plan_.pixel_fraction);
-        m.distribution("roi.coverage", "ratio").add(last_plan_.coverage);
+        m.counter(plan.gated ? "roi.gated_frames" : "roi.full_frames").add();
+        m.distribution("roi.pixel_fraction", "ratio").add(plan.pixel_fraction);
+        m.distribution("roi.coverage", "ratio").add(plan.coverage);
         m.gauge("roi.propagated_boxes", "count")
             .set(static_cast<double>(gate_.stats().propagated_boxes));
       }
@@ -227,14 +224,14 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
     }
   }
   outcome.response_time =
-      (tx.gave_up_at - capture_time) + config_.latencies.local_track;
+      (tx.gave_up_at - capture_time) + kAgentLatencies.local_track;
   outcome.offloaded = false;
   if (obs != nullptr) {
     obs->metrics.counter("agent.fallbacks").add();
     obs->metrics.distribution("agent.response_ms", "ms")
         .add(util::to_millis(outcome.response_time));
     obs->tracer.span_at("agent.mot_track", obs::kTrackAgent, tx.gave_up_at,
-                        tx.gave_up_at + config_.latencies.local_track, {},
+                        tx.gave_up_at + kAgentLatencies.local_track, {},
                         trace_ctx.flow_id());
     obs->ledger.outcome(trace_ctx, obs::FrameOutcome::kDroppedUplink,
                         tx.gave_up_at);

@@ -34,16 +34,14 @@ struct DiveConfig {
   ForegroundExtractorConfig foreground;
   QpAssignerConfig qp;
   BandwidthEstimatorConfig bandwidth;
-  OfflineTrackerConfig tracker;
-  AgentLatencies latencies;
   double fps = 12.0;
   bool enable_offline_tracking = true;  ///< Fig. 13 ablation switch
   /// Ship the compressed-domain RoI sidecar (MV field + SKIP flags +
   /// foreground hulls) with every upload and gate edge inference on it
   /// through roi::RoiGate. Sidecar bytes count against the bandwidth
-  /// budget; the video bitstream is byte-identical on or off.
+  /// budget; the video bitstream is byte-identical on or off. The gate
+  /// runs the default roi::RoiGateConfig policy.
   bool roi_metadata = false;
-  roi::RoiGateConfig roi_gate;  ///< gating policy (only with roi_metadata)
   std::uint64_t seed = 7;
   /// Encoder worker lanes (motion search + macroblock loop). Applied to
   /// the encoder config unless that already names a count. 0 defers to
@@ -82,11 +80,6 @@ class DiveAgent final : public AnalyticsScheme {
   }
   [[nodiscard]] int last_background_delta() const { return last_delta_; }
 
-  /// RoI gating state of the most recent offloaded frame (only
-  /// meaningful with DiveConfig::roi_metadata).
-  [[nodiscard]] const roi::GatePlan& last_gate_plan() const {
-    return last_plan_;
-  }
   [[nodiscard]] const roi::RoiGate& gate() const { return gate_; }
 
  private:
@@ -102,7 +95,6 @@ class DiveAgent final : public AnalyticsScheme {
   BandwidthEstimator bandwidth_;
   OfflineTracker tracker_;
   roi::RoiGate gate_;  ///< wraps server_; used only with roi_metadata
-  roi::GatePlan last_plan_;
 
   edge::DetectionList last_detections_;
   PreprocessResult last_pre_;

@@ -5,6 +5,21 @@
 
 namespace dive::core {
 
+namespace {
+
+/// Blocks outside the ground hull may only join a cluster when their MV
+/// magnitude is at least this (real motion evidence). Without it,
+/// clusters seeded near the horizon leak through the far field, where
+/// every static block's MV is mutually similar, and swallow the frame.
+constexpr double kMinOutsideMv = 1.0;
+/// Merge condition: max ratio between cluster mean magnitudes.
+constexpr double kMergeMagnitudeRatio = 2.2;
+/// Merge condition: clusters' MB bounding boxes must be within this
+/// many macroblocks of each other.
+constexpr int kMergeAdjacencyMb = 2;
+
+}  // namespace
+
 std::vector<Cluster> ForegroundClusterer::grow(
     const PreprocessResult& pre, const std::vector<int>& seeds,
     const std::vector<bool>& ground_mask,
@@ -18,7 +33,7 @@ std::vector<Cluster> ForegroundClusterer::grow(
   auto joinable = [&](std::size_t idx) {
     if (!ground_mask.empty() && ground_mask[idx]) return false;
     if (!in_hull_mask.empty() && !in_hull_mask[idx] &&
-        pre.mvs[idx].corrected.norm() < config_.min_outside_mv)
+        pre.mvs[idx].corrected.norm() < kMinOutsideMv)
       return false;
     return true;
   };
@@ -81,7 +96,7 @@ std::vector<Cluster> ForegroundClusterer::grow(
 
 bool ForegroundClusterer::mergeable(const Cluster& a, const Cluster& b) const {
   // Spatial adjacency of the MB bounding boxes.
-  const int gap = config_.merge_adjacency_mb;
+  constexpr int gap = kMergeAdjacencyMb;
   const bool near =
       a.col_min <= b.col_max + gap && b.col_min <= a.col_max + gap &&
       a.row_min <= b.row_max + gap && b.row_min <= a.row_max + gap;
@@ -93,7 +108,7 @@ bool ForegroundClusterer::mergeable(const Cluster& a, const Cluster& b) const {
   const double cosine = a.mean_mv.dot(b.mean_mv) / (na * nb);
   if (cosine < config_.merge_cos_min) return false;
   const double ratio = na > nb ? na / nb : nb / na;
-  return ratio <= config_.merge_magnitude_ratio;
+  return ratio <= kMergeMagnitudeRatio;
 }
 
 std::vector<Cluster> ForegroundClusterer::merge(

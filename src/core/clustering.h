@@ -20,11 +20,6 @@ struct ClusteringConfig {
   double pair_distance = 1.8;
   /// Max |mv_j - cluster_mean|, pixels.
   double mean_distance = 2.5;
-  /// Blocks outside the ground hull may only join a cluster when their MV
-  /// magnitude is at least this (real motion evidence). Without it,
-  /// clusters seeded near the horizon leak through the far field, where
-  /// every static block's MV is mutually similar, and swallow the frame.
-  double min_outside_mv = 1.0;
   /// Drift-proof anchor: every member must stay within
   /// max(anchor_abs, anchor_rel * |seed_mv|) of the seed's MV. The pair
   /// and mean tests alone allow a cluster to creep up a building column
@@ -33,11 +28,6 @@ struct ClusteringConfig {
   double anchor_rel = 0.5;
   /// Merge condition: cosine between cluster mean directions.
   double merge_cos_min = 0.85;
-  /// Merge condition: max ratio between cluster mean magnitudes.
-  double merge_magnitude_ratio = 2.2;
-  /// Merge condition: clusters' MB bounding boxes must be within this
-  /// many macroblocks of each other.
-  int merge_adjacency_mb = 2;
   /// Clusters smaller than this many macroblocks are dropped as noise.
   int min_cluster_mbs = 2;
 };
@@ -59,7 +49,7 @@ class ForegroundClusterer {
 
   /// Grows clusters from `seeds` over the corrected motion field.
   /// `ground_mask` blocks are confirmed background and never joined;
-  /// blocks outside `in_hull_mask` additionally require min_outside_mv
+  /// blocks outside `in_hull_mask` additionally require kMinOutsideMv
   /// of motion. Empty masks disable the respective constraint.
   [[nodiscard]] std::vector<Cluster> grow(
       const PreprocessResult& pre, const std::vector<int>& seeds,

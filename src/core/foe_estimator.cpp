@@ -8,6 +8,15 @@ namespace dive::core {
 
 namespace {
 
+/// MVs shorter than this carry too little direction to constrain the
+/// intersection point.
+constexpr double kMinMvMagnitude = 1.5;
+/// Max perpendicular point-to-line distance (pixels) for an inlier.
+constexpr double kInlierThresholdPx = 6.0;
+constexpr double kMinInlierFraction = 0.4;
+/// Exponential smoothing factor of the cross-frame calibration.
+constexpr double kCalibrationAlpha = 0.15;
+
 /// One motion-vector line: point p, unit direction d.
 struct MvLine {
   geom::Vec2 p;
@@ -55,7 +64,7 @@ std::optional<FoeEstimate> FoeEstimator::estimate(
   for (int row = 0; row < field.mb_rows; ++row) {
     for (int col = 0; col < field.mb_cols; ++col) {
       const geom::Vec2 v = field.at(col, row).as_vec2();
-      if (v.norm() < config_.min_mv_magnitude) continue;
+      if (v.norm() < kMinMvMagnitude) continue;
       lines.push_back(
           {camera.to_centered(field.mb_center(col, row)), v.normalized()});
     }
@@ -65,9 +74,9 @@ std::optional<FoeEstimate> FoeEstimator::estimate(
   geom::RansacOptions opts;
   opts.iterations = config_.ransac_iterations;
   opts.sample_size = 2;
-  opts.inlier_threshold = config_.inlier_threshold_px;
+  opts.inlier_threshold = kInlierThresholdPx;
   opts.min_inliers = std::max(
-      4, static_cast<int>(config_.min_inlier_fraction *
+      4, static_cast<int>(kMinInlierFraction *
                           static_cast<double>(lines.size())));
 
   auto fit = [&lines](std::span<const std::size_t> idx) {
@@ -97,8 +106,8 @@ std::optional<FoeEstimate> FoeEstimator::update_calibration(
   if (!calibrated_) {
     calibrated_ = est->foe;
   } else {
-    *calibrated_ = *calibrated_ * (1.0 - config_.calibration_alpha) +
-                   est->foe * config_.calibration_alpha;
+    *calibrated_ = *calibrated_ * (1.0 - kCalibrationAlpha) +
+                   est->foe * kCalibrationAlpha;
   }
   ++calibration_frames_;
   return est;

@@ -25,15 +25,7 @@
 namespace dive::core {
 
 struct FoeEstimatorConfig {
-  /// MVs shorter than this carry too little direction to constrain the
-  /// intersection point.
-  double min_mv_magnitude = 1.5;
   int ransac_iterations = 60;
-  /// Max perpendicular point-to-line distance (pixels) for an inlier.
-  double inlier_threshold_px = 6.0;
-  double min_inlier_fraction = 0.4;
-  /// Exponential smoothing factor of the cross-frame calibration.
-  double calibration_alpha = 0.15;
 };
 
 struct FoeEstimate {

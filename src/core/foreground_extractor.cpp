@@ -9,6 +9,13 @@
 
 namespace dive::core {
 
+namespace {
+
+/// A carried region is dropped once a fresh region overlaps it.
+constexpr double kCarrySuppressIou = 0.4;
+
+}  // namespace
+
 double ForegroundResult::area_fraction(int width, int height) const {
   if (width <= 0 || height <= 0) return 0.0;
   // Exact union area of the clipped bounding boxes (x-slab sweep with
@@ -136,7 +143,7 @@ ForegroundResult ForegroundExtractor::extract(
     bool suppressed = false;
     for (const auto& fresh : out.regions) {
       if (fresh.age == 0 &&
-          geom::iou(fresh.bounds, carried.bounds) > config_.carry_suppress_iou) {
+          geom::iou(fresh.bounds, carried.bounds) > kCarrySuppressIou) {
         suppressed = true;
         break;
       }

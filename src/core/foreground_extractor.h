@@ -46,8 +46,6 @@ struct ForegroundExtractorConfig {
   /// vectors are sparse and coarse, so single-frame extraction misses
   /// objects intermittently; short temporal carry smooths that out.
   int temporal_carry_frames = 2;
-  /// A carried region is dropped once a fresh region overlaps it.
-  double carry_suppress_iou = 0.4;
 };
 
 class ForegroundExtractor {

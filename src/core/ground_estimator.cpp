@@ -11,6 +11,21 @@
 
 namespace dive::core {
 
+namespace {
+
+/// Min cosine between an MV and the radial direction from the FOE.
+constexpr double kRadialCosMin = 0.9;
+/// MVs shorter than this are unusable.
+constexpr double kMinMvMagnitude = 1.0;
+/// Only points below the FOE row qualify.
+constexpr double kMinY = 4.0;
+constexpr int kHistogramBins = 48;
+/// Histogram upper range as a multiple of the median normalized
+/// magnitude (robust to outliers).
+constexpr double kHistogramRangeMedians = 4.0;
+
+}  // namespace
+
 GroundEstimate GroundEstimator::estimate(
     const PreprocessResult& pre, const geom::PinholeCamera& camera) const {
   GroundEstimate out;
@@ -29,11 +44,11 @@ GroundEstimate GroundEstimator::estimate(
   for (std::size_t i = 0; i < mb_count; ++i) {
     const CorrectedMv& m = pre.mvs[i];
     const geom::Vec2 v = m.corrected;
-    if (v.norm() < config_.min_mv_magnitude) continue;
-    if (m.position.y < config_.min_y) continue;
+    if (v.norm() < kMinMvMagnitude) continue;
+    if (m.position.y < kMinY) continue;
     const geom::Vec2 radial = (m.position - config_.foe).normalized();
     const double cosine = v.normalized().dot(radial);
-    if (cosine < config_.radial_cos_min) continue;  // noisy / moving object
+    if (cosine < kRadialCosMin) continue;  // noisy / moving object
     const double nm = normalized_magnitude(m.position, v, config_.foe);
     if (nm <= 0.0) continue;
     candidates.push_back({i, nm});
@@ -47,8 +62,8 @@ GroundEstimate GroundEstimator::estimate(
   std::nth_element(mags.begin(), mags.begin() + static_cast<std::ptrdiff_t>(mags.size() / 2),
                    mags.end());
   const double median = mags[mags.size() / 2];
-  const double hi = std::max(median * config_.histogram_range_medians, 1e-9);
-  util::Histogram hist(0.0, hi, static_cast<std::size_t>(config_.histogram_bins));
+  const double hi = std::max(median * kHistogramRangeMedians, 1e-9);
+  util::Histogram hist(0.0, hi, std::size_t{kHistogramBins});
   for (const auto& c : candidates) hist.add(c.norm_mag);
   const auto tri = geom::triangle_threshold(hist);
   out.threshold = tri.threshold;

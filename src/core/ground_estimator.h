@@ -23,14 +23,7 @@
 namespace dive::core {
 
 struct GroundEstimatorConfig {
-  geom::Vec2 foe{0.0, 0.0};       ///< centered coordinates
-  double radial_cos_min = 0.9;    ///< min cosine between MV and radial dir
-  double min_mv_magnitude = 1.0;  ///< MVs shorter than this are unusable
-  double min_y = 4.0;             ///< only points below the FOE row qualify
-  int histogram_bins = 48;
-  /// Histogram upper range as a multiple of the median normalized
-  /// magnitude (robust to outliers).
-  double histogram_range_medians = 4.0;
+  geom::Vec2 foe{0.0, 0.0};  ///< centered coordinates
 };
 
 struct GroundEstimate {

@@ -7,6 +7,14 @@
 
 namespace dive::core {
 
+namespace {
+
+/// delta = round(coefficient * foreground_area_fraction), clamped to
+/// [delta_min, delta_max].
+constexpr double kAdaptiveCoefficient = 80.0;
+
+}  // namespace
+
 std::vector<bool> QpAssigner::foreground_mask(const ForegroundResult& fg,
                                               int mb_cols, int mb_rows) {
   std::vector<bool> mask(static_cast<std::size_t>(mb_cols) * mb_rows, false);
@@ -47,7 +55,7 @@ int QpAssigner::delta_from_mask(const ForegroundResult& fg,
                    : static_cast<double>(covered) /
                          static_cast<double>(mask.size());
   const int delta =
-      static_cast<int>(std::lround(config_.adaptive_coefficient * fraction));
+      static_cast<int>(std::lround(kAdaptiveCoefficient * fraction));
   return std::clamp(delta, config_.delta_min, config_.delta_max);
 }
 

@@ -13,8 +13,7 @@
 namespace dive::core {
 
 struct QpAssignerConfig {
-  /// delta = round(coefficient * foreground_area_fraction), clamped.
-  double adaptive_coefficient = 80.0;
+  /// Clamp range of the adaptive delta.
   int delta_min = 4;
   int delta_max = 26;
   /// When >= 0, overrides the adaptive rule with a fixed delta

@@ -7,6 +7,31 @@
 
 namespace dive::core {
 
+namespace {
+
+/// Max tangential MV mismatch (pixels) for a RANSAC inlier.
+constexpr double kInlierThresholdPx = 1.0;
+/// Reject estimates whose consensus covers less than this fraction of
+/// the sampled rows (no usable static structure in the sample).
+constexpr double kMinInlierFraction = 0.2;
+/// MVs shorter than this are skipped. 0: even a zero MV is a valid
+/// measurement ("no apparent rotation at this block"), and near the FOE
+/// the static background's MVs are legitimately tiny — dropping them
+/// would leave mostly moving-object vectors in the sample.
+constexpr double kMinMvMagnitude = 0.0;
+/// MVs with a component at/above this are treated as saturated by the
+/// codec's search window and discarded (true motion exceeded the range,
+/// so the vector's value is arbitrary). Keep just under the encoder's
+/// MotionSearchConfig::range.
+constexpr double kSaturationLimitPx = 23.0;
+/// Rows with |y| below this contribute almost nothing to the yaw
+/// estimate (their Eq. (7) coefficient on dphi_y vanishes), so
+/// R-sampling reserves half the sample for blocks with |y| above it.
+/// Wide-short sensors (KITTI's 1242x375) are degenerate without this.
+constexpr double kYDiversityPx = 10.0;
+
+}  // namespace
+
 std::optional<RotationEstimate> RotationEstimator::estimate(
     const codec::MotionField& field, const geom::PinholeCamera& camera) {
   if (field.empty()) return std::nullopt;
@@ -24,9 +49,9 @@ std::optional<RotationEstimate> RotationEstimator::estimate(
     for (int col = 0; col < field.mb_cols; ++col) {
       const codec::MotionVector mv = field.at(col, row);
       const geom::Vec2 v = mv.as_vec2();
-      if (v.norm() < config_.min_mv_magnitude) continue;
-      if (std::abs(v.x) >= config_.saturation_limit_px ||
-          std::abs(v.y) >= config_.saturation_limit_px)
+      if (v.norm() < kMinMvMagnitude) continue;
+      if (std::abs(v.x) >= kSaturationLimitPx ||
+          std::abs(v.y) >= kSaturationLimitPx)
         continue;
       const geom::Vec2 p = camera.to_centered(field.mb_center(col, row));
       candidates.push_back({p, v, (p - config_.foe).norm()});
@@ -51,7 +76,7 @@ std::optional<RotationEstimate> RotationEstimator::estimate(
     std::size_t high_y_taken = 0;
     for (std::size_t i = 0;
          i < candidates.size() && high_y_taken < k / 2; ++i) {
-      if (std::abs(candidates[i].p.y) >= config_.y_diversity_px) {
+      if (std::abs(candidates[i].p.y) >= kYDiversityPx) {
         taken[i] = 1;
         ++high_y_taken;
       }
@@ -93,9 +118,9 @@ std::optional<RotationEstimate> RotationEstimator::estimate(
   opts.iterations = config_.ransac_iterations;
   opts.sample_size = 2;
   opts.min_inliers = std::max(
-      3, static_cast<int>(config_.min_inlier_fraction *
+      3, static_cast<int>(kMinInlierFraction *
                           static_cast<double>(rows.size())));
-  opts.inlier_threshold = config_.inlier_threshold_px;
+  opts.inlier_threshold = kInlierThresholdPx;
 
   auto fit = [&rows](std::span<const std::size_t> idx)
       -> std::optional<geom::Vec2> {

@@ -30,28 +30,9 @@ struct RotationEstimatorConfig {
   SamplingPolicy policy = SamplingPolicy::kRSampling;
   int sample_count = 70;  ///< k; the paper settles on 70 (Fig. 10)
   geom::Vec2 foe{0.0, 0.0};  ///< calibrated FOE, centered coordinates
-  /// RANSAC knobs: residual is the tangential MV mismatch in pixels.
+  /// RANSAC iterations; the residual is the tangential MV mismatch in
+  /// pixels.
   int ransac_iterations = 80;
-  double inlier_threshold_px = 1.0;
-  /// Reject estimates whose consensus covers less than this fraction of
-  /// the sampled rows (no usable static structure in the sample).
-  double min_inlier_fraction = 0.2;
-
-  /// MVs shorter than this are skipped. Default 0: even a zero MV is a
-  /// valid measurement ("no apparent rotation at this block"), and near
-  /// the FOE the static background's MVs are legitimately tiny — dropping
-  /// them would leave mostly moving-object vectors in the sample.
-  double min_mv_magnitude = 0.0;
-  /// MVs with a component at/above this are treated as saturated by the
-  /// codec's search window and discarded (true motion exceeded the range,
-  /// so the vector's value is arbitrary). Keep just under the encoder's
-  /// MotionSearchConfig::range.
-  double saturation_limit_px = 23.0;
-  /// Rows with |y| below this contribute almost nothing to the yaw
-  /// estimate (their Eq. (7) coefficient on dphi_y vanishes), so
-  /// R-sampling reserves half the sample for blocks with |y| above it.
-  /// Wide-short sensors (KITTI's 1242x375) are degenerate without this.
-  double y_diversity_px = 10.0;
 };
 
 struct RotationEstimate {

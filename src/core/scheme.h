@@ -50,4 +50,7 @@ struct AgentLatencies {
   util::SimTime local_track = util::from_millis(2.0);
 };
 
+/// The on-agent latencies every scheme (DiVE and the baselines) charges.
+inline constexpr AgentLatencies kAgentLatencies{};
+
 }  // namespace dive::core

@@ -4,6 +4,14 @@
 
 namespace dive::edge {
 
+namespace {
+
+/// A detection is a true positive when it overlaps an unmatched
+/// same-class ground-truth box by at least this IoU.
+constexpr double kIouThreshold = 0.5;
+
+}  // namespace
+
 void ApEvaluator::add_frame(const DetectionList& detections,
                             const DetectionList& truths) {
   ++frames_;
@@ -37,7 +45,7 @@ void ApEvaluator::add_frame(const DetectionList& detections,
         }
       }
       const bool tp =
-          best_idx < gt.size() && best_iou >= config_.iou_threshold;
+          best_idx < gt.size() && best_iou >= kIouThreshold;
       if (tp) matched[best_idx] = true;
       st.scored.emplace_back(d->confidence, tp);
     }

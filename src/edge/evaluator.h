@@ -15,14 +15,8 @@
 
 namespace dive::edge {
 
-struct EvaluatorConfig {
-  double iou_threshold = 0.5;
-};
-
 class ApEvaluator {
  public:
-  explicit ApEvaluator(EvaluatorConfig config = {}) : config_(config) {}
-
   /// Scores one frame: `detections` against ground truth `truths`
   /// (both may contain both classes; matching is per class).
   void add_frame(const DetectionList& detections, const DetectionList& truths);
@@ -53,7 +47,6 @@ class ApEvaluator {
     return states_[static_cast<std::size_t>(cls)];
   }
 
-  EvaluatorConfig config_;
   std::array<ClassState, video::kNumDetectableClasses> states_;
   int frames_ = 0;
 };

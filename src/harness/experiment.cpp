@@ -1,7 +1,6 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace dive::harness {
 
@@ -87,8 +86,8 @@ std::unique_ptr<core::AnalyticsScheme> make_scheme(
     case SchemeKind::kEaar: {
       baselines::KeyframeSchemeConfig cfg;
       cfg.fps = clip.fps;
-      return std::make_unique<baselines::EaarScheme>(
-          cfg, baselines::EaarConfig{}, enc_cfg, uplink, server);
+      return std::make_unique<baselines::EaarScheme>(cfg, enc_cfg, uplink,
+                                                     server);
     }
     case SchemeKind::kDds: {
       baselines::DdsConfig cfg;
@@ -166,15 +165,6 @@ RunResult run_experiment(SchemeKind kind, const std::vector<data::Clip>& clips,
             video::ObjectClass::kPedestrian);
   }
   return result;
-}
-
-int env_int(const char* name, int fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || v <= 0) return fallback;
-  return static_cast<int>(v);
 }
 
 }  // namespace dive::harness

@@ -101,9 +101,4 @@ RunResult run_experiment(SchemeKind kind, const std::vector<data::Clip>& clips,
                          const NetworkScenario& network,
                          const SchemeOptions& options = {});
 
-/// Reads an integer override from the environment (used by benches to
-/// scale clip counts/frames without recompiling), falling back to
-/// `fallback` when unset or unparsable.
-int env_int(const char* name, int fallback);
-
 }  // namespace dive::harness

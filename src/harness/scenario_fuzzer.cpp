@@ -4,6 +4,16 @@
 
 namespace dive::harness {
 
+namespace {
+
+/// Seed of the first case; every tuple's seed is offset from it.
+constexpr std::uint64_t kBaseSeed = 7001;
+/// Clips rendered per case (kept small: the sweep is the point, not the
+/// per-case sample size).
+constexpr int kClipsPerCase = 1;
+
+}  // namespace
+
 const char* to_string(Condition c) {
   switch (c) {
     case Condition::kClear: return "clear";
@@ -183,7 +193,7 @@ data::DatasetSpec spec_for(const ScenarioCase& c, const FuzzerOptions& opt) {
   // Field-of-view-preserving focal scaling (nuScenes-like intrinsics).
   spec.focal_px = 1260.0 * opt.width / 1600.0;
   spec.fps = opt.fps;
-  spec.clip_count = opt.clips_per_case;
+  spec.clip_count = kClipsPerCase;
   spec.frames_per_clip = opt.frames_per_clip;
   spec.seed = c.seed;
   // Collapse the profile mix onto the pinned motion branch.
@@ -250,7 +260,7 @@ FuzzerReport run_scenario_fuzzer(const FuzzerOptions& options) {
           c.bandwidth = bandwidths[bi];
           // Stable per-tuple seed: independent of which subset of the
           // cross product a caller sweeps.
-          c.seed = options.base_seed +
+          c.seed = kBaseSeed +
                    static_cast<std::uint64_t>(c.condition) * 9176ULL +
                    static_cast<std::uint64_t>(c.motion) * 389ULL +
                    static_cast<std::uint64_t>(c.bandwidth) * 53ULL +

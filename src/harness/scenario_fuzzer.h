@@ -105,14 +105,12 @@ struct FuzzerOptions {
   std::vector<MotionProfile> motions;
   std::vector<BandwidthProfile> bandwidths;
   int seeds_per_case = 1;
-  std::uint64_t base_seed = 7001;
 
   // Clip shape per case (kept small: the sweep is the point, not the
   // per-case sample size).
   int width = 256;
   int height = 144;
   int frames_per_clip = 48;
-  int clips_per_case = 1;
   double fps = 12.0;
 
   SchemeKind scheme = SchemeKind::kDive;

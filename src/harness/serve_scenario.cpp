@@ -37,11 +37,6 @@ ServeScenarioOptions default_serve_options() {
   // objects, so the rotating stripe only backstops mid-frame surprises
   // and can be sparse.
   opt.node.session.roi_gate.scan_stripes = 8;
-  // CI's differential job runs the label twice, DIVE_ROI_METADATA=0 and
-  // =1, so every default-options scenario is exercised with the lane in
-  // both states on every dispatch leg. Tests that pin roi_metadata
-  // explicitly are unaffected.
-  opt.roi_metadata = env_int("DIVE_ROI_METADATA", 0) != 0;
   return opt;
 }
 

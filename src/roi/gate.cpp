@@ -8,6 +8,26 @@
 namespace dive::roi {
 namespace {
 
+/// Propagation of background boxes between full passes: light decay,
+/// same shift primitive as the MOT tracker.
+constexpr edge::BoxShiftOptions kPropagate{.min_area_keep = 0.25,
+                                           .confidence_decay = 0.97};
+/// Propagated boxes below this confidence are dropped (a box never
+/// re-confirmed by the detector eventually ages out).
+constexpr double kPropagateMinConfidence = 0.2;
+/// A shifted previous-frame box is dropped when a fresh detection
+/// overlaps it by at least this IoU — the detector re-found the object
+/// and owns it. Below, the carried copy survives: the object sat on
+/// masked tiles (or the masked fragment fell under the detector's blob
+/// floor) and propagation is the only source that still covers it.
+constexpr double kDedupIou = 0.3;
+/// Margin added around every held (previous-frame, MV-shifted) box
+/// before lighting the tiles under it, absorbing shift error and
+/// object growth. Held boxes are lit at run time so known objects stay
+/// fully visible to the detector — a cut object yields a fragment box
+/// that scores as both a false positive and a miss.
+constexpr double kHeldBoxMarginPx = 4.0;
+
 /// Pixel rectangle of tile (tx, ty) as a half-open box.
 geom::Box tile_box(int tx, int ty, int tile, int width, int height) {
   const double x0 = static_cast<double>(tx) * tile;
@@ -189,7 +209,7 @@ GatePlan RoiGate::plan(const RoiMetadata* meta, int width, int height) {
   p.tiles = std::move(lit);
   p.pixel_fraction =
       lit_pixels / (static_cast<double>(width) * static_cast<double>(height));
-  p.work = std::max(config_.min_work_fraction, p.pixel_fraction);
+  p.work = std::max(kMinWorkFraction, p.pixel_fraction);
   return p;
 }
 
@@ -219,11 +239,11 @@ GatedDetections RoiGate::infer(const video::Frame& frame,
   const codec::MotionField field =
       meta != nullptr ? meta->motion_field() : codec::MotionField{};
   edge::DetectionList shifted = edge::shift_by_mean_mv(
-      held_, field, width, height, config_.propagate);
+      held_, field, width, height, kPropagate);
   std::vector<std::uint8_t> tiles = plan.tiles;
   for (const auto& det : shifted) {
-    if (det.confidence < config_.propagate_min_confidence) continue;
-    const double m = config_.held_box_margin_px;
+    if (det.confidence < kPropagateMinConfidence) continue;
+    const double m = kHeldBoxMarginPx;
     const int tx0 = std::max(0, static_cast<int>(det.box.x0 - m) / tile);
     const int ty0 = std::max(0, static_cast<int>(det.box.y0 - m) / tile);
     const int tx1 =
@@ -274,9 +294,9 @@ GatedDetections RoiGate::infer(const video::Frame& frame,
   };
   std::vector<bool> fresh_used(static_cast<std::size_t>(out.fresh), false);
   for (auto& det : shifted) {
-    if (det.confidence < config_.propagate_min_confidence) continue;
+    if (det.confidence < kPropagateMinConfidence) continue;
     int best = -1;
-    double best_iou = config_.dedup_iou;
+    double best_iou = kDedupIou;
     for (int i = 0; i < out.fresh; ++i) {
       if (fresh_used[static_cast<std::size_t>(i)]) continue;
       if (merged[static_cast<std::size_t>(i)].cls != det.cls) continue;

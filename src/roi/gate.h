@@ -29,6 +29,10 @@
 
 namespace dive::roi {
 
+/// Floor on the work fraction reported to the scheduler: decode and
+/// dispatch overhead never vanish, however small the foreground.
+inline constexpr double kMinWorkFraction = 0.15;
+
 struct RoiGateConfig {
   /// Tile edge in luma pixels (frame edges may get partial tiles).
   int tile_px = 32;
@@ -62,28 +66,6 @@ struct RoiGateConfig {
   /// them on their first frame, and a missed appearance costs a full
   /// false negative until the scan stripe or refresh comes around.
   int horizon_rows = 1;
-  /// Floor on the work fraction reported to the scheduler: decode and
-  /// dispatch overhead never vanish, however small the foreground.
-  double min_work_fraction = 0.15;
-  /// Propagation of background boxes between full passes: light decay,
-  /// same shift primitive as the MOT tracker.
-  edge::BoxShiftOptions propagate{.min_area_keep = 0.25,
-                                  .confidence_decay = 0.97};
-  /// Propagated boxes below this confidence are dropped (a box never
-  /// re-confirmed by the detector eventually ages out).
-  double propagate_min_confidence = 0.2;
-  /// A shifted previous-frame box is dropped when a fresh detection
-  /// overlaps it by at least this IoU — the detector re-found the object
-  /// and owns it. Below, the carried copy survives: the object sat on
-  /// masked tiles (or the masked fragment fell under the detector's blob
-  /// floor) and propagation is the only source that still covers it.
-  double dedup_iou = 0.3;
-  /// Margin added around every held (previous-frame, MV-shifted) box
-  /// before lighting the tiles under it, absorbing shift error and
-  /// object growth. Held boxes are lit at run time so known objects stay
-  /// fully visible to the detector — a cut object yields a fragment box
-  /// that scores as both a false positive and a miss.
-  double held_box_margin_px = 4.0;
 };
 
 /// How one frame will be inferred. Computed before dispatch so the

@@ -79,7 +79,6 @@ class ServeNode {
 
   /// Registers a new agent; ids are dense and assigned in call order.
   Session& open_session(std::shared_ptr<net::Uplink> uplink);
-  [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }
   [[nodiscard]] Session& session(std::uint32_t id);
 
   /// Admission decision for a frame that reached the edge. Admitted

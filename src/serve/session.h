@@ -41,9 +41,6 @@ class Session {
   [[nodiscard]] std::uint32_t id() const { return id_; }
   [[nodiscard]] const SessionConfig& config() const { return config_; }
   [[nodiscard]] net::Uplink& uplink() { return *uplink_; }
-  [[nodiscard]] const std::shared_ptr<net::Uplink>& uplink_ptr() const {
-    return uplink_;
-  }
   [[nodiscard]] edge::EdgeServer& server() { return server_; }
   [[nodiscard]] const edge::EdgeServer& server() const { return server_; }
   /// Per-session RoI gate wrapping this session's server. The node plans

@@ -24,12 +24,6 @@ bool Rng::chance(double p) {
   return d(engine_);
 }
 
-double Rng::exponential(double mean) {
-  if (mean <= 0.0) return 0.0;
-  std::exponential_distribution<double> d(1.0 / mean);
-  return d(engine_);
-}
-
 Rng Rng::fork(std::uint64_t stream) const {
   // SplitMix-style mixing of (seed, stream) so that forked streams are
   // decorrelated from the parent and from each other.

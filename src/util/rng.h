@@ -28,8 +28,6 @@ class Rng {
   double gaussian(double mean, double stddev);
   /// Bernoulli trial.
   bool chance(double p);
-  /// Exponentially distributed value with the given mean.
-  double exponential(double mean);
 
   /// Derive an independent generator; distinct `stream` values give
   /// distinct sequences for the same parent seed.

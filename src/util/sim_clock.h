@@ -1,4 +1,4 @@
-// Simulated wall clock shared by the network, agent, and edge models.
+// Simulated time shared by the network, agent, and edge models.
 //
 // All DiVE timing experiments (response time, bandwidth estimation windows,
 // link-outage timers) run against simulated time so that results are
@@ -27,31 +27,5 @@ constexpr SimTime from_seconds(double s) {
 constexpr SimTime from_millis(double ms) {
   return static_cast<SimTime>(ms * static_cast<double>(kMicrosPerMilli));
 }
-
-/// A monotonically advancing simulated clock.
-///
-/// The experiment harness owns one SimClock and advances it as frames are
-/// captured, encoded, transmitted, and inferred. Components hold a pointer
-/// and may only read it.
-class SimClock {
- public:
-  SimClock() = default;
-  explicit SimClock(SimTime start) : now_(start) {}
-
-  [[nodiscard]] SimTime now() const { return now_; }
-
-  /// Advance the clock by `delta` microseconds. `delta` must be >= 0.
-  void advance(SimTime delta) {
-    if (delta > 0) now_ += delta;
-  }
-
-  /// Jump to an absolute time; never moves backwards.
-  void advance_to(SimTime t) {
-    if (t > now_) now_ = t;
-  }
-
- private:
-  SimTime now_ = 0;
-};
 
 }  // namespace dive::util

@@ -1,17 +1,13 @@
 #include "util/thread_pool.h"
 
-#include <cstdlib>
+#include "util/env.h"
 
 namespace dive::util {
 
 int ThreadPool::resolve_thread_count(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("DIVE_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return env_int("DIVE_THREADS", hw > 0 ? static_cast<int>(hw) : 1);
 }
 
 ThreadPool::ThreadPool(int threads) {

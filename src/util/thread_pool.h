@@ -46,7 +46,8 @@ class ThreadPool {
 
   /// Thread-count policy shared by every DIVE_THREADS consumer:
   /// requested > 0 wins, else the DIVE_THREADS environment variable
-  /// (when a positive integer), else std::thread::hardware_concurrency.
+  /// (when util::env_int accepts it), else
+  /// std::thread::hardware_concurrency.
   [[nodiscard]] static int resolve_thread_count(int requested);
 
  private:

@@ -38,15 +38,6 @@ double psnr_y(const Frame& a, const Frame& b) {
   return mse_to_psnr(plane_mse(a.y, b.y));
 }
 
-double psnr_yuv(const Frame& a, const Frame& b) {
-  const double total = static_cast<double>(a.y.size() + a.u.size() + a.v.size());
-  const double mse = (plane_mse(a.y, b.y) * static_cast<double>(a.y.size()) +
-                      plane_mse(a.u, b.u) * static_cast<double>(a.u.size()) +
-                      plane_mse(a.v, b.v) * static_cast<double>(a.v.size())) /
-                     total;
-  return mse_to_psnr(mse);
-}
-
 double mean_abs_diff_y(const Frame& a, const Frame& b) {
   if (a.width() != b.width() || a.height() != b.height())
     throw std::invalid_argument("mean_abs_diff_y: dimension mismatch");

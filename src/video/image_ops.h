@@ -21,9 +21,6 @@ double plane_mse(const Plane& a, const Plane& b);
 /// Luma PSNR in dB (infinity-capped at 100 dB for identical planes).
 double psnr_y(const Frame& a, const Frame& b);
 
-/// PSNR over all three planes (weighted by sample count).
-double psnr_yuv(const Frame& a, const Frame& b);
-
 /// Mean absolute luma difference — cheap frame-difference signal used by
 /// key-frame selection in the baseline schemes.
 double mean_abs_diff_y(const Frame& a, const Frame& b);

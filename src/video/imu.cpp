@@ -2,11 +2,17 @@
 
 namespace dive::video {
 
+namespace {
+
+constexpr double kRateHz = 100.0;  ///< IMU sample rate
+
+}  // namespace
+
 std::vector<ImuSample> synthesize_imu(const EgoTrajectory& trajectory,
                                       const ImuOptions& options,
                                       util::Rng& rng) {
   std::vector<ImuSample> out;
-  const double dt = 1.0 / options.rate_hz;
+  const double dt = 1.0 / kRateHz;
   const double duration = trajectory.total_duration();
   out.reserve(static_cast<std::size_t>(duration / dt) + 1);
   constexpr double kGravity = 9.81;

@@ -20,7 +20,6 @@ struct ImuSample {
 };
 
 struct ImuOptions {
-  double rate_hz = 100.0;
   double gyro_noise = 0.002;   ///< rad/s std-dev
   double accel_noise = 0.05;   ///< m/s^2 std-dev
 };

@@ -87,7 +87,7 @@ TEST(Clustering, OutsideHullNeedsMotionEvidence) {
   hull[3 * 6 + 3] = true;
   const ForegroundClusterer fc;
   const auto clusters = fc.grow(pre, {3 * 6 + 3}, {}, hull);
-  // Growth outside the hull is blocked (|mv| < min_outside_mv).
+  // Growth outside the hull is blocked (|mv| < kMinOutsideMv).
   EXPECT_TRUE(clusters.empty() || clusters[0].size() <= 2);
 }
 

@@ -1,9 +1,11 @@
 // Baseline schemes (O3, EAAR, DDS, Uniform) driven over rendered clips.
 #include <gtest/gtest.h>
 
+#include "baselines/eaar.h"
 #include "data/dataset.h"
 #include "edge/evaluator.h"
 #include "harness/experiment.h"
+#include "net/bandwidth.h"
 
 namespace dive::baselines {
 namespace {
@@ -48,6 +50,47 @@ TEST(Baselines, EaarProducesUsableDetections) {
   auto scheme = scheme_for(harness::SchemeKind::kEaar, clip);
   EXPECT_STREQ(scheme->name(), "EAAR");
   EXPECT_GT(run_map(*scheme, clip), 0.05);
+}
+
+/// Response time of EAAR's first frame (always a key frame) against a
+/// jitter-free edge server with the given decode/inference latencies.
+util::SimTime eaar_first_response(const data::Clip& clip,
+                                  util::SimTime decode_latency,
+                                  util::SimTime inference_latency) {
+  edge::ServerConfig server_cfg;
+  server_cfg.decode_latency = decode_latency;
+  server_cfg.inference_latency = inference_latency;
+  server_cfg.inference_jitter_ms = 0.0;
+  auto uplink = std::make_shared<net::Uplink>(
+      std::make_shared<net::ConstantBandwidth>(net::mbps_to_bytes_per_sec(2.0)),
+      net::UplinkConfig{});
+  KeyframeSchemeConfig cfg;
+  cfg.fps = clip.fps;
+  EaarScheme eaar(cfg,
+                  codec::EncoderConfig{.width = clip.camera.width(),
+                                       .height = clip.camera.height(),
+                                       .threads = 1},
+                  uplink, std::make_shared<edge::EdgeServer>(server_cfg, 3));
+  const auto& rec = clip.frames.front();
+  const auto outcome =
+      eaar.process_frame(rec.image, util::from_seconds(rec.timestamp));
+  EXPECT_TRUE(outcome.offloaded);
+  return outcome.response_time;
+}
+
+TEST(Baselines, EaarPipeliningSavingFollowsServerLatencies) {
+  // Pipelined streaming hides the server's whole decode latency and half
+  // its inference latency: a slower decoder leaves the response time
+  // unchanged, and slower inference shows up at half its cost.
+  const auto clip = small_clip(2);
+  const util::SimTime base = eaar_first_response(
+      clip, util::from_millis(3.0), util::from_millis(18.0));
+  EXPECT_EQ(eaar_first_response(clip, util::from_millis(30.0),
+                                util::from_millis(18.0)),
+            base);
+  EXPECT_EQ(eaar_first_response(clip, util::from_millis(3.0),
+                                util::from_millis(60.0)),
+            base + util::from_millis(21.0));
 }
 
 TEST(Baselines, DdsTwoPassCloseToUpperBound) {

@@ -2,7 +2,6 @@
 // determinism.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "harness/experiment.h"
 
@@ -100,16 +99,6 @@ TEST(MakeScheme, AppliesOptions) {
   auto scheme = make_scheme(SchemeKind::kDive, opts, net, clips[0], 2.0);
   ASSERT_NE(scheme, nullptr);
   EXPECT_STREQ(scheme->name(), "DiVE");
-}
-
-TEST(EnvInt, ParsesAndFallsBack) {
-  ::setenv("DIVE_TEST_ENV_INT", "42", 1);
-  EXPECT_EQ(env_int("DIVE_TEST_ENV_INT", 7), 42);
-  ::unsetenv("DIVE_TEST_ENV_INT");
-  EXPECT_EQ(env_int("DIVE_TEST_ENV_INT", 7), 7);
-  ::setenv("DIVE_TEST_ENV_INT", "garbage", 1);
-  EXPECT_EQ(env_int("DIVE_TEST_ENV_INT", 7), 7);
-  ::unsetenv("DIVE_TEST_ENV_INT");
 }
 
 TEST(SchemeNames, Stable) {

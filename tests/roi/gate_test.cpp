@@ -82,7 +82,7 @@ TEST(RoiGatePlan, HorizonBandStaysLit) {
     EXPECT_TRUE(tile_at(p, tx, horizon_ty)) << "tx=" << tx;
   // Only the band is lit: work is the floored fraction of one tile row.
   EXPECT_LT(p.coverage, 0.3);
-  EXPECT_GE(p.work, cfg.min_work_fraction);
+  EXPECT_GE(p.work, kMinWorkFraction);
 }
 
 TEST(RoiGatePlan, ScanStripesRotate) {

@@ -69,14 +69,14 @@ TEST(GatedDeterminism, InvariantAcrossThreadsWorkersAndBatching) {
 }
 
 TEST(GatedDeterminism, RepeatRunsAreBitIdentical) {
-  // Deliberately inherits the roi_metadata DEFAULT instead of pinning it:
-  // CI runs this label with DIVE_ROI_METADATA=0 and =1, so this test
-  // locks repeat-run determinism for whichever lane the leg selects.
-  ServeScenarioOptions opt = gated_scenario();
-  opt.roi_metadata = default_serve_options().roi_metadata;
-  const Digest a(run_serve_scenario(opt));
-  const Digest b(run_serve_scenario(opt));
-  EXPECT_EQ(a, b);
+  // Both lanes: repeat runs must agree with the metadata lane off and on.
+  for (const bool roi_metadata : {false, true}) {
+    ServeScenarioOptions opt = gated_scenario();
+    opt.roi_metadata = roi_metadata;
+    const Digest a(run_serve_scenario(opt));
+    const Digest b(run_serve_scenario(opt));
+    EXPECT_EQ(a, b) << "roi_metadata=" << roi_metadata;
+  }
 }
 
 TEST(GatedDeterminism, MetadataLaneOffMatchesPreRoiBehavior) {

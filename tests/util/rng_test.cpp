@@ -77,13 +77,5 @@ TEST(Rng, ForkedStreamsIndependent) {
   EXPECT_LT(same, 3);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(5);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(4.0);
-  EXPECT_NEAR(sum / n, 4.0, 0.15);
-}
-
 }  // namespace
 }  // namespace dive::util

@@ -12,23 +12,5 @@ TEST(SimTime, Conversions) {
   EXPECT_DOUBLE_EQ(to_millis(1'500), 1.5);
 }
 
-TEST(SimClock, AdvancesMonotonically) {
-  SimClock clock;
-  EXPECT_EQ(clock.now(), 0);
-  clock.advance(100);
-  EXPECT_EQ(clock.now(), 100);
-  clock.advance(-50);  // negative deltas ignored
-  EXPECT_EQ(clock.now(), 100);
-  clock.advance_to(50);  // backwards jumps ignored
-  EXPECT_EQ(clock.now(), 100);
-  clock.advance_to(500);
-  EXPECT_EQ(clock.now(), 500);
-}
-
-TEST(SimClock, StartOffset) {
-  SimClock clock(from_seconds(10.0));
-  EXPECT_EQ(clock.now(), 10'000'000);
-}
-
 }  // namespace
 }  // namespace dive::util

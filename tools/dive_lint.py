@@ -12,7 +12,7 @@ a serve node. This lint forbids them at the source level:
 
   wall-clock    std::chrono::{system,steady,high_resolution}_clock and
                 C time APIs outside src/obs/ (the tracer owns wall time;
-                everything else runs on util::SimClock).
+                everything else runs on util::SimTime).
   ambient-rng   rand/srand/std::random_device/std::mt19937* outside
                 src/util/rng.* (randomness flows through seeded
                 util::Rng streams, never process-global state).
@@ -88,7 +88,7 @@ def outside(prefix):
 RULES = [
     Rule(
         "wall-clock",
-        "wall-clock reads outside src/obs/ (use util::SimClock)",
+        "wall-clock reads outside src/obs/ (use util::SimTime)",
         r"std::chrono::(system_clock|steady_clock|high_resolution_clock)"
         r"|\b(clock_gettime|gettimeofday|localtime|gmtime)\s*\("
         r"|\bstd::time\s*\(",
