@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/qp_assigner.h"
+
 namespace dive::baselines {
 
 namespace {
@@ -20,17 +22,15 @@ constexpr util::SimTime kSkipBacklog = util::from_millis(70.0);
 
 }  // namespace
 
-DdsScheme::DdsScheme(DdsConfig config, codec::EncoderConfig encoder_config,
+DdsScheme::DdsScheme(double fps, codec::EncoderConfig encoder_config,
                      std::shared_ptr<net::Uplink> uplink,
-                     const edge::ServerConfig& server_config,
+                     std::shared_ptr<edge::EdgeServer> server,
                      std::uint64_t seed)
-    : config_(config),
-      encoder_low_(encoder_config),
+    : encoder_low_(encoder_config),
       encoder_high_(encoder_config),
-      uplink_(std::move(uplink)),
-      server_low_(server_config, seed),
-      server_high_(server_config, seed + 1),
-      bandwidth_(config.bandwidth) {}
+      uplink_(std::move(uplink), fps),
+      server_low_(std::move(server)),
+      server_high_(server_low_->config(), seed + 1) {}
 
 core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
                                             util::SimTime capture_time) {
@@ -39,14 +39,13 @@ core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
   // Behind the camera: skip this frame and keep the stale result. The
   // encoders do not advance, so encoder and decoder references stay in
   // sync without an intra resync.
-  if (uplink_->busy_until() - capture_time > kSkipBacklog) {
+  if (uplink_.link().busy_until() - capture_time > kSkipBacklog) {
     outcome.detections = last_detections_;
     outcome.response_time = core::kAgentLatencies.local_track;
     return outcome;
   }
 
-  const double budget_rate = bandwidth_.target_bytes_per_sec(capture_time);
-  const double frame_budget = std::max(1.0, budget_rate / config_.fps);
+  const double frame_budget = uplink_.frame_budget(capture_time);
 
   // ---- Pass 1: whole frame, low quality ----
   const auto budget1 = static_cast<std::size_t>(
@@ -54,8 +53,7 @@ core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
   const codec::EncodedFrame pass1 =
       encoder_low_.encode_to_target(frame, budget1);
   const util::SimTime ready1 = capture_time + core::kAgentLatencies.encode;
-  const net::TransmitResult tx1 = uplink_->transmit_with_timeout(
-      static_cast<double>(pass1.bytes()), ready1);
+  const net::TransmitResult tx1 = uplink_.send(pass1.bytes(), ready1);
   if (!tx1.delivered) {
     // Outage: DDS has no local fallback; it reuses the stale result.
     encoder_low_.request_intra();
@@ -65,30 +63,16 @@ core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
         (tx1.gave_up_at - capture_time) + core::kAgentLatencies.local_track;
     return outcome;
   }
-  bandwidth_.add_transmission(static_cast<double>(pass1.bytes()), tx1.started,
-                              tx1.sent_complete);
   const edge::InferenceResult feedback =
-      server_low_.process(pass1.data, tx1.arrival);
+      server_low_->process(pass1.data, tx1.arrival);
   outcome.bytes_sent += pass1.bytes();
 
   // ---- Feedback -> pass 2 QP map ----
   const int mb_cols = frame.width() / codec::kMacroblockSize;
   const int mb_rows = frame.height() / codec::kMacroblockSize;
-  codec::QpOffsetMap offsets(mb_cols, mb_rows,
-                             static_cast<std::int8_t>(kPass2BackgroundDelta));
-  const double mb = codec::kMacroblockSize;
-  for (const auto& det : feedback.detections) {
-    const geom::Box roi{det.box.x0 - kRegionPaddingPx,
-                        det.box.y0 - kRegionPaddingPx,
-                        det.box.x1 + kRegionPaddingPx,
-                        det.box.y1 + kRegionPaddingPx};
-    const int c0 = std::max(0, static_cast<int>(roi.x0 / mb));
-    const int c1 = std::min(mb_cols - 1, static_cast<int>(roi.x1 / mb));
-    const int r0 = std::max(0, static_cast<int>(roi.y0 / mb));
-    const int r1 = std::min(mb_rows - 1, static_cast<int>(roi.y1 / mb));
-    for (int row = r0; row <= r1; ++row)
-      for (int col = c0; col <= c1; ++col) offsets.at(col, row) = 0;
-  }
+  const codec::QpOffsetMap offsets = core::QpAssigner::box_map(
+      feedback.detections, kRegionPaddingPx, kPass2BackgroundDelta, mb_cols,
+      mb_rows);
 
   // ---- Pass 2: high-quality regions, after the feedback lands ----
   const auto budget2 = static_cast<std::size_t>(
@@ -98,8 +82,7 @@ core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
   outcome.base_qp = pass2.base_qp;
   const util::SimTime ready2 =
       feedback.result_at_agent + core::kAgentLatencies.encode;
-  const net::TransmitResult tx2 = uplink_->transmit_with_timeout(
-      static_cast<double>(pass2.bytes()), ready2);
+  const net::TransmitResult tx2 = uplink_.send(pass2.bytes(), ready2);
   if (!tx2.delivered) {
     encoder_high_.request_intra();
     // Keep the pass-1 detections: better than nothing.
@@ -108,8 +91,6 @@ core::FrameOutcome DdsScheme::process_frame(const video::Frame& frame,
     outcome.response_time = feedback.result_at_agent - capture_time;
     return outcome;
   }
-  bandwidth_.add_transmission(static_cast<double>(pass2.bytes()), tx2.started,
-                              tx2.sent_complete);
   const edge::InferenceResult final_result =
       server_high_.process(pass2.data, tx2.arrival);
   outcome.bytes_sent += pass2.bytes();

@@ -18,33 +18,25 @@
 
 namespace dive::baselines {
 
-struct DdsConfig {
-  double fps = 12.0;
-  core::BandwidthEstimatorConfig bandwidth;
-};
-
 class DdsScheme final : public core::AnalyticsScheme {
  public:
   /// DDS keeps two streams (low-quality full video + high-quality
-  /// regions), hence two decoders on the server side; it owns both
-  /// servers to keep the decoder states private.
-  DdsScheme(DdsConfig config, codec::EncoderConfig encoder_config,
+  /// regions), hence two decoders on the server side: pass 1 runs on
+  /// `server`, pass 2 on a private server with the same config and
+  /// seed + 1, so the two decoder states never mix.
+  DdsScheme(double fps, codec::EncoderConfig encoder_config,
             std::shared_ptr<net::Uplink> uplink,
-            const edge::ServerConfig& server_config, std::uint64_t seed);
-
-  [[nodiscard]] const char* name() const override { return "DDS"; }
+            std::shared_ptr<edge::EdgeServer> server, std::uint64_t seed);
 
   core::FrameOutcome process_frame(const video::Frame& frame,
                              util::SimTime capture_time) override;
 
  private:
-  DdsConfig config_;
   codec::Encoder encoder_low_;
   codec::Encoder encoder_high_;
-  std::shared_ptr<net::Uplink> uplink_;
-  edge::EdgeServer server_low_;
+  core::AgentUplink uplink_;
+  std::shared_ptr<edge::EdgeServer> server_low_;
   edge::EdgeServer server_high_;
-  core::BandwidthEstimator bandwidth_;
   edge::DetectionList last_detections_;
 };
 

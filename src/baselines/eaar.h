@@ -12,13 +12,7 @@ namespace dive::baselines {
 
 class EaarScheme final : public KeyframeScheme {
  public:
-  EaarScheme(KeyframeSchemeConfig config, codec::EncoderConfig encoder_config,
-             std::shared_ptr<net::Uplink> uplink,
-             std::shared_ptr<edge::EdgeServer> server)
-      : KeyframeScheme(config, encoder_config, std::move(uplink),
-                       std::move(server)) {}
-
-  [[nodiscard]] const char* name() const override { return "EAAR"; }
+  using KeyframeScheme::KeyframeScheme;
 
  protected:
   codec::EncodedFrame encode_keyframe(const video::Frame& frame,

@@ -16,16 +16,14 @@ constexpr double kDiffTrigger = 20.0;
 
 }  // namespace
 
-KeyframeScheme::KeyframeScheme(KeyframeSchemeConfig config,
+KeyframeScheme::KeyframeScheme(double fps,
                                codec::EncoderConfig encoder_config,
                                std::shared_ptr<net::Uplink> uplink,
                                std::shared_ptr<edge::EdgeServer> server)
-    : config_(config),
-      encoder_(encoder_config),
+    : encoder_(encoder_config),
       tracker_searcher_(encoder_config.search),
-      uplink_(std::move(uplink)),
-      server_(std::move(server)),
-      bandwidth_(config.bandwidth) {}
+      uplink_(std::move(uplink), fps),
+      server_(std::move(server)) {}
 
 bool KeyframeScheme::is_keyframe(const video::Frame& frame) const {
   if (!has_keyframe_) return true;
@@ -80,28 +78,26 @@ core::FrameOutcome KeyframeScheme::process_frame(const video::Frame& frame,
     // Budget: the bandwidth accumulated since the previous key frame,
     // capped at what the head-of-line timeout can actually deliver (a
     // bigger key frame would be dropped mid-flight).
-    const double budget_rate = bandwidth_.target_bytes_per_sec(capture_time);
+    const double budget_rate = uplink_.target_bytes_per_sec(capture_time);
     const long spacing =
         has_keyframe_
             ? std::clamp(frame_index_ - last_keyframe_index_, 1L,
                          static_cast<long>(kKeyframeInterval))
             : kKeyframeInterval;
     const double spacing_budget =
-        budget_rate * static_cast<double>(spacing) / config_.fps;
+        budget_rate * static_cast<double>(spacing) / uplink_.fps();
     const double deliverable =
-        budget_rate * util::to_seconds(uplink_->config().head_timeout) * 0.7;
+        budget_rate * util::to_seconds(uplink_.link().config().head_timeout) *
+        0.7;
     const auto budget = static_cast<std::size_t>(
         std::max(1.0, std::min(spacing_budget, deliverable)));
     codec::EncodedFrame encoded = encode_keyframe(frame, budget);
     outcome.base_qp = encoded.base_qp;
 
     const util::SimTime ready = capture_time + core::kAgentLatencies.encode;
-    const net::TransmitResult tx = uplink_->transmit_with_timeout(
-        static_cast<double>(encoded.bytes()), ready);
+    const net::TransmitResult tx = uplink_.send(encoded.bytes(), ready);
     if (tx.delivered) {
       outcome.bytes_sent = encoded.bytes();
-      bandwidth_.add_transmission(static_cast<double>(encoded.bytes()),
-                                  tx.started, tx.sent_complete);
       edge::InferenceResult inference =
           server_->process(encoded.data, tx.arrival);
       PendingResult pr;

@@ -22,15 +22,9 @@
 
 namespace dive::baselines {
 
-struct KeyframeSchemeConfig {
-  double fps = 12.0;
-  core::BandwidthEstimatorConfig bandwidth;
-};
-
 class KeyframeScheme : public core::AnalyticsScheme {
  public:
-  KeyframeScheme(KeyframeSchemeConfig config,
-                 codec::EncoderConfig encoder_config,
+  KeyframeScheme(double fps, codec::EncoderConfig encoder_config,
                  std::shared_ptr<net::Uplink> uplink,
                  std::shared_ptr<edge::EdgeServer> server);
 
@@ -52,7 +46,6 @@ class KeyframeScheme : public core::AnalyticsScheme {
 
   codec::Encoder& encoder() { return encoder_; }
   [[nodiscard]] const edge::EdgeServer& server() const { return *server_; }
-  core::BandwidthEstimator& bandwidth() { return bandwidth_; }
   [[nodiscard]] const edge::DetectionList& last_keyframe_detections() const {
     return current_;
   }
@@ -67,12 +60,10 @@ class KeyframeScheme : public core::AnalyticsScheme {
   [[nodiscard]] bool is_keyframe(const video::Frame& frame) const;
   void adopt_ready_results(util::SimTime now);
 
-  KeyframeSchemeConfig config_;
   codec::Encoder encoder_;
   codec::MotionSearcher tracker_searcher_;
-  std::shared_ptr<net::Uplink> uplink_;
+  core::AgentUplink uplink_;
   std::shared_ptr<edge::EdgeServer> server_;
-  core::BandwidthEstimator bandwidth_;
   core::OfflineTracker tracker_;
 
   video::Frame previous_raw_;      ///< tracking + diff-trigger reference

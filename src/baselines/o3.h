@@ -13,8 +13,6 @@ class O3Scheme final : public KeyframeScheme {
  public:
   using KeyframeScheme::KeyframeScheme;
 
-  [[nodiscard]] const char* name() const override { return "O3"; }
-
  protected:
   codec::EncodedFrame encode_keyframe(const video::Frame& frame,
                                       std::size_t budget_bytes) override {

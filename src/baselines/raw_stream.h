@@ -14,33 +14,22 @@
 
 namespace dive::baselines {
 
-struct RawStreamConfig {
-  double fps = 12.0;
-  core::BandwidthEstimatorConfig bandwidth;
-};
-
 class RawStreamScheme final : public core::AnalyticsScheme {
  public:
-  RawStreamScheme(RawStreamConfig config, codec::EncoderConfig encoder_config,
+  RawStreamScheme(double fps, codec::EncoderConfig encoder_config,
                   std::shared_ptr<net::Uplink> uplink,
                   std::shared_ptr<edge::EdgeServer> server)
-      : config_(config),
-        encoder_(encoder_config),
-        uplink_(std::move(uplink)),
-        server_(std::move(server)),
-        bandwidth_(config.bandwidth) {}
-
-  [[nodiscard]] const char* name() const override { return "Uniform"; }
+      : encoder_(encoder_config),
+        uplink_(std::move(uplink), fps),
+        server_(std::move(server)) {}
 
   core::FrameOutcome process_frame(const video::Frame& frame,
                              util::SimTime capture_time) override;
 
  private:
-  RawStreamConfig config_;
   codec::Encoder encoder_;
-  std::shared_ptr<net::Uplink> uplink_;
+  core::AgentUplink uplink_;
   std::shared_ptr<edge::EdgeServer> server_;
-  core::BandwidthEstimator bandwidth_;
   edge::DetectionList last_detections_;
 };
 

@@ -1,7 +1,5 @@
 #include "core/agent.h"
 
-#include <algorithm>
-
 #include "obs/obs.h"
 
 namespace dive::core {
@@ -17,6 +15,15 @@ codec::EncoderConfig with_threads(codec::EncoderConfig ec, int threads) {
 
 }  // namespace
 
+roi::RoiMetadata roi_sidecar(const codec::EncodedFrame& encoded,
+                             const ForegroundResult& fg, int width,
+                             int height) {
+  roi::RoiMetadata meta = roi::from_encoded(encoded, width, height);
+  for (const auto& region : fg.regions)
+    roi::add_region(meta, region.hull, region.mean_mv);
+  return meta;
+}
+
 DiveAgent::DiveAgent(DiveConfig config, codec::EncoderConfig encoder_config,
                      geom::PinholeCamera camera,
                      std::shared_ptr<net::Uplink> uplink,
@@ -24,16 +31,15 @@ DiveAgent::DiveAgent(DiveConfig config, codec::EncoderConfig encoder_config,
     : config_(config),
       encoder_(with_threads(encoder_config, config.encode_threads)),
       camera_(camera),
-      uplink_(std::move(uplink)),
+      uplink_(std::move(uplink), config.fps),
       server_(std::move(server)),
       preprocessor_(config.preprocess, config.seed),
       extractor_(config.foreground),
       qp_assigner_(config.qp),
-      bandwidth_(config.bandwidth),
       gate_(roi::RoiGateConfig{}, server_.get()) {
   if (config_.obs != nullptr) {
     encoder_.set_obs(config_.obs);
-    uplink_->set_obs(config_.obs);
+    uplink_.link().set_obs(config_.obs);
     server_->set_obs(config_.obs);
   }
 }
@@ -92,9 +98,8 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
     last_delta_ = qp_assigner_.background_delta(last_fg_, mb_cols, mb_rows);
     span.arg("bg_delta", last_delta_);
   }
-  const double budget_rate = bandwidth_.target_bytes_per_sec(capture_time);
   const auto target_bytes =
-      static_cast<std::size_t>(std::max(1.0, budget_rate / config_.fps));
+      static_cast<std::size_t>(uplink_.frame_budget(capture_time));
 
   if (need_resync_) {
     encoder_.request_intra();
@@ -121,9 +126,7 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
   std::vector<std::uint8_t> sidecar;
   if (config_.roi_metadata) {
     DIVE_OBS_SPAN(span, obs, "agent.roi_metadata", obs::kTrackAgent);
-    meta = roi::from_encoded(encoded, frame.width(), frame.height());
-    for (const auto& region : last_fg_.regions)
-      roi::add_region(meta, region.hull, region.mean_mv);
+    meta = roi_sidecar(encoded, last_fg_, frame.width(), frame.height());
     sidecar = meta.serialize();
     span.arg("bytes", static_cast<long long>(sidecar.size()));
   }
@@ -156,16 +159,13 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
   net::TransmitResult tx;
   {
     DIVE_OBS_SPAN(span, obs, "agent.transmit", obs::kTrackAgent);
-    tx = uplink_->transmit_with_timeout(static_cast<double>(upload_bytes),
-                                        ready, &trace_ctx);
+    tx = uplink_.send(upload_bytes, ready, &trace_ctx);
     span.arg("delivered", tx.delivered ? 1 : 0);
   }
   if (tx.delivered) {
     need_resync_ = false;
     outcome.bytes_sent = upload_bytes;
     outcome.offloaded = true;
-    bandwidth_.add_transmission(static_cast<double>(upload_bytes),
-                                tx.started, tx.sent_complete);
     edge::InferenceResult inference;
     roi::GatePlan plan;  // set only on the metadata lane
     {

@@ -33,7 +33,6 @@ struct DiveConfig {
   PreprocessConfig preprocess;
   ForegroundExtractorConfig foreground;
   QpAssignerConfig qp;
-  BandwidthEstimatorConfig bandwidth;
   double fps = 12.0;
   bool enable_offline_tracking = true;  ///< Fig. 13 ablation switch
   /// Ship the compressed-domain RoI sidecar (MV field + SKIP flags +
@@ -57,6 +56,12 @@ struct DiveConfig {
   obs::ObsContext* obs = nullptr;
 };
 
+/// The compressed-domain RoI sidecar of one encoded frame: the codec's
+/// free metadata (coded MV field + SKIP flags) plus the FE hulls.
+[[nodiscard]] roi::RoiMetadata roi_sidecar(const codec::EncodedFrame& encoded,
+                                           const ForegroundResult& fg,
+                                           int width, int height);
+
 class DiveAgent final : public AnalyticsScheme {
  public:
   /// The agent owns its encoder; uplink and server are shared with the
@@ -64,8 +69,6 @@ class DiveAgent final : public AnalyticsScheme {
   DiveAgent(DiveConfig config, codec::EncoderConfig encoder_config,
             geom::PinholeCamera camera, std::shared_ptr<net::Uplink> uplink,
             std::shared_ptr<edge::EdgeServer> server);
-
-  [[nodiscard]] const char* name() const override { return "DiVE"; }
 
   FrameOutcome process_frame(const video::Frame& frame,
                              util::SimTime capture_time) override;
@@ -86,13 +89,12 @@ class DiveAgent final : public AnalyticsScheme {
   DiveConfig config_;
   codec::Encoder encoder_;
   geom::PinholeCamera camera_;
-  std::shared_ptr<net::Uplink> uplink_;
+  AgentUplink uplink_;
   std::shared_ptr<edge::EdgeServer> server_;
 
   Preprocessor preprocessor_;
   ForegroundExtractor extractor_;
   QpAssigner qp_assigner_;
-  BandwidthEstimator bandwidth_;
   OfflineTracker tracker_;
   roi::RoiGate gate_;  ///< wraps server_; used only with roi_metadata
 

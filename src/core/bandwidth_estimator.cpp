@@ -38,4 +38,18 @@ double BandwidthEstimator::estimate(util::SimTime now) const {
   return weighted / weight;
 }
 
+double AgentUplink::frame_budget(util::SimTime now) const {
+  return std::max(1.0, estimator_.target_bytes_per_sec(now) / fps_);
+}
+
+net::TransmitResult AgentUplink::send(std::size_t bytes, util::SimTime ready,
+                                      const obs::FrameTraceContext* trace) {
+  const net::TransmitResult tx =
+      link_->transmit_with_timeout(static_cast<double>(bytes), ready, trace);
+  if (tx.delivered)
+    estimator_.add_transmission(static_cast<double>(bytes), tx.started,
+                                tx.sent_complete);
+  return tx;
+}
+
 }  // namespace dive::core

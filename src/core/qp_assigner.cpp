@@ -39,6 +39,25 @@ std::vector<bool> QpAssigner::foreground_mask(const ForegroundResult& fg,
   return mask;
 }
 
+codec::QpOffsetMap QpAssigner::box_map(const edge::DetectionList& boxes,
+                                       double pad_px, int background_delta,
+                                       int mb_cols, int mb_rows) {
+  codec::QpOffsetMap map(mb_cols, mb_rows,
+                         static_cast<std::int8_t>(background_delta));
+  const double mb = codec::kMacroblockSize;
+  for (const auto& det : boxes) {
+    const geom::Box roi{det.box.x0 - pad_px, det.box.y0 - pad_px,
+                        det.box.x1 + pad_px, det.box.y1 + pad_px};
+    const int c0 = std::max(0, static_cast<int>(roi.x0 / mb));
+    const int c1 = std::min(mb_cols - 1, static_cast<int>(roi.x1 / mb));
+    const int r0 = std::max(0, static_cast<int>(roi.y0 / mb));
+    const int r1 = std::min(mb_rows - 1, static_cast<int>(roi.y1 / mb));
+    for (int row = r0; row <= r1; ++row)
+      for (int col = c0; col <= c1; ++col) map.at(col, row) = 0;
+  }
+  return map;
+}
+
 int QpAssigner::delta_from_mask(const ForegroundResult& fg,
                                 const std::vector<bool>& mask) const {
   if (config_.fixed_delta >= 0) return config_.fixed_delta;

@@ -9,6 +9,7 @@
 
 #include "codec/types.h"
 #include "core/foreground_extractor.h"
+#include "edge/detection.h"
 
 namespace dive::core {
 
@@ -31,6 +32,13 @@ class QpAssigner {
   /// (true = foreground).
   [[nodiscard]] static std::vector<bool> foreground_mask(
       const ForegroundResult& fg, int mb_cols, int mb_rows);
+
+  /// Offset map of the box-driven baselines (DDS feedback regions, EAAR
+  /// cached detections): `background_delta` everywhere except the
+  /// macroblocks under each box inflated by `pad_px`, which get 0.
+  [[nodiscard]] static codec::QpOffsetMap box_map(
+      const edge::DetectionList& boxes, double pad_px, int background_delta,
+      int mb_cols, int mb_rows);
 
   /// The background delta for a given foreground extraction result; the
   /// adaptive rule uses the *union* area of the extracted foreground.

@@ -29,8 +29,6 @@ class AnalyticsScheme {
  public:
   virtual ~AnalyticsScheme() = default;
 
-  [[nodiscard]] virtual const char* name() const = 0;
-
   /// Processes the frame captured at `capture_time` and returns the
   /// detections the agent ends up holding for it.
   virtual FrameOutcome process_frame(const video::Frame& frame,

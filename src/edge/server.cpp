@@ -7,9 +7,7 @@ namespace dive::edge {
 InferenceResult EdgeServer::process(std::span<const std::uint8_t> data,
                                     util::SimTime arrival) {
   InferenceResult result;
-  codec::DecodedFrame decoded = decoder_.decode(data);
-  result.decoded = std::move(decoded.frame);
-  result.detections = detector_.detect(result.decoded);
+  result.detections = detector_.detect(decoder_.decode(data).frame);
 
   const util::SimTime jitter = inference_jitter(processed_++);
   result.result_at_agent = arrival + config_.decode_latency +

@@ -39,7 +39,6 @@ struct ServerConfig {
 /// Outcome of processing one uploaded frame.
 struct InferenceResult {
   DetectionList detections;
-  video::Frame decoded;
   util::SimTime result_at_agent = 0;  ///< when the agent holds the answer
 };
 
@@ -81,7 +80,6 @@ class EdgeServer {
     return detector_.detect(frame);
   }
 
-  [[nodiscard]] const ChromaDetector& detector() const { return detector_; }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
   [[nodiscard]] bool has_reference() const { return decoder_.has_reference(); }
   /// Frames consumed through process() (decode_and_detect not counted;

@@ -61,8 +61,8 @@ std::unique_ptr<core::AnalyticsScheme> make_scheme(
   auto uplink = std::make_shared<net::Uplink>(
       network.make_trace(clip_duration_s, options.seed), uplink_cfg);
 
-  const edge::ServerConfig server_cfg;
-  auto server = std::make_shared<edge::EdgeServer>(server_cfg, options.seed);
+  auto server =
+      std::make_shared<edge::EdgeServer>(edge::ServerConfig{}, options.seed);
   const codec::EncoderConfig enc_cfg = encoder_config_for(clip, options);
 
   switch (kind) {
@@ -77,30 +77,18 @@ std::unique_ptr<core::AnalyticsScheme> make_scheme(
       return std::make_unique<core::DiveAgent>(cfg, enc_cfg, clip.camera,
                                                uplink, server);
     }
-    case SchemeKind::kO3: {
-      baselines::KeyframeSchemeConfig cfg;
-      cfg.fps = clip.fps;
-      return std::make_unique<baselines::O3Scheme>(cfg, enc_cfg, uplink,
+    case SchemeKind::kO3:
+      return std::make_unique<baselines::O3Scheme>(clip.fps, enc_cfg, uplink,
                                                    server);
-    }
-    case SchemeKind::kEaar: {
-      baselines::KeyframeSchemeConfig cfg;
-      cfg.fps = clip.fps;
-      return std::make_unique<baselines::EaarScheme>(cfg, enc_cfg, uplink,
-                                                     server);
-    }
-    case SchemeKind::kDds: {
-      baselines::DdsConfig cfg;
-      cfg.fps = clip.fps;
-      return std::make_unique<baselines::DdsScheme>(cfg, enc_cfg, uplink,
-                                                    server_cfg, options.seed);
-    }
-    case SchemeKind::kUniform: {
-      baselines::RawStreamConfig cfg;
-      cfg.fps = clip.fps;
-      return std::make_unique<baselines::RawStreamScheme>(cfg, enc_cfg, uplink,
-                                                          server);
-    }
+    case SchemeKind::kEaar:
+      return std::make_unique<baselines::EaarScheme>(clip.fps, enc_cfg,
+                                                     uplink, server);
+    case SchemeKind::kDds:
+      return std::make_unique<baselines::DdsScheme>(clip.fps, enc_cfg, uplink,
+                                                    server, options.seed);
+    case SchemeKind::kUniform:
+      return std::make_unique<baselines::RawStreamScheme>(clip.fps, enc_cfg,
+                                                          uplink, server);
   }
   return nullptr;
 }

@@ -1,6 +1,7 @@
 // Scenario fuzzer: sweeps {hostile condition} x {motion state} x
-// {bandwidth trace} seed tuples through the full agent -> uplink -> serve
-// path and asserts per-condition accuracy / response-time envelopes
+// {bandwidth trace} seed tuples through harness::run_experiment (one
+// agent, its uplink and a private EdgeServer; no serve node) and asserts
+// per-condition accuracy / response-time envelopes
 // (DESIGN.md §16). Every case is a deterministic function of its seed
 // tuple, so a failing case is reproducible from its one-line repro string
 // and a regression in any condition is visible per PR via the

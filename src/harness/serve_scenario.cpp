@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "codec/encoder.h"
+#include "core/agent.h"
 #include "core/foreground_extractor.h"
 #include "core/offline_tracker.h"
 #include "core/preprocess.h"
@@ -13,7 +14,6 @@
 #include "edge/evaluator.h"
 #include "harness/experiment.h"
 #include "net/bandwidth.h"
-#include "roi/metadata.h"
 #include "util/rng.h"
 
 namespace dive::harness {
@@ -204,11 +204,8 @@ ServeScenarioResult run_serve_scenario(const ServeScenarioOptions& options) {
             agent.preprocessor->run(motion, agent.clip->camera);
         const core::ForegroundResult fg =
             agent.extractor.extract(pre, agent.clip->camera);
-        roi::RoiMetadata meta =
-            roi::from_encoded(encoded, options.width, options.height);
-        for (const auto& region : fg.regions)
-          roi::add_region(meta, region.hull, region.mean_mv);
-        sidecar = meta.serialize();
+        sidecar = core::roi_sidecar(encoded, fg, options.width, options.height)
+                      .serialize();
         total_sidecar_bytes += static_cast<long>(sidecar.size());
       }
 

@@ -287,11 +287,6 @@ GatedDetections RoiGate::infer(const video::Frame& frame,
   // carried copy; unclaimed boxes survive with decayed confidence.
   // Claiming is one-to-one — a single fresh box over two close objects
   // must not absorb both carried copies, or the second object vanishes.
-  const auto iou = [](const geom::Box& a, const geom::Box& b) {
-    const double inter = a.intersect(b).area();
-    const double uni = a.area() + b.area() - inter;
-    return uni > 0.0 ? inter / uni : 0.0;
-  };
   std::vector<bool> fresh_used(static_cast<std::size_t>(out.fresh), false);
   for (auto& det : shifted) {
     if (det.confidence < kPropagateMinConfidence) continue;
@@ -300,8 +295,8 @@ GatedDetections RoiGate::infer(const video::Frame& frame,
     for (int i = 0; i < out.fresh; ++i) {
       if (fresh_used[static_cast<std::size_t>(i)]) continue;
       if (merged[static_cast<std::size_t>(i)].cls != det.cls) continue;
-      const double overlap = iou(merged[static_cast<std::size_t>(i)].box,
-                                 det.box);
+      const double overlap =
+          geom::iou(merged[static_cast<std::size_t>(i)].box, det.box);
       if (overlap >= best_iou) {
         best = i;
         best_iou = overlap;
@@ -333,7 +328,7 @@ edge::InferenceResult RoiGate::process(std::span<const std::uint8_t> data,
                                        const RoiMetadata* meta,
                                        util::SimTime arrival,
                                        GatePlan* plan_out) {
-  codec::DecodedFrame decoded = server_->decode(data);
+  const codec::DecodedFrame decoded = server_->decode(data);
   GatePlan p = plan(meta, decoded.frame.width(), decoded.frame.height());
   GatedDetections gated = infer(decoded.frame, meta, p);
 
@@ -343,7 +338,6 @@ edge::InferenceResult RoiGate::process(std::span<const std::uint8_t> data,
   const util::SimTime jitter = server_->take_jitter();
 
   edge::InferenceResult result;
-  result.decoded = std::move(decoded.frame);
   result.detections = std::move(gated.detections);
   result.result_at_agent =
       arrival + sc.decode_latency + inference + jitter + sc.downlink_delay;

@@ -47,7 +47,6 @@ class ServeMetrics {
   /// Per-session counters, growing the table on first touch.
   SessionCounters& session(std::uint32_t id);
   [[nodiscard]] const SessionCounters& session(std::uint32_t id) const;
-  [[nodiscard]] std::size_t sessions() const { return per_session_.size(); }
 
   /// Everything merged across sessions.
   [[nodiscard]] SessionCounters aggregate() const;

@@ -48,15 +48,6 @@ int Scheduler::earliest_worker() const {
   return best;
 }
 
-util::SimTime Scheduler::batch_service_time(std::size_t n) const {
-  if (n == 0) return 0;
-  const auto amortized = static_cast<util::SimTime>(std::llround(
-      static_cast<double>(n - 1) * config_.batch_marginal *
-      static_cast<double>(inference_latency_)));
-  return static_cast<util::SimTime>(n) * decode_latency_ +
-         inference_latency_ + amortized;
-}
-
 util::SimTime Scheduler::batch_service_time_for(
     const std::vector<ScheduledJob>& jobs) const {
   if (jobs.empty()) return 0;
@@ -67,7 +58,8 @@ util::SimTime Scheduler::batch_service_time_for(
     total_work += job.work;
   }
   // max_work leads a full (scaled) pass; the rest amortizes at its own
-  // fraction. All-1 work reduces integer-exactly to batch_service_time(n):
+  // fraction. All-1 work reduces integer-exactly to the full-frame
+  // formula n * decode + L + llround((n - 1) * marginal * L):
   // llround(1.0 * L) == L and total - max == n - 1 exactly.
   const auto lead = static_cast<util::SimTime>(
       std::llround(max_work * static_cast<double>(inference_latency_)));

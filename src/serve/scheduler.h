@@ -101,16 +101,12 @@ class Scheduler {
   /// across the pool at the amortized batch rate.
   [[nodiscard]] util::SimTime estimated_completion(util::SimTime arrival) const;
 
-  /// Worker time a batch of n full-frame (work == 1) jobs consumes.
-  [[nodiscard]] util::SimTime batch_service_time(std::size_t n) const;
-
   /// Worker time for a concrete job set, honoring per-job work
-  /// fractions. Equals batch_service_time(jobs.size()) when every job
-  /// has work == 1.
+  /// fractions (the RoI-gated formula above; with every work == 1 it is
+  /// the full-frame batch formula).
   [[nodiscard]] util::SimTime batch_service_time_for(
       const std::vector<ScheduledJob>& jobs) const;
 
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
   [[nodiscard]] const SchedulerConfig& config() const { return config_; }
 
  private:

@@ -26,7 +26,6 @@ TEST(EdgeServer, DecodesAndDetects) {
   const auto result = server.process(encoded.data, util::from_seconds(1));
   ASSERT_EQ(result.detections.size(), 1u);
   EXPECT_EQ(result.detections[0].cls, video::ObjectClass::kCar);
-  EXPECT_EQ(result.decoded.width(), 128);
 }
 
 TEST(EdgeServer, ResultTimeIncludesLatencies) {

@@ -98,7 +98,7 @@ TEST(MakeScheme, AppliesOptions) {
   opts.fixed_delta = 10;
   auto scheme = make_scheme(SchemeKind::kDive, opts, net, clips[0], 2.0);
   ASSERT_NE(scheme, nullptr);
-  EXPECT_STREQ(scheme->name(), "DiVE");
+  EXPECT_NE(dynamic_cast<core::DiveAgent*>(scheme.get()), nullptr);
 }
 
 TEST(SchemeNames, Stable) {

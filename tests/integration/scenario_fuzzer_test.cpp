@@ -1,6 +1,7 @@
 // Scenario fuzzer: sweeps hostile conditions x motion states x bandwidth
-// traces through the full agent -> uplink -> serve path and asserts the
-// per-condition accuracy / response-time envelopes hold (DESIGN.md §16).
+// traces through harness::run_experiment (one agent, its uplink and a
+// private EdgeServer; no serve node) and asserts the per-condition
+// accuracy / response-time envelopes hold (DESIGN.md §16).
 // The ctest sweep is a reduced-frame version of bench_scenarios; a failing
 // case is reproducible from its repro_line().
 #include <gtest/gtest.h>
