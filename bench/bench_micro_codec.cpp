@@ -1,7 +1,7 @@
 // Microbenchmarks of the codec substrate (google-benchmark): transform,
 // quantization and SAD kernels (scalar vs. SIMD dispatch), the five
 // motion-search methods, bit I/O, block emission, and full frame
-// encode/decode.
+// encode/decode (synthetic frames and a rendered RobotCar-like clip).
 //
 // Besides the google-benchmark suite, main() emits four machine-readable
 // records (bench_record.h, schema-checked in CI):
@@ -35,6 +35,7 @@
 #include "codec/quant.h"
 #include "codec/ref_planes.h"
 #include "codec/sad_kernels.h"
+#include "data/dataset.h"
 #include "video/sse_kernels.h"
 #include "obs/obs.h"
 #include "util/rng.h"
@@ -304,8 +305,50 @@ BENCHMARK(BM_EncodeToTarget);
 // Arg(0) decodes an intra frame; Arg(1) an inter frame of a panning
 // scene, which pays decoder motion compensation (and the per-call
 // reference planes) on top of the residual path.
+/// A rendered 512x384 RobotCar-like clip encoded as robotcar_t1 sends
+/// it, 2 Mbps at the clip's frame rate: frame 0 intra, the rest inter.
+const std::vector<codec::EncodedFrame>& rendered_stream() {
+  static const std::vector<codec::EncodedFrame> stream = [] {
+    const data::DatasetSpec spec = data::robotcar_like(1, 8);
+    const data::Clip clip = data::generate_clip(spec, 0);
+    codec::Encoder enc(
+        {.width = spec.width, .height = spec.height, .threads = 1});
+    const auto target = static_cast<std::size_t>(2e6 / 8 / spec.fps);
+    std::vector<codec::EncodedFrame> out;
+    for (const auto& rec : clip.frames)
+      out.push_back(enc.encode_to_target(rec.image, target));
+    return out;
+  }();
+  return stream;
+}
+
+// Arg 0/1: one 256x128 synthetic intra / inter frame. Arg 2/3: the
+// rendered clip's intra frame / each of its inter frames (items are
+// frames).
 void BM_Decode(benchmark::State& state) {
-  const bool decode_inter = state.range(0) != 0;
+  const int mode = static_cast<int>(state.range(0));
+  if (mode >= 2) {
+    const auto& stream = rendered_stream();
+    const bool decode_inter = mode == 3;
+    for (auto _ : state) {
+      codec::Decoder dec;
+      if (decode_inter) {
+        state.PauseTiming();
+        (void)dec.decode(stream[0].data);
+        state.ResumeTiming();
+        for (std::size_t i = 1; i < stream.size(); ++i)
+          benchmark::DoNotOptimize(dec.decode(stream[i].data));
+      } else {
+        benchmark::DoNotOptimize(dec.decode(stream[0].data));
+      }
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(decode_inter ? stream.size() - 1 : 1));
+    state.SetLabel(decode_inter ? "rendered inter" : "rendered intra");
+    return;
+  }
+  const bool decode_inter = mode != 0;
   codec::Encoder enc({.width = 256, .height = 128});
   const auto intra = enc.encode(decode_inter ? driving_frame(256, 128, 0)
                                              : textured_frame(256, 128, 11),
@@ -326,7 +369,7 @@ void BM_Decode(benchmark::State& state) {
   }
   state.SetLabel(decode_inter ? "inter" : "intra");
 }
-BENCHMARK(BM_Decode)->Arg(0)->Arg(1);
+BENCHMARK(BM_Decode)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // One real inter frame's symbol stream (the fast pan BM_EncodeHme codes,
 // at QP 22), recorded by parsing its bytes with the frame syntax, so the

@@ -1,13 +1,18 @@
 // Microbenchmarks of DiVE's per-frame analytics pipeline: preprocessing,
 // ground estimation, clustering, QP-map construction, offline tracking,
 // and AP evaluation. These are the costs that must stay small on a
-// resource-constrained agent.
+// resource-constrained agent. BM_Detect times the edge's chroma detector
+// on a rendered frame, raw (the ground-truth pass) and decoded.
 #include <benchmark/benchmark.h>
 
+#include "codec/decoder.h"
+#include "codec/encoder.h"
 #include "core/foreground_extractor.h"
 #include "core/offline_tracker.h"
 #include "core/preprocess.h"
 #include "core/qp_assigner.h"
+#include "data/dataset.h"
+#include "edge/detector.h"
 #include "edge/evaluator.h"
 
 namespace {
@@ -101,6 +106,27 @@ void BM_ApEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApEvaluation);
+
+// The detector on frame 4 of a rendered 512x384 RobotCar-like clip:
+// Arg 0 the raw frame, Arg 1 that frame after a 2 Mbps encode/decode.
+void BM_Detect(benchmark::State& state) {
+  const bool decoded = state.range(0) != 0;
+  const data::DatasetSpec spec = data::robotcar_like(1, 5);
+  const data::Clip clip = data::generate_clip(spec, 0);
+  video::Frame frame = clip.frames.back().image;
+  if (decoded) {
+    codec::Encoder enc(
+        {.width = spec.width, .height = spec.height, .threads = 1});
+    codec::Decoder dec;
+    const auto target = static_cast<std::size_t>(2e6 / 8 / spec.fps);
+    for (const auto& rec : clip.frames)
+      frame = dec.decode(enc.encode_to_target(rec.image, target).data).frame;
+  }
+  const edge::ChromaDetector detector;
+  for (auto _ : state) benchmark::DoNotOptimize(detector.detect(frame));
+  state.SetLabel(decoded ? "decoded" : "raw");
+}
+BENCHMARK(BM_Detect)->Arg(0)->Arg(1);
 
 }  // namespace
 

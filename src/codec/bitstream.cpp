@@ -88,7 +88,7 @@ void BitReader::refill() {
   }
 }
 
-bool BitReader::get_bit() {
+bool BitReader::get_bit_slow() {
   if (cache_bits_ == 0) refill();
   if (cache_bits_ == 0)
     throw BitstreamError("BitReader: read past end of stream");
@@ -97,7 +97,7 @@ bool BitReader::get_bit() {
   return bit;
 }
 
-std::uint32_t BitReader::get_bits(int count) {
+std::uint32_t BitReader::get_bits_slow(int count) {
   check_count(count, "BitReader::get_bits: count outside [0, 32]");
   if (count == 0) return 0;
   if (cache_bits_ < count) refill();
@@ -108,7 +108,7 @@ std::uint32_t BitReader::get_bits(int count) {
   return v;
 }
 
-std::uint32_t BitReader::get_ue() {
+std::uint32_t BitReader::get_ue_slow() {
   // After a refill the cache holds at least 56 bits or the rest of the
   // stream, so the 33-bit prefix window is either fully visible or runs
   // into the end.
@@ -139,14 +139,13 @@ std::uint32_t BitReader::get_ue() {
   return static_cast<std::uint32_t>(code - 1);
 }
 
-std::int32_t BitReader::get_se() {
-  const std::uint32_t mapped = get_ue();
-  // mapped == UINT32_MAX would wrap (mapped + 1) to 0 below; the signed
-  // domain tops out one code earlier, so reject it as malformed.
+std::int32_t BitReader::get_se_slow() {
+  const std::uint32_t mapped = get_ue_slow();
+  // mapped == UINT32_MAX would wrap (mapped + 1) to 0 in se_from_ue; the
+  // signed domain tops out one code earlier, so reject it as malformed.
   if (mapped == 0xFFFFFFFFU)
     throw BitstreamError("BitReader: se code out of range");
-  if (mapped % 2 == 1) return static_cast<std::int32_t>((mapped + 1) / 2);
-  return -static_cast<std::int32_t>(mapped / 2);
+  return se_from_ue(mapped);
 }
 
 }  // namespace dive::codec

@@ -95,11 +95,39 @@ class BitReader {
  public:
   explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  bool get_bit();
+  // The common case of each read is inline: the cache already holds the
+  // bits (and, for Exp-Golomb codes, a prefix of under 16 zeros with more
+  // than 32 bits cached). Everything else — refills, the end of the
+  // stream, long codes and every BitstreamError — is the out-of-line slow
+  // path, which returns exactly what the whole read did before.
+
+  bool get_bit() {
+    if (cache_bits_ == 0) [[unlikely]]
+      return get_bit_slow();
+    const bool bit = (cache_ >> 63) != 0;
+    consume(1);
+    return bit;
+  }
   /// Throws std::invalid_argument unless 0 <= count <= 32.
-  std::uint32_t get_bits(int count);
-  std::uint32_t get_ue();
-  std::int32_t get_se();
+  std::uint32_t get_bits(int count) {
+    if (count <= 0 || count > 32 || count > cache_bits_) [[unlikely]]
+      return get_bits_slow(count);
+    const auto v = static_cast<std::uint32_t>(cache_ >> (64 - count));
+    consume(count);
+    return v;
+  }
+  std::uint32_t get_ue() {
+    std::uint32_t value = 0;
+    if (!short_ue(value)) [[unlikely]]
+      return get_ue_slow();
+    return value;
+  }
+  std::int32_t get_se() {
+    std::uint32_t mapped = 0;
+    if (!short_ue(mapped)) [[unlikely]]
+      return get_se_slow();
+    return se_from_ue(mapped);
+  }
 
   [[nodiscard]] bool exhausted() const {
     return bits_consumed() >= data_.size() * 8;
@@ -109,6 +137,28 @@ class BitReader {
   }
 
  private:
+  /// Reads a ue code of at most 31 bits straight from a cache holding
+  /// more than 32 bits; false (nothing consumed) when that does not apply.
+  bool short_ue(std::uint32_t& value) {
+    if (cache_bits_ <= 32) return false;
+    const int zeros = std::countl_zero(cache_);
+    if (zeros >= 16) return false;
+    const int length = 2 * zeros + 1;
+    value = static_cast<std::uint32_t>(cache_ >> (64 - length)) - 1;
+    consume(length);
+    return true;
+  }
+  /// Zigzag inverse of se_to_ue; `mapped` < UINT32_MAX.
+  static std::int32_t se_from_ue(std::uint32_t mapped) {
+    if (mapped % 2 == 1) return static_cast<std::int32_t>((mapped + 1) / 2);
+    return -static_cast<std::int32_t>(mapped / 2);
+  }
+
+  bool get_bit_slow();
+  std::uint32_t get_bits_slow(int count);
+  std::uint32_t get_ue_slow();
+  std::int32_t get_se_slow();
+
   /// Tops the cache up to at least 56 bits, or to the end of the stream.
   void refill();
   /// Drops `count` (< 64) bits from the top of the cache.

@@ -5,7 +5,7 @@
 
 #include "codec/bitstream.h"
 #include "codec/block_io.h"
-#include "codec/ref_planes.h"
+#include "codec/block_pixels.h"
 #include "codec/reconstruct.h"
 
 namespace dive::codec {
@@ -24,18 +24,7 @@ DecodedFrame Decoder::decode(std::span<const std::uint8_t> data) {
   const int width = out.frame.width();
   const int height = out.frame.height();
 
-  // Reference planes are scratch of this call, never decoder state. Any
-  // pad of at least one macroblock reads every vector exactly (the
-  // origin clamp covers the rest), so the decoder takes the smallest.
-  std::optional<RefPlanes> ref_y, ref_u, ref_v;
-  if (h.type == FrameType::kInter) {
-    ref_y.emplace(reference_.y, kMacroblockSize);
-    ref_u.emplace(reference_.u, kMacroblockSize);
-    ref_v.emplace(reference_.v, kMacroblockSize);
-  }
-
-  std::array<Block8x8, kBlocksPerMb> preds;
-  std::array<QuantBlock, kBlocksPerMb> levels;
+  QuantBlock levels;
   int prev_qp = h.base_qp;
 
   for (int row = 0; row < h.mb_rows; ++row) {
@@ -59,8 +48,8 @@ DecodedFrame Decoder::decode(std::span<const std::uint8_t> data) {
               static_cast<std::int64_t>(pred_mv.dy) + br.get_se();
           // Half-pel units: no real vector points further than one full
           // frame away. Keeps the block-origin math far from int
-          // overflow; RefPlanes clamps the origin of anything past its
-          // pad.
+          // overflow; mc_predict_u8 clamps the reads of anything past
+          // the plane.
           if (dx64 < -2 * width || dx64 > 2 * width || dy64 < -2 * height ||
               dy64 > 2 * height)
             throw BitstreamError("Decoder: implausible motion vector");
@@ -75,12 +64,28 @@ DecodedFrame Decoder::decode(std::span<const std::uint8_t> data) {
           cbp = static_cast<int>(br.get_bits(6));
         }
         out.motion.at(col, row) = mv;
-        for (int b = 0; b < kBlocksPerMb; ++b)
-          if ((cbp & (1 << b)) != 0)
-            read_block(br, levels[static_cast<std::size_t>(b)]);
-        predict_inter_mb(*ref_y, *ref_u, *ref_v, col, row, mv, preds.data());
-        reconstruct_inter_mb(out.frame, col, row, preds.data(),
-                             levels.data(), cbp, qp);
+        // Each block is predicted on demand from the reference frame
+        // itself (no padded half-pel planes are built). An uncoded block
+        // is its prediction, written straight into the output; a coded
+        // one adds its residual.
+        const auto blocks = mb_blocks(col, row);
+        for (int b = 0; b < kBlocksPerMb; ++b) {
+          const MbBlock& blk = blocks[static_cast<std::size_t>(b)];
+          video::Plane& dst = plane_of(out.frame, blk.plane);
+          const video::Plane& ref = plane_of(reference_, blk.plane);
+          const MotionVector bmv = blk.plane == 0 ? mv : chroma_mv(mv);
+          if ((cbp & (1 << b)) == 0) {
+            mc_predict_u8(ref, blk.bx, blk.by, bmv, &dst.at(blk.bx, blk.by),
+                          dst.width);
+            continue;
+          }
+          read_block(br, levels);
+          std::array<std::uint8_t, kBlockSize * kBlockSize> px;
+          mc_predict_u8(ref, blk.bx, blk.by, bmv, px.data(), kBlockSize);
+          Block8x8 pred;
+          load_block_u8(px.data(), kBlockSize, pred);
+          reconstruct_block(dst, blk.bx, blk.by, pred, &levels, qp);
+        }
       } else {
         const std::int64_t qp64 =
             static_cast<std::int64_t>(prev_qp) + br.get_se();
@@ -95,9 +100,9 @@ DecodedFrame Decoder::decode(std::span<const std::uint8_t> data) {
           video::Plane& dst = plane_of(out.frame, blk.plane);
           const Block8x8 pred = dc_predict(dst, blk.bx, blk.by);
           const bool coded = br.get_bit();
-          if (coded) read_block(br, levels[0]);
+          if (coded) read_block(br, levels);
           reconstruct_block(dst, blk.bx, blk.by, pred,
-                            coded ? &levels[0] : nullptr, qp);
+                            coded ? &levels : nullptr, qp);
         }
       }
     }

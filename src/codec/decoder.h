@@ -1,6 +1,8 @@
 // Block video decoder — the edge server's half of the codec. Maintains its
 // own reference frame; decoding a stream produced by Encoder reproduces
 // the encoder's reconstruction exactly (asserted by round-trip tests).
+// Inter blocks are predicted on demand from that reference
+// (mc_predict_u8), so a decode call builds no padded reference planes.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +19,8 @@ struct DecodedFrame {
   video::Frame frame;
   FrameType type = FrameType::kIntra;
   int base_qp = 0;
-  /// Motion field parsed from the stream (inter frames; skip MBs read as
-  /// zero vectors).
+  /// Motion field parsed from the stream (inter frames; SKIP MBs take
+  /// the predicted vector: the left neighbour's, zero at a row start).
   MotionField motion;
 };
 

@@ -157,9 +157,10 @@ Encoder::InterPlan Encoder::build_inter_plan(
   const std::size_t mb_count =
       static_cast<std::size_t>(mb_cols) * static_cast<std::size_t>(mb_rows);
 
-  // Reference planes are scratch of this call (DESIGN §11): the luma set
-  // serves the motion search (when no field was given), the SKIP check
-  // and luma MC; all three die with the plan's construction.
+  // The luma reference planes are scratch of this call (DESIGN §11):
+  // they serve the motion search (when no field was given), the SKIP
+  // check and luma MC, and die with the plan's construction. Chroma MC
+  // reads the reference frame on demand (mc_predict_u8).
   const int pad = searcher_.reference_pad();
   const RefPlanes ref_y(reference_.y, pad);
   MotionField searched;
@@ -170,8 +171,6 @@ Encoder::InterPlan Encoder::build_inter_plan(
 
   DIVE_OBS_SPAN(span, obs_, "codec.inter_plan", obs::kTrackCodec);
   span.flow(frame_ctx_);
-  const RefPlanes ref_u(reference_.u, pad);
-  const RefPlanes ref_v(reference_.v, pad);
 
   // preds and coeffs are not zero-filled (codec/scratch.h): every
   // prediction is written below, and coefficients are written for every
@@ -209,7 +208,7 @@ Encoder::InterPlan Encoder::build_inter_plan(
         mv = pred;
       }
       plan.eff_motion.at(col, row) = mv;
-      predict_inter_mb(ref_y, ref_u, ref_v, col, row, mv, &plan.preds[base]);
+      predict_inter_mb(ref_y, reference_, col, row, mv, &plan.preds[base]);
       if (skip) continue;
       const auto blocks = mb_blocks(col, row);
       for (int b = 0; b < kBlocksPerMb; ++b) {

@@ -28,8 +28,9 @@
 // lists buffer by buffer. Each coded block is emitted from the zigzag
 // nonzero mask its quantizer pass built, not by walking all 64 positions.
 //
-// References are read only through RefPlanes (codec/ref_planes.h), built
-// from reference_ once per encode call and dropped with it.
+// Luma references are read through RefPlanes (codec/ref_planes.h), built
+// from reference_ once per encode call and dropped with it; chroma MC
+// reads reference_ on demand (mc_predict_u8 in codec/reconstruct.h).
 #pragma once
 
 #include <cstdint>

@@ -3,14 +3,20 @@
 // chroma-MV rules, DC intra and motion-compensated prediction, and block
 // reconstruction (dequantize + IDCT + clamp). The encoder's reconstruction
 // equals the decoder's output bit for bit because both call these, so a
-// change to any of them is a format change made in one place.
+// change to any of them is a format change made in one place. Motion
+// compensation has two readers of the one half-pel rule: mc_predict
+// through padded RefPlanes (the encoder's luma, whose planes motion
+// search already built) and mc_predict_u8 on demand (the decoder, and
+// the encoder's chroma); the differential McPredict tests pin them equal.
 //
 // Everything is inline, like block_io.h, so the per-block hot loops of
 // both sides compile exactly as if written in place.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "codec/bitstream.h"
 #include "codec/block_pixels.h"
@@ -138,17 +144,92 @@ inline Block8x8 mc_predict(const RefPlanes& ref, int bx, int by,
   return pred;
 }
 
+/// The same prediction computed on demand from the reference plane
+/// itself, as u8 samples into `dst` (rows `dst_stride` bytes apart):
+/// sample (i, j) is half_pel_sample(ref, 2*(bx+i) - mv.dx,
+/// 2*(by+j) - mv.dy), exactly what RefPlanes::block reads. A block whose
+/// reads all fall inside the plane takes raw row pointers. Border blocks
+/// and hostile vectors clamp every read: with a = ref(X, Y),
+/// b = ref(X+fx, Y), c = ref(X, Y+fy), d = ref(X+fx, Y+fy), all read
+/// clamped, (a + b + c + d + 2) >> 2 is the half-pel rule of each phase
+/// (fx = fy = 0 gives a, fx alone (a+b+1)>>1, fy alone (a+c+1)>>1).
+inline void mc_predict_u8(const video::Plane& ref, int bx, int by,
+                          MotionVector mv, std::uint8_t* dst,
+                          int dst_stride) {
+  constexpr int n = kBlockSize;
+  const int fx = mv.dx & 1;
+  const int fy = mv.dy & 1;
+  const int ox = bx + ((-mv.dx) >> 1);
+  const int oy = by + ((-mv.dy) >> 1);
+  if (ox < 0 || oy < 0 || ox + n + fx > ref.width ||
+      oy + n + fy > ref.height) {
+    for (int j = 0; j < n; ++j, dst += dst_stride)
+      for (int i = 0; i < n; ++i) {
+        const int x = ox + i;
+        const int y = oy + j;
+        dst[i] = static_cast<std::uint8_t>(
+            (ref.at_clamped(x, y) + ref.at_clamped(x + fx, y) +
+             ref.at_clamped(x, y + fy) + ref.at_clamped(x + fx, y + fy) +
+             2) >>
+            2);
+      }
+    return;
+  }
+  const std::ptrdiff_t stride = ref.width;
+  const std::uint8_t* top = ref.data.data() + oy * stride + ox;
+  // Runs `row(a, c, d)` for each block row: a is the reference row, c the
+  // row below it when fy (a itself otherwise), d the output row.
+  const auto rows = [&](auto row) {
+    const std::uint8_t* a = top;
+    for (int j = 0; j < n; ++j, a += stride, dst += dst_stride)
+      row(a, a + fy * stride, dst);
+  };
+  switch (2 * fy + fx) {
+    case 0:
+      rows([](const std::uint8_t* a, const std::uint8_t*, std::uint8_t* d) {
+        std::memcpy(d, a, n);
+      });
+      break;
+    case 1:
+      rows([](const std::uint8_t* a, const std::uint8_t*, std::uint8_t* d) {
+        for (int i = 0; i < n; ++i)
+          d[i] = static_cast<std::uint8_t>((a[i] + a[i + 1] + 1) >> 1);
+      });
+      break;
+    case 2:
+      rows([](const std::uint8_t* a, const std::uint8_t* c, std::uint8_t* d) {
+        for (int i = 0; i < n; ++i)
+          d[i] = static_cast<std::uint8_t>((a[i] + c[i] + 1) >> 1);
+      });
+      break;
+    default:
+      rows([](const std::uint8_t* a, const std::uint8_t* c, std::uint8_t* d) {
+        for (int i = 0; i < n; ++i)
+          d[i] = static_cast<std::uint8_t>(
+              (a[i] + a[i + 1] + c[i] + c[i + 1] + 2) >> 2);
+      });
+      break;
+  }
+}
+
 /// Motion-compensated predictions of the six blocks of macroblock
-/// (col, row) coded with luma vector `mv`, into `preds[0..5]`.
-inline void predict_inter_mb(const RefPlanes& ref_y, const RefPlanes& ref_u,
-                             const RefPlanes& ref_v, int col, int row,
-                             MotionVector mv, Block8x8* preds) {
-  const std::array<const RefPlanes*, 3> refs{&ref_y, &ref_u, &ref_v};
+/// (col, row) coded with luma vector `mv`, into `preds[0..5]`: luma
+/// through `ref_y` (the planes of `ref.y`), chroma on demand from
+/// `ref.u` and `ref.v`.
+inline void predict_inter_mb(const RefPlanes& ref_y, const video::Frame& ref,
+                             int col, int row, MotionVector mv,
+                             Block8x8* preds) {
   const auto blocks = mb_blocks(col, row);
   for (int b = 0; b < kBlocksPerMb; ++b) {
     const MbBlock& blk = blocks[static_cast<std::size_t>(b)];
-    preds[b] = mc_predict(*refs[static_cast<std::size_t>(blk.plane)], blk.bx,
-                          blk.by, blk.plane == 0 ? mv : chroma_mv(mv));
+    if (blk.plane == 0) {
+      preds[b] = mc_predict(ref_y, blk.bx, blk.by, mv);
+      continue;
+    }
+    std::array<std::uint8_t, kBlockSize * kBlockSize> px;
+    mc_predict_u8(plane_of(ref, blk.plane), blk.bx, blk.by, chroma_mv(mv),
+                  px.data(), kBlockSize);
+    load_block_u8(px.data(), kBlockSize, preds[b]);
   }
 }
 

@@ -1,6 +1,9 @@
-// Padded half-pel reference planes: the one way the codec reads a
-// reference picture (motion search SAD/SATD, the SKIP check, and encoder
-// and decoder motion compensation).
+// Padded half-pel reference planes: how the encoder reads a luma
+// reference many times over (motion search SAD/SATD, the SKIP check, and
+// luma motion compensation). Readers that touch each block once — the
+// decoder, and the encoder's chroma motion compensation — compute the same
+// samples on demand with mc_predict_u8 (codec/reconstruct.h) instead of
+// paying for four padded planes.
 //
 // A RefPlanes holds four planes built from one reference plane, each a
 // replicated-border copy padded by `pad` samples on every side. Plane
@@ -24,12 +27,12 @@
 // column -1, columns X >= W-1 all equal column W-1, likewise rows), so a
 // block origin past the pad can be clamped to the pad's edge without
 // changing one sample, provided the pad is at least one block (16). That
-// covers hostile decoder vectors of any length.
+// covers vectors of any length.
 //
 // Memory: four padded planes per reference plane. They are per-call
-// scratch — built once per encode/decode call from the codec's reference
-// frame and dropped at the end of the call, never kept as per-encoder or
-// per-decoder state (many sessions share one host).
+// scratch — built once per encode call from the encoder's reference
+// frame and dropped at the end of the call, never kept as per-encoder
+// state (many sessions share one host).
 #pragma once
 
 #include <array>

@@ -3,8 +3,9 @@
 //
 // Scene objects are rendered with class-distinctive chroma: cars push the
 // U plane up, pedestrians push the V plane up, while background materials
-// stay near neutral. The detector thresholds the chroma planes, extracts
-// connected components, and scores each blob by its mean chroma excess.
+// stay near neutral. The detector thresholds the chroma planes, labels
+// 4-connected components run by run in one row scan, and scores each blob
+// by its mean chroma excess.
 // Codec quantization erodes chroma contrast, so detection quality
 // degrades smoothly (and monotonically) with compression — the property
 // the paper's AP-vs-QP and AP-vs-bandwidth experiments rely on.

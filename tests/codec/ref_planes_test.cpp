@@ -1,9 +1,10 @@
 // Property tests of the padded half-pel reference planes
 // (codec/ref_planes.h) against the clamped per-pixel reference definition
-// half_pel_sample. Every reader of a reference — motion search SAD/SATD,
-// the SKIP check, encoder and decoder motion compensation — goes through
-// RefPlanes::block, so these properties are what keeps the goldens
-// unchanged:
+// half_pel_sample. The encoder's luma readers — motion search SAD/SATD,
+// the SKIP check and luma motion compensation — go through
+// RefPlanes::block, and the on-demand predictor of the decoder and of
+// chroma MC is checked against it (mc_predict_test.cpp), so these
+// properties are what keeps the goldens unchanged:
 //   1. every padded sample of all four planes is half_pel_sample at the
 //      matching half-pel coordinate;
 //   2. block SAD and 8x8 MC reads through the planes equal the clamped
