@@ -138,14 +138,11 @@ FrameType Encoder::next_frame_type(const video::Frame& src) {
   if (force_intra_ || !has_reference_) return FrameType::kIntra;
   if (config_.gop_length > 0 && frame_index_ % config_.gop_length == 0)
     return FrameType::kIntra;
-  if (config_.scene_change_detection && config_.scene_change_luma_delta > 0.0) {
-    const double step =
-        std::abs(mean_luma(src.y) - reference_mean_luma_);
-    if (step > config_.scene_change_luma_delta) {
-      ++scene_changes_;
-      if (obs_handles_.scene_cuts != nullptr) obs_handles_.scene_cuts->add();
-      return FrameType::kIntra;
-    }
+  const double step = std::abs(mean_luma(src.y) - reference_mean_luma_);
+  if (step > kSceneChangeLumaDelta) {
+    ++scene_changes_;
+    if (obs_handles_.scene_cuts != nullptr) obs_handles_.scene_cuts->add();
+    return FrameType::kIntra;
   }
   return FrameType::kInter;
 }
@@ -426,8 +423,7 @@ EncodedFrame Encoder::commit(Trial trial, const InterPlan* plan,
   reference_ = plan != nullptr ? reconstruct_inter(*plan, trial.prep)
                                : std::move(trial.recon);
   has_reference_ = true;
-  if (config_.scene_change_detection)
-    reference_mean_luma_ = mean_luma(reference_.y);
+  reference_mean_luma_ = mean_luma(reference_.y);
 
   EncodedFrame out;
   out.data = plan != nullptr ? emit_inter_trial(trial.prep, *plan)

@@ -60,6 +60,14 @@ inline constexpr int kRateIterations = 5;
 /// Luma SAD budget (16x16, so 512 = 2 per pixel) under which a macroblock
 /// is forced to SKIP when EncoderConfig::skip_blocks is on.
 inline constexpr std::uint32_t kSkipThreshold = 512;
+/// Average-luma scene-change detection (the DSV encoders' heuristic):
+/// when the mean luma of the incoming frame differs from the current
+/// reference's by more than this many DN (0..255 scale), the frame is
+/// coded intra — a global luma step (tunnel entry/exit, lighting cut)
+/// would otherwise leave every macroblock with a large DC residual and
+/// defeat SKIP/temporal prediction for the rest of the GoP. Forcing
+/// the I-frame resets the temporal chain exactly like a cold start.
+inline constexpr double kSceneChangeLumaDelta = 24.0;
 
 struct EncoderConfig {
   int width = 0;   ///< must be a multiple of 16
@@ -79,16 +87,6 @@ struct EncoderConfig {
   /// bitstream (that is the point); deterministic for every thread
   /// count / kernel setting.
   bool skip_blocks = true;
-  /// Average-luma scene-change detection (the DSV encoders' heuristic):
-  /// when the mean luma of the incoming frame differs from the current
-  /// reference's by more than scene_change_luma_delta, the frame is
-  /// coded intra — a global luma step (tunnel entry/exit, lighting cut)
-  /// would otherwise leave every macroblock with a large DC residual and
-  /// defeat SKIP/temporal prediction for the rest of the GoP. Forcing
-  /// the I-frame resets the temporal chain exactly like a cold start.
-  bool scene_change_detection = true;
-  /// Mean-luma step (DN, 0..255 scale) that triggers the cut detector.
-  double scene_change_luma_delta = 24.0;
 };
 
 /// Accounting of the most recent encode_to_target call.
@@ -132,7 +130,6 @@ class Encoder {
   Encoder(const Encoder&) = delete;
   Encoder& operator=(const Encoder&) = delete;
 
-  [[nodiscard]] const EncoderConfig& config() const { return config_; }
   [[nodiscard]] int frame_index() const { return frame_index_; }
   [[nodiscard]] bool has_reference() const { return has_reference_; }
   [[nodiscard]] const video::Frame& reference() const { return reference_; }

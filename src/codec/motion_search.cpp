@@ -16,6 +16,9 @@ constexpr int kMb = kMacroblockSize;
 /// Coarse-level candidates carried down the pyramid for kHme. More
 /// candidates approach exhaustive quality at linear extra cost.
 constexpr int kHmeCandidates = 3;
+/// Pyramid levels ABOVE full resolution for kHme (each level halves the
+/// luma): a 3-level pyramid, whose coarsest 16x16 block covers 4x4.
+constexpr int kHmeLevels = 2;
 /// Rate-cost weight of the MV bits in pattern searches.
 constexpr double kLambda = 6.0;
 
@@ -232,7 +235,7 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
                                           int cy, MotionVector pred,
                                           std::uint32_t& best_sad,
                                           const PyramidPair* pyr) const {
-  const int range = config_.range;
+  constexpr int range = kSearchRange;
   const Sad16Fn fast = sad_fn_;
   const bool exhaustive = config_.method == MotionSearchMethod::kEsa ||
                           config_.method == MotionSearchMethod::kTesa;
@@ -411,18 +414,17 @@ MotionField MotionSearcher::search_frame(const video::Plane& cur,
   // The pyramid is a pure function of the two planes, built once per
   // frame (serially, before the row fan-out) and shared read-only by
   // every row, so the parallel field stays bit-identical to the serial
-  // one. Levels are clamped so the coarsest block is at least 4x4.
+  // one.
   PyramidPair pyr_storage;
   const PyramidPair* pyr = nullptr;
   if (config_.method == MotionSearchMethod::kHme) {
-    const int levels = std::clamp(config_.hme_levels, 1, 2);
-    pyr_storage.cur = build_pyramid(cur, levels);
-    pyr_storage.ref = build_pyramid(ref.source(), levels);
-    pyr_storage.ref_planes.reserve(static_cast<std::size_t>(levels));
-    for (int l = 0; l < levels; ++l)
+    pyr_storage.cur = build_pyramid(cur, kHmeLevels);
+    pyr_storage.ref = build_pyramid(ref.source(), kHmeLevels);
+    pyr_storage.ref_planes.reserve(std::size_t{kHmeLevels});
+    for (int l = 0; l < kHmeLevels; ++l)
       pyr_storage.ref_planes.emplace_back(
           pyr_storage.ref.levels[static_cast<std::size_t>(l)],
-          (config_.range >> (l + 1)) + kMb + 1);
+          (kSearchRange >> (l + 1)) + kMb + 1);
     pyr = &pyr_storage;
   }
   const auto search_row = [&](int row) {

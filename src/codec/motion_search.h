@@ -33,21 +33,19 @@ class ThreadPool;
 
 namespace dive::codec {
 
+/// Max |component| of a motion vector in pixels. 24 keeps fast pans
+/// (vehicle turns reach ~15-25 px/frame at our focal lengths) inside
+/// the window; vectors at the limit are saturated and unreliable.
+inline constexpr int kSearchRange = 24;
+
 struct MotionSearchConfig {
   MotionSearchMethod method = MotionSearchMethod::kHex;
-  /// Max |component| of a motion vector in pixels. 24 keeps fast pans
-  /// (vehicle turns reach ~15-25 px/frame at our focal lengths) inside
-  /// the window; vectors at the limit are saturated and unreliable.
-  int range = 24;
   /// SAD kernel policy for the interior 16x16 fast path. kAuto follows
   /// the process-wide dispatch (SIMD when available, see sad_kernels.h);
   /// kScalar pins the canonical scalar kernel. Every kernel returns the
-  /// same sums, so the searched field is identical either way.
-  SadKernelPolicy sad = SadKernelPolicy::kAuto;
-  /// Pyramid levels ABOVE full resolution for kHme (each level halves
-  /// the luma). 2 gives a 3-level pyramid; clamped so the coarsest block
-  /// stays at least 4x4.
-  int hme_levels = 2;
+  /// same sums, so the searched field is identical either way. The
+  /// differential tests select the scalar reference kernel here.
+  SadKernelPolicy sad = SadKernelPolicy::kAuto;  // dive-lint: allow(unset-knob) differential tests
 };
 
 /// Downsampled luma pyramid for hierarchical search. levels[0] is the
@@ -87,15 +85,13 @@ class MotionSearcher {
   explicit MotionSearcher(MotionSearchConfig config = {})
       : config_(config), sad_fn_(resolve_sad_fn(config.sad)) {}
 
-  [[nodiscard]] const MotionSearchConfig& config() const { return config_; }
-
   /// The SAD kernel this searcher resolved from its policy.
   [[nodiscard]] Sad16Fn sad_fn() const { return sad_fn_; }
 
-  /// Reference-plane padding for this searcher's range: every candidate
+  /// Reference-plane padding for the search range: every candidate
   /// block lies inside the pad, so the origin clamp never moves one.
-  [[nodiscard]] int reference_pad() const {
-    return config_.range + kMacroblockSize + 1;
+  [[nodiscard]] static constexpr int reference_pad() {
+    return kSearchRange + kMacroblockSize + 1;
   }
 
   /// Estimates the motion field of `cur` against reference `ref`

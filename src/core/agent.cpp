@@ -120,8 +120,9 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
 
   // Compressed-domain RoI sidecar: free codec metadata (coded MV field +
   // SKIP flags) plus the FE hulls, serialized into the metadata lane.
-  // Its bytes ride the uplink with the frame — they count against the
-  // bandwidth budget, while the video bitstream stays byte-identical.
+  // Its bytes ride the uplink with the frame on top of the encoder's byte
+  // target, so the upload runs above the estimated rate; the video
+  // bitstream stays byte-identical.
   roi::RoiMetadata meta;
   std::vector<std::uint8_t> sidecar;
   if (config_.roi_metadata) {
@@ -182,7 +183,7 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
     outcome.response_time = inference.result_at_agent - capture_time;
     if (obs != nullptr) {
       const util::SimTime served =
-          inference.result_at_agent - server_->config().downlink_delay;
+          inference.result_at_agent - edge::kDownlinkDelay;
       obs->ledger.stage(trace_ctx, obs::FrameStage::kInference, tx.arrival,
                         served);
       obs->ledger.stage(trace_ctx, obs::FrameStage::kResult, served,

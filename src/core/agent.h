@@ -37,9 +37,10 @@ struct DiveConfig {
   bool enable_offline_tracking = true;  ///< Fig. 13 ablation switch
   /// Ship the compressed-domain RoI sidecar (MV field + SKIP flags +
   /// foreground hulls) with every upload and gate edge inference on it
-  /// through roi::RoiGate. Sidecar bytes count against the bandwidth
-  /// budget; the video bitstream is byte-identical on or off. The gate
-  /// runs the default roi::RoiGateConfig policy.
+  /// through roi::RoiGate. Sidecar bytes are sent on top of the
+  /// encoder's byte target, so the upload runs above the estimated rate;
+  /// the video bitstream is byte-identical on or off. The gate runs the
+  /// default roi::RoiGateConfig policy.
   bool roi_metadata = false;
   std::uint64_t seed = 7;
   /// Encoder worker lanes (motion search + macroblock loop). Applied to

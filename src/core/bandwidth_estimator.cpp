@@ -11,13 +11,13 @@ void BandwidthEstimator::add_transmission(double bytes, util::SimTime start,
   // Retire samples with no overlap left against the window ending at the
   // newest ack. A sample that merely straddles the cutoff stays: its
   // in-window share still carries information and estimate() prorates it.
-  const util::SimTime cutoff = end - config_.window;
+  const util::SimTime cutoff = end - kWindow;
   while (!samples_.empty() && samples_.front().end <= cutoff)
     samples_.pop_front();
 }
 
 double BandwidthEstimator::estimate(util::SimTime now) const {
-  const util::SimTime cutoff = now - config_.window;
+  const util::SimTime cutoff = now - kWindow;
   double weighted = 0.0;
   double weight = 0.0;
   for (const auto& s : samples_) {
@@ -34,7 +34,7 @@ double BandwidthEstimator::estimate(util::SimTime now) const {
     weighted += rate * overlap;
     weight += overlap;
   }
-  if (weight <= 0.0) return config_.prior_bytes_per_sec;
+  if (weight <= 0.0) return kPriorBytesPerSec;
   return weighted / weight;
 }
 

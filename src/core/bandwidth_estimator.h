@@ -16,17 +16,14 @@
 
 namespace dive::core {
 
-struct BandwidthEstimatorConfig {
-  util::SimTime window = util::from_seconds(2.0);
-  double prior_bytes_per_sec = 125'000.0;  ///< 1 Mbps until the first ack
-  /// Safety factor applied by `target_bytes_per_sec` so queues drain.
-  double safety = 0.9;
-};
-
 class BandwidthEstimator {
  public:
-  explicit BandwidthEstimator(BandwidthEstimatorConfig config = {})
-      : config_(config) {}
+  /// Bursts overlapping [now - kWindow, now] make up the estimate.
+  static constexpr util::SimTime kWindow = util::from_seconds(2.0);
+  /// 1 Mbps until the first ack.
+  static constexpr double kPriorBytesPerSec = 125'000.0;
+  /// Safety factor applied by `target_bytes_per_sec` so queues drain.
+  static constexpr double kSafety = 0.9;
 
   /// Records a completed transmission: `bytes` serialized over
   /// [start, end) (from the transport's ack feedback).
@@ -37,11 +34,7 @@ class BandwidthEstimator {
 
   /// estimate() with the safety factor applied.
   [[nodiscard]] double target_bytes_per_sec(util::SimTime now) const {
-    return estimate(now) * config_.safety;
-  }
-
-  [[nodiscard]] const BandwidthEstimatorConfig& config() const {
-    return config_;
+    return estimate(now) * kSafety;
   }
 
   void reset() { samples_.clear(); }
@@ -53,7 +46,6 @@ class BandwidthEstimator {
     util::SimTime end;
   };
 
-  BandwidthEstimatorConfig config_;
   std::deque<Sample> samples_;
 };
 

@@ -7,6 +7,18 @@ namespace dive::core {
 
 namespace {
 
+/// Max |mv_i - mv_j| between adjacent blocks, pixels.
+constexpr double kPairDistance = 1.8;
+/// Max |mv_j - cluster_mean|, pixels.
+constexpr double kMeanDistance = 2.5;
+/// Drift-proof anchor: every member must stay within
+/// max(kAnchorAbs, kAnchorRel * |seed_mv|) of the seed's MV. The pair
+/// and mean tests alone allow a cluster to creep up a building column
+/// where the MV magnitude grows gradually row by row.
+constexpr double kAnchorAbs = 2.0;
+constexpr double kAnchorRel = 0.5;
+/// Clusters smaller than this many macroblocks are dropped as noise.
+constexpr int kMinClusterMbs = 2;
 /// Blocks outside the ground hull may only join a cluster when their MV
 /// magnitude is at least this (real motion evidence). Without it,
 /// clusters seeded near the horizon leak through the far field, where
@@ -46,7 +58,7 @@ std::vector<Cluster> ForegroundClusterer::grow(
     const int cluster_id = static_cast<int>(clusters.size());
     const geom::Vec2 anchor = pre.mvs[static_cast<std::size_t>(seed)].corrected;
     const double anchor_bound =
-        std::max(config_.anchor_abs, config_.anchor_rel * anchor.norm());
+        std::max(kAnchorAbs, kAnchorRel * anchor.norm());
     geom::Vec2 sum = anchor;
     cluster.members.push_back(seed);
     assignment[static_cast<std::size_t>(seed)] = cluster_id;
@@ -72,8 +84,8 @@ std::vector<Cluster> ForegroundClusterer::grow(
         // Similar to the expanding block AND to the cluster mean
         // (the anti-over-growth condition of Sec. III-C2), AND within the
         // drift-proof bound of the seed.
-        if ((nb_mv - cur_mv).norm() > config_.pair_distance) continue;
-        if ((nb_mv - cluster.mean_mv).norm() > config_.mean_distance) continue;
+        if ((nb_mv - cur_mv).norm() > kPairDistance) continue;
+        if ((nb_mv - cluster.mean_mv).norm() > kMeanDistance) continue;
         if ((nb_mv - anchor).norm() > anchor_bound) continue;
 
         assignment[static_cast<std::size_t>(nb)] = cluster_id;
@@ -87,7 +99,7 @@ std::vector<Cluster> ForegroundClusterer::grow(
         frontier.push_back(nb);
       }
     }
-    if (cluster.size() >= config_.min_cluster_mbs) {
+    if (cluster.size() >= kMinClusterMbs) {
       clusters.push_back(std::move(cluster));
     }
   }

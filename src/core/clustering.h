@@ -16,20 +16,8 @@
 namespace dive::core {
 
 struct ClusteringConfig {
-  /// Max |mv_i - mv_j| between adjacent blocks, pixels.
-  double pair_distance = 1.8;
-  /// Max |mv_j - cluster_mean|, pixels.
-  double mean_distance = 2.5;
-  /// Drift-proof anchor: every member must stay within
-  /// max(anchor_abs, anchor_rel * |seed_mv|) of the seed's MV. The pair
-  /// and mean tests alone allow a cluster to creep up a building column
-  /// where the MV magnitude grows gradually row by row.
-  double anchor_abs = 2.0;
-  double anchor_rel = 0.5;
   /// Merge condition: cosine between cluster mean directions.
   double merge_cos_min = 0.85;
-  /// Clusters smaller than this many macroblocks are dropped as noise.
-  int min_cluster_mbs = 2;
 };
 
 struct Cluster {
@@ -44,8 +32,6 @@ class ForegroundClusterer {
  public:
   explicit ForegroundClusterer(ClusteringConfig config = {})
       : config_(config) {}
-
-  [[nodiscard]] const ClusteringConfig& config() const { return config_; }
 
   /// Grows clusters from `seeds` over the corrected motion field.
   /// `ground_mask` blocks are confirmed background and never joined;

@@ -36,7 +36,6 @@ struct ForegroundResult {
 };
 
 struct ForegroundExtractorConfig {
-  GroundEstimatorConfig ground;
   ClusteringConfig clustering;
   /// Hull vertices are padded outward by this many pixels so that object
   /// borders (where chroma matters most) stay inside the foreground.
@@ -51,11 +50,7 @@ struct ForegroundExtractorConfig {
 class ForegroundExtractor {
  public:
   explicit ForegroundExtractor(ForegroundExtractorConfig config = {})
-      : config_(config), ground_(config.ground), clusterer_(config.clustering) {}
-
-  [[nodiscard]] const ForegroundExtractorConfig& config() const {
-    return config_;
-  }
+      : config_(config), clusterer_(config.clustering) {}
 
   /// Extracts the foreground for one preprocessed frame. When the agent
   /// is stopped or preprocessing produced nothing usable, returns the

@@ -46,10 +46,10 @@ GroundEstimate GroundEstimator::estimate(
     const geom::Vec2 v = m.corrected;
     if (v.norm() < kMinMvMagnitude) continue;
     if (m.position.y < kMinY) continue;
-    const geom::Vec2 radial = (m.position - config_.foe).normalized();
+    const geom::Vec2 radial = m.position.normalized();
     const double cosine = v.normalized().dot(radial);
     if (cosine < kRadialCosMin) continue;  // noisy / moving object
-    const double nm = normalized_magnitude(m.position, v, config_.foe);
+    const double nm = normalized_magnitude(m.position, v);
     if (nm <= 0.0) continue;
     candidates.push_back({i, nm});
     mags.push_back(nm);

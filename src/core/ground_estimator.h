@@ -22,10 +22,6 @@
 
 namespace dive::core {
 
-struct GroundEstimatorConfig {
-  geom::Vec2 foe{0.0, 0.0};  ///< centered coordinates
-};
-
 struct GroundEstimate {
   bool valid = false;
   double threshold = 0.0;            ///< normalized-magnitude cutoff
@@ -38,16 +34,8 @@ struct GroundEstimate {
 
 class GroundEstimator {
  public:
-  explicit GroundEstimator(GroundEstimatorConfig config = {})
-      : config_(config) {}
-
-  [[nodiscard]] const GroundEstimatorConfig& config() const { return config_; }
-
   [[nodiscard]] GroundEstimate estimate(const PreprocessResult& pre,
                                         const geom::PinholeCamera& camera) const;
-
- private:
-  GroundEstimatorConfig config_;
 };
 
 }  // namespace dive::core

@@ -34,13 +34,11 @@ inline geom::Vec2 translational_mv(geom::Vec2 p, double dz, double depth) {
 }
 
 /// Normalized magnitude of a purely translational MV (Eq. 8):
-/// |v| / (R * y) where R is the distance from `p` to the FOE. For static
-/// points this equals dz / (f * Y) — constant along any world height Y
-/// (Observation 2); it is the ground-estimation feature.
-inline double normalized_magnitude(geom::Vec2 p, geom::Vec2 mv,
-                                   geom::Vec2 foe) {
-  const geom::Vec2 r = p - foe;
-  const double R = r.norm();
+/// |v| / (R * y) where R is the distance from `p` to the FOE, which is the
+/// origin. For static points this equals dz / (f * Y) — constant along any
+/// world height Y (Observation 2); it is the ground-estimation feature.
+inline double normalized_magnitude(geom::Vec2 p, geom::Vec2 mv) {
+  const double R = p.norm();
   if (R < 1e-9 || p.y <= 0.0) return 0.0;
   return mv.norm() / (R * p.y);
 }

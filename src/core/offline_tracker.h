@@ -10,29 +10,16 @@
 
 namespace dive::core {
 
-struct OfflineTrackerConfig {
-  /// Boxes whose clipped area falls below this fraction of their original
-  /// area are dropped (they left the frame).
-  double min_area_keep = 0.25;
-  /// Confidence decay per tracked frame (tracking degrades with horizon).
-  double confidence_decay = 0.92;
-};
-
 class OfflineTracker {
  public:
-  explicit OfflineTracker(OfflineTrackerConfig config = {})
-      : config_(config) {}
-
-  [[nodiscard]] const OfflineTrackerConfig& config() const { return config_; }
+  /// Confidence decay per tracked frame (tracking degrades with horizon).
+  static constexpr double kConfidenceDecay = 0.92;
 
   /// Advances `previous` detections by one frame using the frame's motion
   /// field. `width`/`height` clip the results.
   [[nodiscard]] edge::DetectionList track(const edge::DetectionList& previous,
                                           const codec::MotionField& field,
                                           int width, int height) const;
-
- private:
-  OfflineTrackerConfig config_;
 };
 
 }  // namespace dive::core

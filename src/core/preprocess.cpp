@@ -9,7 +9,7 @@ PreprocessResult Preprocessor::run(const codec::MotionField& field,
   out.mb_cols = field.mb_cols;
   out.mb_rows = field.mb_rows;
   out.eta = field.nonzero_ratio();
-  out.agent_moving = out.eta > config_.eta_threshold;
+  out.agent_moving = out.eta > kEtaThreshold;
 
   if (out.agent_moving) {
     if (const auto est = rotation_estimator_.estimate(field, camera)) {

@@ -13,8 +13,6 @@
 namespace dive::core {
 
 struct PreprocessConfig {
-  /// Ego-motion threshold on the non-zero MV ratio (Fig. 6: eta > 0.15).
-  double eta_threshold = 0.15;
   RotationEstimatorConfig rotation;
 };
 
@@ -40,17 +38,17 @@ struct PreprocessResult {
 
 class Preprocessor {
  public:
-  Preprocessor(PreprocessConfig config, std::uint64_t seed)
-      : config_(config), rotation_estimator_(config.rotation, seed) {}
+  /// Ego-motion threshold on the non-zero MV ratio (Fig. 6: eta > 0.15).
+  static constexpr double kEtaThreshold = 0.15;
 
-  [[nodiscard]] const PreprocessConfig& config() const { return config_; }
+  Preprocessor(PreprocessConfig config, std::uint64_t seed)
+      : rotation_estimator_(config.rotation, seed) {}
 
   /// Full preprocessing of one frame's motion field.
   PreprocessResult run(const codec::MotionField& field,
                        const geom::PinholeCamera& camera);
 
  private:
-  PreprocessConfig config_;
   RotationEstimator rotation_estimator_;
 };
 

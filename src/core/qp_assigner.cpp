@@ -10,8 +10,10 @@ namespace dive::core {
 namespace {
 
 /// delta = round(coefficient * foreground_area_fraction), clamped to
-/// [delta_min, delta_max].
+/// [kDeltaMin, kDeltaMax].
 constexpr double kAdaptiveCoefficient = 80.0;
+constexpr int kDeltaMin = 4;
+constexpr int kDeltaMax = 26;
 
 }  // namespace
 
@@ -65,7 +67,7 @@ int QpAssigner::delta_from_mask(const ForegroundResult& fg,
     // No foreground knowledge: compress uniformly but gently — encoding
     // everything as "background" at a large delta would risk the true
     // foreground.
-    return config_.delta_min;
+    return kDeltaMin;
   }
   const std::size_t covered = static_cast<std::size_t>(
       std::count(mask.begin(), mask.end(), true));
@@ -75,7 +77,7 @@ int QpAssigner::delta_from_mask(const ForegroundResult& fg,
                          static_cast<double>(mask.size());
   const int delta =
       static_cast<int>(std::lround(kAdaptiveCoefficient * fraction));
-  return std::clamp(delta, config_.delta_min, config_.delta_max);
+  return std::clamp(delta, kDeltaMin, kDeltaMax);
 }
 
 int QpAssigner::background_delta(const ForegroundResult& fg, int mb_cols,

@@ -14,9 +14,6 @@
 namespace dive::core {
 
 struct QpAssignerConfig {
-  /// Clamp range of the adaptive delta.
-  int delta_min = 4;
-  int delta_max = 26;
   /// When >= 0, overrides the adaptive rule with a fixed delta
   /// (the Fig. 11 ablation: delta in {5, 15, 25}).
   int fixed_delta = -1;
@@ -25,8 +22,6 @@ struct QpAssignerConfig {
 class QpAssigner {
  public:
   explicit QpAssigner(QpAssignerConfig config = {}) : config_(config) {}
-
-  [[nodiscard]] const QpAssignerConfig& config() const { return config_; }
 
   /// Rasterizes the foreground hulls onto the macroblock grid
   /// (true = foreground).

@@ -22,7 +22,7 @@ constexpr double kMinMvMagnitude = 0.0;
 /// MVs with a component at/above this are treated as saturated by the
 /// codec's search window and discarded (true motion exceeded the range,
 /// so the vector's value is arbitrary). Keep just under the encoder's
-/// MotionSearchConfig::range.
+/// codec::kSearchRange.
 constexpr double kSaturationLimitPx = 23.0;
 /// Rows with |y| below this contribute almost nothing to the yaw
 /// estimate (their Eq. (7) coefficient on dphi_y vanishes), so
@@ -54,7 +54,7 @@ std::optional<RotationEstimate> RotationEstimator::estimate(
           std::abs(v.y) >= kSaturationLimitPx)
         continue;
       const geom::Vec2 p = camera.to_centered(field.mb_center(col, row));
-      candidates.push_back({p, v, (p - config_.foe).norm()});
+      candidates.push_back({p, v, p.norm()});
     }
   }
   if (candidates.size() < 3) return std::nullopt;
@@ -116,7 +116,6 @@ std::optional<RotationEstimate> RotationEstimator::estimate(
 
   geom::RansacOptions opts;
   opts.iterations = config_.ransac_iterations;
-  opts.sample_size = 2;
   opts.min_inliers = std::max(
       3, static_cast<int>(kMinInlierFraction *
                           static_cast<double>(rows.size())));

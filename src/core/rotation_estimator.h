@@ -4,10 +4,11 @@
 // unknown depth from the combined MV model (Eq. 6) yields one linear
 // equation per motion vector in the two rotational speeds (Eq. 7):
 //     (x f) dphi_x + (y f) dphi_y = y*vx - x*vy .
-// The estimator picks the k motion vectors closest to the calibrated FOE
+// The estimator picks the k motion vectors closest to the FOE
 // ("R-sampling": those MVs have the smallest translational component and
 // are the most rotation-sensitive) and solves the over-determined system
-// with RANSAC.
+// with RANSAC. The camera looks along the direction of travel, so the FOE
+// is the principal point: the origin of centered coordinates.
 #pragma once
 
 #include <optional>
@@ -29,7 +30,6 @@ enum class SamplingPolicy {
 struct RotationEstimatorConfig {
   SamplingPolicy policy = SamplingPolicy::kRSampling;
   int sample_count = 70;  ///< k; the paper settles on 70 (Fig. 10)
-  geom::Vec2 foe{0.0, 0.0};  ///< calibrated FOE, centered coordinates
   /// RANSAC iterations; the residual is the tangential MV mismatch in
   /// pixels.
   int ransac_iterations = 80;
@@ -45,10 +45,6 @@ class RotationEstimator {
  public:
   RotationEstimator(RotationEstimatorConfig config, std::uint64_t seed)
       : config_(config), rng_(seed) {}
-
-  [[nodiscard]] const RotationEstimatorConfig& config() const {
-    return config_;
-  }
 
   /// Estimates (dphi_x, dphi_y) from the frame's motion field. Returns
   /// nullopt when fewer than 3 usable vectors exist or RANSAC finds no

@@ -16,18 +16,22 @@
 
 namespace dive::edge {
 
+/// No program sets these; they stay fields because perfbench builds its
+/// detector from ServerConfig{}.detector.
 struct DetectorConfig {
-  int chroma_excess_threshold = 18;  ///< min (plane - 128) to fire
-  int cross_suppression = 150;       ///< reject if the *other* plane exceeds this
-  int min_area_chroma_px = 10;       ///< min blob size (chroma-res pixels)
-  double confidence_scale = 26.0;    ///< excess that maps to confidence 1.0
+  /// Min (plane - 128) to fire.
+  int chroma_excess_threshold = 18;  // dive-lint: allow(unset-knob) perfbench reads it
+  /// Reject if the *other* plane exceeds this.
+  int cross_suppression = 150;  // dive-lint: allow(unset-knob) perfbench reads it
+  /// Min blob size (chroma-res pixels).
+  int min_area_chroma_px = 10;  // dive-lint: allow(unset-knob) perfbench reads it
+  /// Excess that maps to confidence 1.0.
+  double confidence_scale = 26.0;  // dive-lint: allow(unset-knob) perfbench reads it
 };
 
 class ChromaDetector {
  public:
   explicit ChromaDetector(DetectorConfig config = {}) : config_(config) {}
-
-  [[nodiscard]] const DetectorConfig& config() const { return config_; }
 
   /// Detects cars and pedestrians; boxes are in luma pixel coordinates,
   /// sorted by descending confidence.

@@ -12,7 +12,7 @@ InferenceResult EdgeServer::process(std::span<const std::uint8_t> data,
   const util::SimTime jitter = inference_jitter(processed_++);
   result.result_at_agent = arrival + config_.decode_latency +
                            config_.inference_latency + jitter +
-                           config_.downlink_delay;
+                           kDownlinkDelay;
 
   if (obs_ != nullptr) {
     obs_->metrics.counter("edge.frames").add();
@@ -37,8 +37,8 @@ codec::DecodedFrame EdgeServer::decode(std::span<const std::uint8_t> data) {
 
 util::SimTime EdgeServer::inference_jitter(std::uint64_t frame_index) const {
   util::Rng stream = rng_.fork(frame_index);
-  return util::from_millis(stream.uniform(-config_.inference_jitter_ms,
-                                          config_.inference_jitter_ms));
+  return util::from_millis(stream.uniform(-kInferenceJitterMs,
+                                          kInferenceJitterMs));
 }
 
 }  // namespace dive::edge

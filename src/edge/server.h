@@ -28,12 +28,15 @@ struct ObsContext;
 
 namespace dive::edge {
 
+/// Uniform +- jitter on every inference, milliseconds.
+inline constexpr double kInferenceJitterMs = 2.0;
+/// Result return path from the edge to the agent.
+inline constexpr util::SimTime kDownlinkDelay = util::from_millis(8.0);
+
 struct ServerConfig {
-  util::SimTime decode_latency = util::from_millis(3.0);
-  util::SimTime inference_latency = util::from_millis(18.0);
-  double inference_jitter_ms = 2.0;  ///< uniform +- jitter
-  util::SimTime downlink_delay = util::from_millis(8.0);
-  DetectorConfig detector;
+  util::SimTime decode_latency = util::from_millis(3.0);  // dive-lint: allow(unset-knob) perfbench reads it
+  util::SimTime inference_latency = util::from_millis(18.0);  // dive-lint: allow(unset-knob) perfbench reads it
+  DetectorConfig detector;  // dive-lint: allow(unset-knob) perfbench reads it
 };
 
 /// Outcome of processing one uploaded frame.
@@ -70,7 +73,7 @@ class EdgeServer {
   util::SimTime take_jitter() { return inference_jitter(processed_++); }
 
   /// Inference jitter of the k-th frame — a pure function of (seed, k),
-  /// uniform in [-inference_jitter_ms, +inference_jitter_ms]. See the
+  /// uniform in [-kInferenceJitterMs, +kInferenceJitterMs]. See the
   /// determinism contract above.
   [[nodiscard]] util::SimTime inference_jitter(std::uint64_t frame_index) const;
 

@@ -2,9 +2,9 @@
 //
 // The paper generates convex hulls twice: for the estimated ground region
 // and for each merged foreground cluster (Sec. III-C), citing Sklansky's
-// linear-time polygon hull. For general (unordered) macroblock point sets
-// we use Andrew's monotone chain; for already-ordered simple polygons we
-// provide Sklansky's scan, matching the paper's reference.
+// linear-time polygon hull. Sklansky's scan needs a simple polygon in
+// vertex order; both hulls here are taken over unordered macroblock point
+// sets, so the codebase uses Andrew's monotone chain.
 #pragma once
 
 #include <vector>
@@ -18,12 +18,6 @@ namespace dive::geom {
 /// clockwise on screen). Collinear boundary points are dropped. Degenerate
 /// inputs (<3 distinct points) return the distinct points.
 std::vector<Vec2> convex_hull(std::vector<Vec2> points);
-
-/// Sklansky's 1972 scan for a *simple polygon* given in vertex order.
-/// Runs one pass with a stack of provisional hull vertices. Input must be
-/// a simple (non self-intersecting) polygon; unordered point clouds should
-/// use convex_hull() instead.
-std::vector<Vec2> sklansky_hull(const std::vector<Vec2>& polygon);
 
 /// Area of a simple polygon (shoelace, absolute value).
 double polygon_area(const std::vector<Vec2>& polygon);

@@ -1,13 +1,13 @@
-// Point-in-polygon and polygon rasterization helpers.
+// Point-in-polygon test.
 //
 // Foreground extraction tests macroblock centers against the ground
-// convex hull to find the foreground seed set S^t (Sec. III-C1), and the
-// QP assigner rasterizes object hulls into the macroblock QP offset map.
+// convex hull to find the foreground seed set S^t (Sec. III-C1); the QP
+// assigner and the RoI gate test macroblock and tile centers against
+// object hulls.
 #pragma once
 
 #include <vector>
 
-#include "geom/box.h"
 #include "geom/vec.h"
 
 namespace dive::geom {
@@ -16,13 +16,5 @@ namespace dive::geom {
 /// Even-odd crossing rule with an explicit boundary check; vertices may be
 /// in either winding order.
 bool point_in_polygon(Vec2 p, const std::vector<Vec2>& polygon);
-
-/// Bounding box of a polygon.
-Box polygon_bounds(const std::vector<Vec2>& polygon);
-
-/// Visits every integer cell (cx, cy) of a `grid_w` x `grid_h` grid whose
-/// center lies inside the polygon; returns the cell list.
-std::vector<std::pair<int, int>> rasterize_polygon(
-    const std::vector<Vec2>& polygon, int grid_w, int grid_h);
 
 }  // namespace dive::geom

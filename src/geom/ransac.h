@@ -16,12 +16,14 @@
 
 namespace dive::geom {
 
+/// Datums per minimal sample: both models fit here (the rotation of
+/// Eq. (7) and the tests' lines) have two parameters.
+inline constexpr std::size_t kRansacSampleSize = 2;
+
 struct RansacOptions {
   int iterations = 50;          ///< number of minimal-sample hypotheses
-  int sample_size = 2;          ///< datums per minimal sample
   double inlier_threshold = 1.0;///< max residual to count as inlier
   int min_inliers = 2;          ///< reject models with fewer inliers
-  bool refit_on_inliers = true; ///< final least-squares refit over inliers
 };
 
 template <typename Model>
@@ -35,16 +37,16 @@ struct RansacResult {
 ///  * `fit(indices)`   -> optional<Model> from a subset of datum indices
 ///  * `error(model,i)` -> residual of datum i under the model
 /// Returns the model with the most inliers (ties: lower inlier RMS),
-/// refit on its full inlier set when `refit_on_inliers` is set.
+/// refit on its full inlier set.
 template <typename Model>
 std::optional<RansacResult<Model>> ransac(
     std::size_t n, const RansacOptions& opts, util::Rng& rng,
     const std::function<std::optional<Model>(std::span<const std::size_t>)>& fit,
     const std::function<double(const Model&, std::size_t)>& error) {
-  if (n < static_cast<std::size_t>(opts.sample_size)) return std::nullopt;
+  if (n < kRansacSampleSize) return std::nullopt;
 
   std::optional<RansacResult<Model>> best;
-  std::vector<std::size_t> sample(static_cast<std::size_t>(opts.sample_size));
+  std::vector<std::size_t> sample(kRansacSampleSize);
 
   for (int iter = 0; iter < opts.iterations; ++iter) {
     // Draw a minimal sample without replacement.
@@ -86,7 +88,7 @@ std::optional<RansacResult<Model>> ransac(
     if (better) best = std::move(cand);
   }
 
-  if (best && opts.refit_on_inliers && !best->inliers.empty()) {
+  if (best && !best->inliers.empty()) {
     // Two refit rounds with inlier re-selection (mini-IRLS): a refit can
     // both shed marginal outliers and adopt points the minimal-sample
     // hypothesis missed, which stabilizes the final model.

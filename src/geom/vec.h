@@ -82,14 +82,6 @@ struct Mat3 {
     r.m[2][0] = -s; r.m[2][2] = c;
     return r;
   }
-  /// Rotation about the z-axis (roll).
-  static Mat3 rot_z(double a) {
-    Mat3 r;
-    const double c = std::cos(a), s = std::sin(a);
-    r.m[0][0] = c; r.m[0][1] = -s;
-    r.m[1][0] = s; r.m[1][1] = c;
-    return r;
-  }
 
   Vec3 operator*(Vec3 v) const {
     return {m[0][0] * v.x + m[0][1] * v.y + m[0][2] * v.z,

@@ -8,9 +8,12 @@ namespace {
 
 /// Seed of the first case; every tuple's seed is offset from it.
 constexpr std::uint64_t kBaseSeed = 7001;
-/// Clips rendered per case (kept small: the sweep is the point, not the
-/// per-case sample size).
+/// Clips rendered per case and their shape (kept small: the sweep is the
+/// point, not the per-case sample size). Every case runs DiVE.
 constexpr int kClipsPerCase = 1;
+constexpr int kClipWidth = 256;
+constexpr int kClipHeight = 144;
+constexpr double kClipFps = 12.0;
 
 }  // namespace
 
@@ -188,11 +191,11 @@ std::vector<BandwidthProfile> all_bandwidths() {
 data::DatasetSpec spec_for(const ScenarioCase& c, const FuzzerOptions& opt) {
   data::DatasetSpec spec;
   spec.kind = data::DatasetKind::kNuScenesLike;
-  spec.width = opt.width;
-  spec.height = opt.height;
+  spec.width = kClipWidth;
+  spec.height = kClipHeight;
   // Field-of-view-preserving focal scaling (nuScenes-like intrinsics).
-  spec.focal_px = 1260.0 * opt.width / 1600.0;
-  spec.fps = opt.fps;
+  spec.focal_px = 1260.0 * kClipWidth / 1600.0;
+  spec.fps = kClipFps;
   spec.clip_count = kClipsPerCase;
   spec.frames_per_clip = opt.frames_per_clip;
   spec.seed = c.seed;
@@ -274,7 +277,7 @@ FuzzerReport run_scenario_fuzzer(const FuzzerOptions& options) {
           ScenarioOutcome out;
           out.scenario = c;
           out.envelope = envelope_for(c.condition, c.bandwidth);
-          out.result = run_experiment(options.scheme, clips,
+          out.result = run_experiment(SchemeKind::kDive, clips,
                                       network_for(c.bandwidth), scheme_opt);
           check_envelope(out);
           if (!out.pass()) {

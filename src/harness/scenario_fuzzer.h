@@ -106,15 +106,8 @@ struct FuzzerOptions {
   std::vector<MotionProfile> motions;
   std::vector<BandwidthProfile> bandwidths;
   int seeds_per_case = 1;
-
-  // Clip shape per case (kept small: the sweep is the point, not the
-  // per-case sample size).
-  int width = 256;
-  int height = 144;
+  /// Frames per clip; the clip shape is fixed (scenario_fuzzer.cpp).
   int frames_per_clip = 48;
-  double fps = 12.0;
-
-  SchemeKind scheme = SchemeKind::kDive;
 };
 
 struct FuzzerReport {

@@ -196,8 +196,9 @@ ServeScenarioResult run_serve_scenario(const ServeScenarioOptions& options) {
       codec::EncodedFrame encoded = agent.encoder->encode(
           image, options.base_qp, nullptr, motion.empty() ? nullptr : &motion);
 
-      // RoI metadata lane: sidecar rides the uplink with the bitstream,
-      // so its bytes count against the same bandwidth budget.
+      // RoI metadata lane: the sidecar rides the uplink with the
+      // bitstream and adds to its transmit time (this fixed-QP encoder
+      // has no byte target).
       std::vector<std::uint8_t> sidecar;
       if (options.roi_metadata) {
         const core::PreprocessResult pre =

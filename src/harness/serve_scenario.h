@@ -47,7 +47,7 @@ struct ServeScenarioOptions {
   double mbps = 2.0;  ///< per-agent uplink rate
   util::SimTime head_timeout = util::from_millis(350.0);
   util::SimTime propagation_delay = util::from_millis(10.0);
-  core::AgentLatencies latencies;
+  core::AgentLatencies latencies;  // dive-lint: allow(unset-knob) perfbench reads it
   bool enable_offline_tracking = true;
   /// RoI metadata lane: every agent ships the compressed-domain sidecar
   /// (coded MV field + SKIP flags + foreground hulls) with each frame —

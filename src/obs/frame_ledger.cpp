@@ -46,15 +46,6 @@ const char* drop_trace_name(FrameOutcome outcome) {
   }
 }
 
-double quantile_of(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 }  // namespace
 
 const char* to_string(FrameStage stage) {
@@ -193,28 +184,29 @@ util::TextTable FrameLedger::stage_table() const {
   util::TextTable table("frame ledger: per-stage latency");
   table.set_header(
       {"stage", "frames", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "share"});
-  std::array<std::vector<double>, kFrameStageCount> samples;
+  std::array<util::SampleSet, kFrameStageCount> samples;
   double attributed_total = 0.0;
   for (const FrameRecord& record : records) {
     for (std::size_t i = 0; i < kFrameStageCount; ++i) {
       if (!record.stages[i].set) continue;
       const double ms =
           util::to_millis(record.stages[i].end - record.stages[i].begin);
-      samples[i].push_back(ms);
+      samples[i].add(ms);
       attributed_total += ms;
     }
   }
   for (std::size_t i = 0; i < kFrameStageCount; ++i) {
-    if (samples[i].empty()) continue;
-    std::sort(samples[i].begin(), samples[i].end());
+    const util::SampleSet& set = samples[i];
+    if (set.empty()) continue;
+    set.sort_samples();  // the mean and the share sum in sorted order
     double sum = 0.0;
-    for (double x : samples[i]) sum += x;
+    for (double x : set.samples()) sum += x;
     table.add_row(
-        {kStageNames[i], std::to_string(samples[i].size()),
-         util::TextTable::fmt(sum / static_cast<double>(samples[i].size())),
-         util::TextTable::fmt(quantile_of(samples[i], 0.5)),
-         util::TextTable::fmt(quantile_of(samples[i], 0.9)),
-         util::TextTable::fmt(quantile_of(samples[i], 0.99)),
+        {kStageNames[i], std::to_string(set.count()),
+         util::TextTable::fmt(sum / static_cast<double>(set.count())),
+         util::TextTable::fmt(set.quantile(0.5)),
+         util::TextTable::fmt(set.quantile(0.9)),
+         util::TextTable::fmt(set.quantile(0.99)),
          util::TextTable::fmt_pct(
              attributed_total > 0.0 ? sum / attributed_total : 0.0)});
   }
@@ -231,7 +223,7 @@ util::TextTable FrameLedger::session_table() const {
     by_session[record.ctx.session_id].push_back(&record);
   for (const auto& [session, frames] : by_session) {
     std::size_t completed = 0, late = 0, dropped = 0;
-    std::vector<double> e2e;
+    util::SampleSet e2e;
     std::array<double, kFrameStageCount> stage_sum{};
     for (const FrameRecord* record : frames) {
       if (record->outcome == FrameOutcome::kCompleted) ++completed;
@@ -239,21 +231,21 @@ util::TextTable FrameLedger::session_table() const {
       if (is_drop(record->outcome)) ++dropped;
       if (record->outcome == FrameOutcome::kCompleted ||
           record->outcome == FrameOutcome::kCompletedLate)
-        e2e.push_back(record->e2e_ms());
+        e2e.add(record->e2e_ms());
       for (std::size_t i = 0; i < kFrameStageCount; ++i)
         if (record->stages[i].set)
           stage_sum[i] += util::to_millis(record->stages[i].end -
                                           record->stages[i].begin);
     }
-    std::sort(e2e.begin(), e2e.end());
     const std::size_t worst = static_cast<std::size_t>(std::distance(
         stage_sum.begin(),
         std::max_element(stage_sum.begin(), stage_sum.end())));
     table.add_row({std::to_string(session), std::to_string(frames.size()),
                    std::to_string(completed), std::to_string(late),
                    std::to_string(dropped),
-                   util::TextTable::fmt(quantile_of(e2e, 0.5)),
-                   util::TextTable::fmt(quantile_of(e2e, 0.99)),
+                   // A session may have no completed frame yet.
+                   util::TextTable::fmt(e2e.empty() ? 0.0 : e2e.quantile(0.5)),
+                   util::TextTable::fmt(e2e.empty() ? 0.0 : e2e.quantile(0.99)),
                    kStageNames[worst]});
   }
   return table;

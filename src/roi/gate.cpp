@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "geom/box.h"
 #include "geom/polygon.h"
 
 namespace dive::roi {
@@ -71,8 +72,7 @@ GatePlan RoiGate::plan(const RoiMetadata* meta, int width, int height) {
   p.tile_cols = (width + tile - 1) / tile;
   p.tile_rows = (height + tile - 1) / tile;
 
-  const bool refresh_due = config_.full_refresh_interval > 0 &&
-                           k % config_.full_refresh_interval == 0;
+  const bool refresh_due = k % kFullRefreshInterval == 0;
   if (meta == nullptr || refresh_due || meta->width() != width ||
       meta->height() != height ||
       (meta->regions.empty() && !meta->has_motion()))
@@ -167,7 +167,7 @@ GatePlan RoiGate::plan(const RoiMetadata* meta, int width, int height) {
   // revisited round-robin so appearing objects are discovered within
   // scan_stripes frames of entering the scene. Far-field objects move
   // with the background until they are close, and the full refresh only
-  // looks every full_refresh_interval frames.
+  // looks every kFullRefreshInterval frames.
   if (config_.scan_stripes > 0) {
     const int stripe = static_cast<int>(k % config_.scan_stripes);
     for (int tx = stripe; tx < p.tile_cols; tx += config_.scan_stripes)
@@ -180,12 +180,9 @@ GatePlan RoiGate::plan(const RoiMetadata* meta, int width, int height) {
   // (until its stripe comes around) the rotating scan sees them on their
   // first frame. Keeping the horizon tile rows always lit removes that
   // discovery delay where it matters most.
-  if (config_.horizon_rows > 0) {
-    const int center_ty = (height / 2) / tile;
-    const int first = center_ty - (config_.horizon_rows - 1) / 2;
-    for (int i = 0; i < config_.horizon_rows; ++i)
-      for (int tx = 0; tx < p.tile_cols; ++tx) mark(tx, first + i);
-  }
+  const int horizon_ty = (height / 2) / tile - (kHorizonRows - 1) / 2;
+  for (int i = 0; i < kHorizonRows; ++i)
+    for (int tx = 0; tx < p.tile_cols; ++tx) mark(tx, horizon_ty + i);
 
   std::size_t lit_tiles = 0;
   double lit_pixels = 0.0;
@@ -200,7 +197,7 @@ GatePlan RoiGate::plan(const RoiMetadata* meta, int width, int height) {
                    ? 1.0
                    : static_cast<double>(lit_tiles) /
                          static_cast<double>(tile_count);
-  if (p.coverage >= config_.max_coverage) {
+  if (p.coverage >= kMaxCoverage) {
     p.coverage = 1.0;
     return p;  // gating buys too little: full-frame
   }
@@ -276,7 +273,6 @@ GatedDetections RoiGate::infer(const video::Frame& frame,
   }
   out.pixel_fraction =
       lit_pixels / (static_cast<double>(width) * static_cast<double>(height));
-  stats_.gated_pixel_fraction_sum += out.pixel_fraction;
 
   edge::DetectionList merged = server_->infer_raw(masked);
   out.fresh = static_cast<int>(merged.size());
@@ -311,7 +307,6 @@ GatedDetections RoiGate::infer(const video::Frame& frame,
   }
 
   sort_detections(merged);
-  stats_.fresh_boxes += out.fresh;
   stats_.propagated_boxes += out.propagated;
   out.detections = merged;
   held_ = std::move(merged);
@@ -340,7 +335,7 @@ edge::InferenceResult RoiGate::process(std::span<const std::uint8_t> data,
   edge::InferenceResult result;
   result.detections = std::move(gated.detections);
   result.result_at_agent =
-      arrival + sc.decode_latency + inference + jitter + sc.downlink_delay;
+      arrival + sc.decode_latency + inference + jitter + edge::kDownlinkDelay;
   if (plan_out != nullptr) *plan_out = p;
   return result;
 }

@@ -32,6 +32,19 @@ namespace dive::roi {
 /// Floor on the work fraction reported to the scheduler: decode and
 /// dispatch overhead never vanish, however small the foreground.
 inline constexpr double kMinWorkFraction = 0.15;
+/// When the (post-halo) foreground tile fraction reaches this, gating
+/// buys too little: fall back to full-frame inference.
+inline constexpr double kMaxCoverage = 0.65;
+/// A full-frame pass runs every N planned frames, starting with the
+/// first. Bounds how stale propagated background boxes can get.
+inline constexpr int kFullRefreshInterval = 12;
+/// Tile rows centered on the horizon (image center row — the focus of
+/// expansion for a level forward camera) that stay lit on every gated
+/// frame. Distant objects enter the scene there as tiny blobs that move
+/// with the background; no compressed-domain cue sees them on their
+/// first frame, and a missed appearance costs a full false negative
+/// until the scan stripe or refresh comes around.
+inline constexpr int kHorizonRows = 1;
 
 struct RoiGateConfig {
   /// Tile edge in luma pixels (frame edges may get partial tiles).
@@ -45,27 +58,14 @@ struct RoiGateConfig {
   /// for free: raw MVs on a moving agent are dominated by camera motion,
   /// and gating on them directly would light the whole frame.
   int motion_deviation = 4;
-  /// When the (post-halo) foreground tile fraction reaches this, gating
-  /// buys too little: fall back to full-frame inference.
-  double max_coverage = 0.65;
-  /// Force a full-frame pass every N planned frames (0 = never). Bounds
-  /// how stale propagated background boxes can get.
-  int full_refresh_interval = 12;
   /// Rotating scan refresh: on every gated frame, additionally light the
   /// tile columns with (tx % scan_stripes == frame % scan_stripes), so
   /// every column is revisited at least every scan_stripes frames
   /// (0 = off). This is what discovers objects the compressed domain
   /// cannot see coming — appearing far-field objects move with the
   /// background until they are close, and a full refresh only looks
-  /// every full_refresh_interval frames.
+  /// every kFullRefreshInterval frames.
   int scan_stripes = 4;
-  /// Tile rows centered on the horizon (image center row — the focus of
-  /// expansion for a level forward camera) that stay lit on every gated
-  /// frame (0 = off). Distant objects enter the scene there as tiny
-  /// blobs that move with the background; no compressed-domain cue sees
-  /// them on their first frame, and a missed appearance costs a full
-  /// false negative until the scan stripe or refresh comes around.
-  int horizon_rows = 1;
 };
 
 /// How one frame will be inferred. Computed before dispatch so the
@@ -97,9 +97,7 @@ struct GateStats {
   long planned = 0;           ///< plan() calls
   long gated = 0;             ///< frames inferred through tile gating
   long full = 0;              ///< frames inferred full-frame
-  long fresh_boxes = 0;       ///< detector outputs on gated frames
   long propagated_boxes = 0;  ///< background boxes carried by MV shift
-  double gated_pixel_fraction_sum = 0.0;  ///< over gated frames only
 };
 
 class RoiGate {
@@ -107,7 +105,6 @@ class RoiGate {
   RoiGate(RoiGateConfig config, edge::EdgeServer* server)
       : config_(config), server_(server) {}
 
-  [[nodiscard]] const RoiGateConfig& config() const { return config_; }
   [[nodiscard]] const GateStats& stats() const { return stats_; }
 
   /// Decides how the next frame is inferred. Advances the refresh

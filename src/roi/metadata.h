@@ -4,8 +4,10 @@
 // and per-object foreground hulls to drive QP assignment — all of it free
 // by the time the frame is encoded. This module packages that metadata
 // into a compact byte lane that travels with the bitstream through
-// net::Uplink (its bytes count against the bandwidth budget; the video
-// bytes are untouched), so the edge can gate inference on it (roi::RoiGate).
+// net::Uplink, so the edge can gate inference on it (roi::RoiGate). The
+// video bytes are untouched. The sidecar is sent on top of the encoder's
+// byte target, so with the lane on the upload runs above the estimated
+// rate.
 //
 // Everything is stored in integer domain — half-pel motion vectors,
 // 1/16-pixel fixed-point hull vertices, 0/1 skip flags — so

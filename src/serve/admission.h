@@ -36,9 +36,6 @@ const char* to_string(AdmissionVerdict verdict);
 struct AdmissionConfig {
   /// Bounded per-session queue of admitted-but-undispatched frames.
   std::size_t max_queue = 4;
-  /// Disable to admit regardless of predicted lateness (queue bound still
-  /// applies) — the ablation arm of the overload experiments.
-  bool deadline_aware = true;
 };
 
 class AdmissionController {
@@ -52,8 +49,6 @@ class AdmissionController {
                                         util::SimTime capture_time,
                                         util::SimTime predicted_done,
                                         util::SimTime downlink_delay) const;
-
-  [[nodiscard]] const AdmissionConfig& config() const { return config_; }
 
  private:
   AdmissionConfig config_;

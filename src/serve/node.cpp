@@ -34,7 +34,7 @@ AdmissionVerdict ServeNode::submit(FrameJob job) {
   const util::SimTime predicted_done =
       scheduler_.estimated_completion(job.arrival);
   const AdmissionVerdict verdict = admission_.decide(
-      s, job.capture_time, predicted_done, config_.server.downlink_delay);
+      s, job.capture_time, predicted_done, edge::kDownlinkDelay);
   switch (verdict) {
     case AdmissionVerdict::kQueueFull:
       ++counters.dropped_queue;
@@ -108,7 +108,7 @@ std::vector<JobResult> ServeNode::realize(std::vector<Batch> batches) {
       // invariant under batching and other sessions' load.
       r.result_at_agent = batch.done +
                           s.server().inference_jitter(job.frame_index) +
-                          config_.server.downlink_delay;
+                          edge::kDownlinkDelay;
       SessionCounters& counters = metrics_.session(job.session_id);
       PendingPayload& pp = payload->second;
       if (pp.roi) {

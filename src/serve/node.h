@@ -38,7 +38,8 @@ struct ServeNodeConfig {
   SessionConfig session;
   AdmissionConfig admission;
   SchedulerConfig scheduler;
-  edge::ServerConfig server;  ///< shared latency constants; decoders are per-session
+  /// Shared latency constants; decoders are per-session.
+  edge::ServerConfig server;  // dive-lint: allow(unset-knob) perfbench reads it
   std::uint64_t seed = 1;
 };
 
@@ -94,7 +95,6 @@ class ServeNode {
 
   [[nodiscard]] ServeMetrics& metrics() { return metrics_; }
   [[nodiscard]] const ServeMetrics& metrics() const { return metrics_; }
-  [[nodiscard]] const ServeNodeConfig& config() const { return config_; }
 
   /// Attaches an observability context (non-owning, null detaches).
   /// Every admitted frame leaves a serve.queued instant (with its queue

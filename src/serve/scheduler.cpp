@@ -9,6 +9,10 @@ namespace dive::serve {
 
 namespace {
 
+/// Incremental inference cost of each extra frame in a batch, as a
+/// fraction of a single-frame pass.
+constexpr double kBatchMarginal = 0.35;
+
 /// Queue order: earliest arrival first, ties broken by session then frame
 /// so the schedule never depends on submission interleaving.
 bool before(const ScheduledJob& a, const ScheduledJob& b) {
@@ -64,7 +68,7 @@ util::SimTime Scheduler::batch_service_time_for(
   const auto lead = static_cast<util::SimTime>(
       std::llround(max_work * static_cast<double>(inference_latency_)));
   const auto amortized = static_cast<util::SimTime>(std::llround(
-      (total_work - max_work) * config_.batch_marginal *
+      (total_work - max_work) * kBatchMarginal *
       static_cast<double>(inference_latency_)));
   return static_cast<util::SimTime>(jobs.size()) * decode_latency_ + lead +
          amortized;
@@ -131,7 +135,7 @@ util::SimTime Scheduler::estimated_completion(util::SimTime arrival) const {
   const double n = static_cast<double>(config_.max_batch);
   const double amortized_infer =
       static_cast<double>(inference_latency_) *
-      (1.0 + (n - 1.0) * config_.batch_marginal) / n;
+      (1.0 + (n - 1.0) * kBatchMarginal) / n;
   const double per_frame =
       static_cast<double>(decode_latency_) + amortized_infer;
   const auto backlog = static_cast<util::SimTime>(std::llround(

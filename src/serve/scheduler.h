@@ -5,8 +5,9 @@
 // Timing model. A batch of n frames occupies one worker for
 //     n * decode_latency + inference_latency * (1 + (n - 1) * batch_marginal)
 // i.e. decode stays per-frame while inference amortizes: batch_marginal
-// is the incremental cost of each extra frame relative to a full pass
-// (1.0 = no amortization, GPU-style batching sits well below 1).
+// (0.35, scheduler.cpp) is the incremental cost of each extra frame
+// relative to a full pass (1.0 = no amortization, GPU-style batching sits
+// well below 1).
 //
 // RoI-gated work. A job may carry a `work` fraction < 1 (the gated pixel
 // fraction from roi::RoiGate): the batch then costs
@@ -48,9 +49,6 @@ struct SchedulerConfig {
   std::size_t max_batch = 1;
   /// How long a worker may hold an open batch waiting for it to fill.
   util::SimTime batch_window = util::from_millis(4.0);
-  /// Incremental inference cost of each extra frame in a batch, as a
-  /// fraction of a single-frame pass.
-  double batch_marginal = 0.35;
 };
 
 /// A frame admitted for inference (timing view — the payload stays with
@@ -106,8 +104,6 @@ class Scheduler {
   /// the full-frame batch formula).
   [[nodiscard]] util::SimTime batch_service_time_for(
       const std::vector<ScheduledJob>& jobs) const;
-
-  [[nodiscard]] const SchedulerConfig& config() const { return config_; }
 
  private:
   [[nodiscard]] int earliest_worker() const;

@@ -57,14 +57,6 @@ struct Frame {
     return y.size() + u.size() + v.size();
   }
   bool operator==(const Frame&) const = default;
-
-  /// Chroma samples co-sited with luma pixel (x, y).
-  [[nodiscard]] std::uint8_t u_at_luma(int x, int y_) const {
-    return u.at_clamped(x / 2, y_ / 2);
-  }
-  [[nodiscard]] std::uint8_t v_at_luma(int x, int y_) const {
-    return v.at_clamped(x / 2, y_ / 2);
-  }
 };
 
 }  // namespace dive::video

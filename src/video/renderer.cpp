@@ -8,17 +8,15 @@
 namespace dive::video {
 
 void validate(const RenderOptions& options) {
-  if (options.min_annotation_pixels < 0)
-    throw std::invalid_argument(
-        "RenderOptions: negative min_annotation_pixels");
   if (options.rain_streak_density < 0.0 || options.rain_streak_density > 1.0)
     throw std::invalid_argument(
         "RenderOptions: rain_streak_density outside [0, 1]");
-  if (options.rain_streak_luma < 0.0)
-    throw std::invalid_argument("RenderOptions: negative rain_streak_luma");
 }
 
 namespace {
+
+/// Luma lift at a rain streak's core (falls off over the streak length).
+constexpr double kRainStreakLuma = 42.0;
 
 using geom::Vec2;
 using geom::Vec3;
@@ -437,15 +435,12 @@ RenderResult Renderer::render(const Scene& scene, double t,
         if (d < 0) d += H;
         const std::int32_t len = streak_len[static_cast<std::size_t>(px)];
         if (d < len)
-          sh.y += options_.rain_streak_luma *
+          sh.y += kRainStreakLuma *
                   (1.0 - static_cast<double>(d) / static_cast<double>(len));
       }
 
-      if (options_.sensor_noise) {
-        const double n =
-            (lattice(px, py, frame_noise) - 0.5) * 2.0 * sp.luma_noise_amplitude;
-        sh.y += n;
-      }
+      sh.y += (lattice(px, py, frame_noise) - 0.5) * 2.0 *
+              sp.luma_noise_amplitude;
       result.frame.y.at(px, py) = clamp_u8(sh.y);
       row_yuv[static_cast<std::size_t>(px)] = sh;
     }
@@ -463,7 +458,7 @@ RenderResult Renderer::render(const Scene& scene, double t,
 
   for (std::size_t i = 0; i < objects.size(); ++i) {
     const Accum& a = accum[i];
-    if (a.count < options_.min_annotation_pixels) continue;
+    if (a.count < kMinAnnotationPixels) continue;
     RenderedObject ro;
     ro.object_index = static_cast<int>(i);
     ro.cls = objects[i].cls;

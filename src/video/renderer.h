@@ -34,23 +34,20 @@ struct RenderResult {
   std::vector<RenderedObject> objects;  ///< cars + pedestrians only
 };
 
+/// Minimum visible pixels for an object to be annotated.
+inline constexpr int kMinAnnotationPixels = 30;
+
 struct RenderOptions {
-  /// Minimum visible pixels for an object to be annotated.
-  int min_annotation_pixels = 30;
-  /// Disable sensor noise (tests).
-  bool sensor_noise = true;
   /// Rain droplet streaks (DESIGN.md §16): expected fraction of 8-pixel
   /// screen columns carrying a bright streak per frame, in [0, 1]. The
   /// streak layout is a pure hash of the per-frame noise seed, so renders
   /// stay deterministic and every frame gets a fresh (fast-falling)
   /// streak pattern. 0 disables (bit-identical to no rain layer).
   double rain_streak_density = 0.0;
-  /// Luma lift at a streak's core (falls off over the streak length).
-  double rain_streak_luma = 42.0;
 };
 
 /// Rejects out-of-domain render knobs with std::invalid_argument
-/// (rain density outside [0, 1], negative annotation floor).
+/// (rain density outside [0, 1]).
 void validate(const RenderOptions& options);
 
 class Renderer {

@@ -23,7 +23,7 @@ namespace dive::codec {
 namespace {
 
 constexpr int kMb = kMacroblockSize;
-constexpr int kRange = MotionSearchConfig{}.range;  ///< default, full-pel
+constexpr int kRange = kSearchRange;  ///< full-pel
 
 video::Plane random_plane(int w, int h, std::uint64_t seed) {
   video::Plane p(w, h);

@@ -1,4 +1,4 @@
-// Scene-change detection (EncoderConfig::scene_change_detection): a
+// Scene-change detection (kSceneChangeLumaDelta): a
 // global mean-luma step between the incoming frame and the reference —
 // tunnel entry/exit, headlight loss, exposure slam — forces an I-frame
 // mid-GoP, fully resetting SKIP and temporal carry. The forced intra
@@ -60,22 +60,27 @@ TEST(SceneChange, SubThresholdStepStaysInter) {
   EXPECT_EQ(enc.scene_change_count(), 0);
 }
 
-TEST(SceneChange, DetectionOffKeepsInterCoding) {
-  EncoderConfig cfg{.width = 128, .height = 64};
-  cfg.scene_change_detection = false;
-  Encoder enc(cfg);
-  (void)enc.encode(lit_frame(128, 64, 140, 1), 26);
-  EXPECT_EQ(enc.encode(lit_frame(128, 64, 50, 3), 26).type,
-            FrameType::kInter);
-  EXPECT_EQ(enc.scene_change_count(), 0);
+/// `f` with every luma sample raised by `lift` (no sample may clip).
+video::Frame lifted(const video::Frame& f, int lift) {
+  video::Frame out = f;
+  for (std::uint8_t& v : out.y.data) {
+    EXPECT_LE(v + lift, 255);
+    v = static_cast<std::uint8_t>(v + lift);
+  }
+  return out;
 }
 
 TEST(SceneChange, ThresholdIsConfigurable) {
-  EncoderConfig cfg{.width = 128, .height = 64};
-  cfg.scene_change_luma_delta = 8.0;
-  Encoder enc(cfg);
+  // The cut fires when the mean-luma step against the reconstructed
+  // reference exceeds kSceneChangeLumaDelta (24 DN), strictly. 128x64 has
+  // a power-of-two sample count, so both means and the step are exact.
+  static_assert(kSceneChangeLumaDelta == 24.0);
+  Encoder enc({.width = 128, .height = 64});
   (void)enc.encode(lit_frame(128, 64, 120, 1), 26);
-  EXPECT_EQ(enc.encode(lit_frame(128, 64, 135, 2), 26).type,
+  EXPECT_EQ(enc.encode(lifted(enc.reference(), 24), 26).type,
+            FrameType::kInter);
+  EXPECT_EQ(enc.scene_change_count(), 0);
+  EXPECT_EQ(enc.encode(lifted(enc.reference(), 25), 26).type,
             FrameType::kIntra);
   EXPECT_EQ(enc.scene_change_count(), 1);
 }

@@ -9,10 +9,10 @@ using util::from_millis;
 using util::from_seconds;
 
 TEST(BandwidthEstimator, PriorBeforeAnyAck) {
-  BandwidthEstimatorConfig cfg;
-  cfg.prior_bytes_per_sec = 5000.0;
-  const BandwidthEstimator est(cfg);
-  EXPECT_DOUBLE_EQ(est.estimate(from_seconds(1)), 5000.0);
+  const BandwidthEstimator est;
+  EXPECT_DOUBLE_EQ(est.estimate(from_seconds(1)), 125'000.0);
+  EXPECT_DOUBLE_EQ(est.estimate(from_seconds(1)),
+                   BandwidthEstimator::kPriorBytesPerSec);
 }
 
 TEST(BandwidthEstimator, SingleBurstGoodput) {
@@ -32,20 +32,19 @@ TEST(BandwidthEstimator, DurationWeightedAverage) {
 }
 
 TEST(BandwidthEstimator, WindowForgetsOldBursts) {
-  BandwidthEstimatorConfig cfg;
-  cfg.window = from_seconds(2);
-  BandwidthEstimator est(cfg);
+  static_assert(BandwidthEstimator::kWindow == from_seconds(2));
+  BandwidthEstimator est;
   est.add_transmission(10'000.0, 0, from_millis(500));  // 20 kB/s, old
   est.add_transmission(1000.0, from_seconds(5), from_millis(5500));  // 2 kB/s
   EXPECT_NEAR(est.estimate(from_millis(5500)), 2000.0, 1e-6);
 }
 
 TEST(BandwidthEstimator, SafetyFactorApplied) {
-  BandwidthEstimatorConfig cfg;
-  cfg.safety = 0.8;
-  BandwidthEstimator est(cfg);
+  BandwidthEstimator est;
   est.add_transmission(1000.0, 0, from_millis(100));  // 10 kB/s
-  EXPECT_NEAR(est.target_bytes_per_sec(from_millis(100)), 8000.0, 1e-6);
+  EXPECT_NEAR(est.target_bytes_per_sec(from_millis(100)), 9000.0, 1e-6);
+  EXPECT_DOUBLE_EQ(est.target_bytes_per_sec(from_millis(100)),
+                   est.estimate(from_millis(100)) * BandwidthEstimator::kSafety);
 }
 
 TEST(BandwidthEstimator, IgnoresDegenerateSamples) {
@@ -55,13 +54,11 @@ TEST(BandwidthEstimator, IgnoresDegenerateSamples) {
   est.add_transmission(100.0, from_millis(200), from_millis(150));
   // Still on the prior.
   EXPECT_DOUBLE_EQ(est.estimate(from_millis(200)),
-                   BandwidthEstimatorConfig{}.prior_bytes_per_sec);
+                   BandwidthEstimator::kPriorBytesPerSec);
 }
 
 TEST(BandwidthEstimator, TracksRateChange) {
-  BandwidthEstimatorConfig cfg;
-  cfg.window = from_seconds(1);
-  BandwidthEstimator est(cfg);
+  BandwidthEstimator est;
   // Old regime: 10 kB/s bursts.
   for (int i = 0; i < 5; ++i)
     est.add_transmission(1000.0, from_millis(i * 200),
@@ -77,9 +74,8 @@ TEST(BandwidthEstimator, ProratesStraddlingSample) {
   // Regression: a long transmission straddling the window edge used to
   // contribute its full duration and bytes, dragging in goodput from
   // before the window. Only the overlap with [now - window, now] counts.
-  BandwidthEstimatorConfig cfg;
-  cfg.window = from_seconds(2);
-  BandwidthEstimator est(cfg);
+  static_assert(BandwidthEstimator::kWindow == from_seconds(2));
+  BandwidthEstimator est;
   // ~9523.8 B/s for 10.5 s — only its last 0.1 s is inside the window.
   est.add_transmission(100'000.0, 0, from_millis(10'500));
   // 500 B/s for 0.1 s, fully inside the window.
@@ -94,7 +90,7 @@ TEST(BandwidthEstimator, ResetRestoresPrior) {
   est.add_transmission(1000.0, 0, from_millis(100));
   est.reset();
   EXPECT_DOUBLE_EQ(est.estimate(from_millis(100)),
-                   BandwidthEstimatorConfig{}.prior_bytes_per_sec);
+                   BandwidthEstimator::kPriorBytesPerSec);
 }
 
 }  // namespace

@@ -61,9 +61,7 @@ TEST(Clustering, SeedsInSameBlobShareCluster) {
 TEST(Clustering, MinSizeFiltersNoise) {
   auto pre = grid(8, 8);
   set_mv(pre, 4, 4, {9, 0});  // isolated single block
-  ClusteringConfig cfg;
-  cfg.min_cluster_mbs = 2;
-  const ForegroundClusterer fc(cfg);
+  const ForegroundClusterer fc;  // clusters need at least 2 MBs
   EXPECT_TRUE(fc.grow(pre, {4 * 8 + 4}).empty());
 }
 
@@ -92,28 +90,36 @@ TEST(Clustering, OutsideHullNeedsMotionEvidence) {
 }
 
 TEST(Clustering, AnchorStopsGradualDrift) {
-  // MV magnitude ramps along a column; without the anchor bound a single
-  // cluster would creep down the whole ramp, each step individually
-  // "similar". Side columns carry dissimilar motion so only the ramp is
-  // in play.
-  auto pre = grid(3, 12);
-  for (int r = 0; r < 12; ++r) {
-    set_mv(pre, 0, r, {30.0, 0.0});
-    set_mv(pre, 2, r, {-30.0, 0.0});
-    set_mv(pre, 1, r, {0.0, 1.0 + r * 0.9});
-  }
-  ClusteringConfig cfg;
-  cfg.pair_distance = 1.0;
-  cfg.mean_distance = 100.0;  // disable the mean check for this test
-  cfg.anchor_abs = 2.0;
-  cfg.anchor_rel = 0.0;
-  cfg.min_cluster_mbs = 2;
-  const ForegroundClusterer fc(cfg);
-  const auto clusters = fc.grow(pre, {0 * 3 + 1});
-  ASSERT_EQ(clusters.size(), 1u);
-  // Anchor bound 2.0 around seed MV magnitude 1.0 admits rows 0-3 only.
-  EXPECT_LE(clusters[0].row_max, 3);
-  EXPECT_GE(clusters[0].size(), 2);
+  // MV magnitude ramps by 0.9 px per row along a column; without the
+  // anchor bound a single cluster would creep down the ramp, each step
+  // individually "similar". Side columns carry dissimilar motion so only
+  // the ramp is in play. The bound is max(2.0, 0.5 * |seed_mv|).
+  const auto ramp = [](double seed_mv) {
+    auto pre = grid(3, 12);
+    for (int r = 0; r < 12; ++r) {
+      set_mv(pre, 0, r, {30.0, 0.0});
+      set_mv(pre, 2, r, {-30.0, 0.0});
+      set_mv(pre, 1, r, {0.0, seed_mv + r * 0.9});
+    }
+    return pre;
+  };
+  const ForegroundClusterer fc;
+
+  // Seed MV 1.0: the absolute bound 2.0 admits rows 0-2. Row 3 is 2.7 px
+  // from the seed, yet passes the pair test (0.9 <= 1.8) and the mean
+  // test (1.8 from the mean of rows 0-2, <= 2.5): only the anchor stops
+  // it, where those two alone would grow through row 4.
+  const auto slow = fc.grow(ramp(1.0), {0 * 3 + 1});
+  ASSERT_EQ(slow.size(), 1u);
+  EXPECT_EQ(slow[0].row_max, 2);
+  EXPECT_EQ(slow[0].size(), 3);
+
+  // Seed MV 6.0: the relative bound 3.0 admits row 3 (2.7 px) and stops
+  // row 4 (3.6 px), which passes the pair and mean tests (2.25 <= 2.5).
+  const auto fast = fc.grow(ramp(6.0), {0 * 3 + 1});
+  ASSERT_EQ(fast.size(), 1u);
+  EXPECT_EQ(fast[0].row_max, 3);
+  EXPECT_EQ(fast[0].size(), 4);
 }
 
 TEST(ClusterMerge, JoinsAdjacentSimilarClusters) {

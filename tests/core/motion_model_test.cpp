@@ -58,7 +58,7 @@ TEST(MotionModel, NormalizedMagnitudeConstantPerHeight) {
       const double y_img = f * height / depth;
       const geom::Vec2 p{x_img, y_img};
       const auto mv = translational_mv(p, dz, depth);
-      const double nm = normalized_magnitude(p, mv, {0, 0});
+      const double nm = normalized_magnitude(p, mv);
       EXPECT_NEAR(nm, dz / (f * height), 1e-12)
           << "depth=" << depth << " x=" << x_img;
     }
@@ -74,23 +74,15 @@ TEST(MotionModel, NormalizedMagnitudeOrdersByHeight) {
   const double y_ground = f * 1.5 / depth;
   const double y_mid = f * 0.7 / depth;
   const auto nm_ground = normalized_magnitude(
-      {50, y_ground}, translational_mv({50, y_ground}, dz, depth), {0, 0});
+      {50, y_ground}, translational_mv({50, y_ground}, dz, depth));
   const auto nm_mid = normalized_magnitude(
-      {50, y_mid}, translational_mv({50, y_mid}, dz, depth), {0, 0});
+      {50, y_mid}, translational_mv({50, y_mid}, dz, depth));
   EXPECT_LT(nm_ground, nm_mid);
 }
 
 TEST(MotionModel, NormalizedMagnitudeInvalidAboveHorizon) {
-  EXPECT_DOUBLE_EQ(normalized_magnitude({10, -5}, {1, 1}, {0, 0}), 0.0);
-  EXPECT_DOUBLE_EQ(normalized_magnitude({0, 0}, {1, 1}, {0, 0}), 0.0);
-}
-
-TEST(MotionModel, FoeShiftChangesNormalization) {
-  const geom::Vec2 p{60, 40};
-  const geom::Vec2 mv{3, 2};
-  const double centered = normalized_magnitude(p, mv, {0, 0});
-  const double shifted = normalized_magnitude(p, mv, {30, 0});
-  EXPECT_NE(centered, shifted);
+  EXPECT_DOUBLE_EQ(normalized_magnitude({10, -5}, {1, 1}), 0.0);
+  EXPECT_DOUBLE_EQ(normalized_magnitude({0, 0}, {1, 1}), 0.0);
 }
 
 }  // namespace

@@ -60,16 +60,16 @@ TEST(OfflineTracker, DropsBoxesLeavingFrame) {
 }
 
 TEST(OfflineTracker, ConfidenceDecays) {
-  OfflineTrackerConfig cfg;
-  cfg.confidence_decay = 0.9;
-  const OfflineTracker tracker(cfg);
+  constexpr double kDecay = OfflineTracker::kConfidenceDecay;
+  static_assert(kDecay == 0.92);
+  const OfflineTracker tracker;
   const auto field = uniform_field(8, 8, {0, 0});
   edge::DetectionList boxes = {{kCar, {32, 32, 64, 64}, 1.0}};
   boxes = tracker.track(boxes, field, 128, 128);
   ASSERT_EQ(boxes.size(), 1u);
-  EXPECT_DOUBLE_EQ(boxes[0].confidence, 0.9);
+  EXPECT_DOUBLE_EQ(boxes[0].confidence, kDecay);
   boxes = tracker.track(boxes, field, 128, 128);
-  EXPECT_DOUBLE_EQ(boxes[0].confidence, 0.81);
+  EXPECT_DOUBLE_EQ(boxes[0].confidence, kDecay * kDecay);
 }
 
 TEST(OfflineTracker, TracksMultipleObjectsIndependently) {

@@ -42,11 +42,19 @@ TEST(Preprocess, MovingJudgedByEta) {
 }
 
 TEST(Preprocess, EtaThresholdConfigurable) {
-  PreprocessConfig cfg;
-  cfg.eta_threshold = 1.0;  // unreachable: eta can never exceed 1
-  Preprocessor pre(cfg, 3);
-  const auto result = pre.run(field_of({}, 1.0), kCamera);
-  EXPECT_FALSE(result.agent_moving);
+  // The threshold is the constant kEtaThreshold; the judgement is strict.
+  // 20 MBs with 3 nonzero vectors sit exactly on it, 4 clear it.
+  static_assert(Preprocessor::kEtaThreshold == 0.15);
+  Preprocessor pre({}, 3);
+  codec::MotionField field(20, 1);
+  for (int col = 0; col < 3; ++col) field.at(col, 0) = {2, 0};
+  const auto on = pre.run(field, kCamera);
+  EXPECT_DOUBLE_EQ(on.eta, Preprocessor::kEtaThreshold);
+  EXPECT_FALSE(on.agent_moving);
+  field.at(3, 0) = {2, 0};
+  const auto above = pre.run(field, kCamera);
+  EXPECT_DOUBLE_EQ(above.eta, 0.2);
+  EXPECT_TRUE(above.agent_moving);
 }
 
 TEST(Preprocess, RotationRemovedFromVectors) {

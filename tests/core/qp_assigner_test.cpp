@@ -40,10 +40,8 @@ TEST(QpAssigner, AdaptiveDeltaGrowsWithForeground) {
 }
 
 TEST(QpAssigner, DeltaClampedToRange) {
-  QpAssignerConfig cfg;
-  cfg.delta_min = 4;
-  cfg.delta_max = 26;
-  const QpAssigner qa(cfg);
+  // The adaptive delta is clamped to [4, 26].
+  const QpAssigner qa;
   EXPECT_EQ(qa.background_delta(result_with_region({0, 0, 512, 288}), 32, 18),
             26);
   EXPECT_EQ(qa.background_delta(result_with_region({0, 0, 16, 16}), 32, 18),
@@ -60,9 +58,8 @@ TEST(QpAssigner, FixedDeltaOverridesAdaptive) {
 }
 
 TEST(QpAssigner, NoForegroundUsesGentleDelta) {
-  QpAssignerConfig cfg;
-  cfg.delta_min = 4;
-  const QpAssigner qa(cfg);
+  // The gentle delta is the bottom of the adaptive range, 4.
+  const QpAssigner qa;
   ForegroundResult none;
   EXPECT_EQ(qa.background_delta(none, 32, 18), 4);
   const auto map = qa.build_map(none, 4, 4);

@@ -34,25 +34,26 @@ TEST(EdgeServer, ResultTimeIncludesLatencies) {
   ServerConfig cfg;
   cfg.decode_latency = util::from_millis(5);
   cfg.inference_latency = util::from_millis(20);
-  cfg.inference_jitter_ms = 0.0;
-  cfg.downlink_delay = util::from_millis(10);
   EdgeServer server(cfg, 2);
+  const util::SimTime jitter = server.inference_jitter(0);
   const auto r = server.process(encoded.data, util::from_seconds(2));
-  EXPECT_EQ(r.result_at_agent, util::from_seconds(2) + util::from_millis(35));
+  static_assert(kDownlinkDelay == util::from_millis(8));
+  EXPECT_EQ(r.result_at_agent,
+            util::from_seconds(2) + util::from_millis(33) + jitter);
 }
 
 TEST(EdgeServer, JitterBoundsResultTime) {
   codec::Encoder enc({.width = 64, .height = 32});
-  ServerConfig cfg;
-  cfg.inference_jitter_ms = 3.0;
+  const ServerConfig cfg;
   EdgeServer server(cfg, 3);
-  const util::SimTime nominal = cfg.decode_latency + cfg.inference_latency +
-                                cfg.downlink_delay;
+  const util::SimTime nominal =
+      cfg.decode_latency + cfg.inference_latency + kDownlinkDelay;
+  static_assert(kInferenceJitterMs == 2.0);
   for (int i = 0; i < 10; ++i) {
     const auto encoded = enc.encode(video::Frame(64, 32), 20);
     const auto r = server.process(encoded.data, 0);
-    EXPECT_GE(r.result_at_agent, nominal - util::from_millis(3));
-    EXPECT_LE(r.result_at_agent, nominal + util::from_millis(3));
+    EXPECT_GE(r.result_at_agent, nominal - util::from_millis(2));
+    EXPECT_LE(r.result_at_agent, nominal + util::from_millis(2));
   }
 }
 
@@ -61,8 +62,7 @@ TEST(EdgeServer, JitterIsPerFrameStreamIndependentOfCallOrder) {
   // (seed, k) — two servers with the same seed agree frame-by-frame no
   // matter how many frames either has processed, and querying out of
   // order changes nothing.
-  ServerConfig cfg;
-  cfg.inference_jitter_ms = 5.0;
+  const ServerConfig cfg;
   EdgeServer a(cfg, 7);
   EdgeServer b(cfg, 7);
   for (int k = 9; k >= 0; --k)
@@ -77,11 +77,10 @@ TEST(EdgeServer, JitterIsPerFrameStreamIndependentOfCallOrder) {
 
 TEST(EdgeServer, ProcessUsesPerFrameJitterStream) {
   codec::Encoder enc({.width = 64, .height = 32});
-  ServerConfig cfg;
-  cfg.inference_jitter_ms = 4.0;
+  const ServerConfig cfg;
   EdgeServer server(cfg, 11);
   const util::SimTime nominal =
-      cfg.decode_latency + cfg.inference_latency + cfg.downlink_delay;
+      cfg.decode_latency + cfg.inference_latency + kDownlinkDelay;
   for (std::uint64_t k = 0; k < 5; ++k) {
     const auto jitter = server.inference_jitter(k);
     EXPECT_EQ(server.frames_processed(), k);
@@ -116,12 +115,11 @@ TEST(EdgeServer, ProcessAndSplitPathConsumeJitterIdentically) {
   // detections, identical jitter, and identical counter advance.
   codec::Encoder enc_a({.width = 128, .height = 64});
   codec::Encoder enc_b({.width = 128, .height = 64});
-  ServerConfig cfg;
-  cfg.inference_jitter_ms = 5.0;
+  const ServerConfig cfg;
   EdgeServer monolithic(cfg, 21);
   EdgeServer split(cfg, 21);
   const util::SimTime nominal =
-      cfg.decode_latency + cfg.inference_latency + cfg.downlink_delay;
+      cfg.decode_latency + cfg.inference_latency + kDownlinkDelay;
   for (std::uint64_t k = 0; k < 6; ++k) {
     const auto frame = frame_with_car(128, 64);
     const auto bytes_a = enc_a.encode(frame, 8).data;

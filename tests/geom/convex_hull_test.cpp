@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "geom/polygon.h"
 #include "util/rng.h"
@@ -65,24 +66,10 @@ TEST(ConvexHull, RandomPointsPropertyCheck) {
   }
 }
 
-TEST(SklanskyHull, ConvexPolygonUnchanged) {
-  const std::vector<Vec2> square = {{0, 0}, {4, 0}, {4, 4}, {0, 4}};
-  const auto hull = sklansky_hull(square);
-  EXPECT_EQ(hull.size(), 4u);
-  EXPECT_NEAR(polygon_area(hull), 16.0, 1e-12);
-}
-
-TEST(SklanskyHull, RemovesConcavity) {
-  // An arrow-like simple polygon with one reflex vertex.
-  const std::vector<Vec2> arrow = {{0, 0}, {4, 0}, {4, 4}, {2, 1.5}, {0, 4}};
-  const auto hull = sklansky_hull(arrow);
-  EXPECT_EQ(hull.size(), 4u);
-  EXPECT_NEAR(polygon_area(hull), 16.0, 1e-12);
-  for (const auto& v : arrow) EXPECT_TRUE(point_in_polygon(v, hull));
-}
-
-TEST(SklanskyHull, MatchesMonotoneChainOnSimplePolygons) {
-  // Star-shaped simple polygon around the origin.
+TEST(ConvexHull, StarShapedSimplePolygons) {
+  // Star-shaped simple polygons around the origin, given in vertex order
+  // with concave vertices: the hull is convex, covers every vertex, and
+  // is never smaller than the polygon itself.
   util::Rng rng(4);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Vec2> poly;
@@ -92,9 +79,18 @@ TEST(SklanskyHull, MatchesMonotoneChainOnSimplePolygons) {
       const double r = rng.uniform(2.0, 10.0);
       poly.push_back({r * std::cos(ang), r * std::sin(ang)});
     }
-    const auto a = sklansky_hull(poly);
-    const auto b = convex_hull(poly);
-    EXPECT_NEAR(polygon_area(a), polygon_area(b), 1e-9) << "trial " << trial;
+    const auto hull = convex_hull(poly);
+    ASSERT_GE(hull.size(), 3u);
+    const std::size_t m = hull.size();
+    for (std::size_t i = 0; i < m; ++i) {
+      const Vec2 a = hull[i];
+      const Vec2 b = hull[(i + 1) % m];
+      const Vec2 c = hull[(i + 2) % m];
+      EXPECT_GT((b - a).cross(c - b), 0.0) << "trial " << trial;
+    }
+    EXPECT_TRUE(hull_contains_all(hull, poly)) << "trial " << trial;
+    EXPECT_GE(polygon_area(hull), polygon_area(poly) - 1e-9)
+        << "trial " << trial;
   }
 }
 

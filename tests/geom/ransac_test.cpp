@@ -84,7 +84,6 @@ TEST(Ransac, RefitTightensModel) {
   RansacOptions opts;
   opts.iterations = 30;
   opts.inlier_threshold = 0.5;
-  opts.refit_on_inliers = true;
   const auto refit = fit_line(data, opts, rng);
   ASSERT_TRUE(refit.has_value());
   // With all points inliers, the refit equals the global LS fit.

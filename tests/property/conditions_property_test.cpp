@@ -26,7 +26,6 @@ TEST_P(ConditionSweep, AnnotationsWellFormed) {
   harness::apply_condition(spec, GetParam());
 
   const data::Clip clip = data::generate_clip(spec, 0);
-  const video::RenderOptions defaults;
   ASSERT_FALSE(clip.frames.empty());
 
   for (const data::FrameRecord& rec : clip.frames) {
@@ -43,7 +42,7 @@ TEST_P(ConditionSweep, AnnotationsWellFormed) {
       EXPECT_LT(obj.pixel_box.y0, obj.pixel_box.y1);
 
       // Every annotation clears the visibility floor.
-      EXPECT_GE(obj.pixel_count, defaults.min_annotation_pixels);
+      EXPECT_GE(obj.pixel_count, video::kMinAnnotationPixels);
 
       // Visible pixels fit inside the tight box: occluded pixels are not
       // counted as visible.

@@ -132,24 +132,6 @@ TEST(GeomProperty, HullIdempotent) {
   }
 }
 
-TEST(GeomProperty, RasterizedCellsInsideBounds) {
-  util::Rng rng(32);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<geom::Vec2> pts;
-    for (int i = 0; i < 10; ++i)
-      pts.push_back({rng.uniform(0, 20), rng.uniform(0, 12)});
-    const auto hull = geom::convex_hull(pts);
-    if (hull.size() < 3) continue;
-    for (const auto& [cx, cy] : geom::rasterize_polygon(hull, 20, 12)) {
-      EXPECT_GE(cx, 0);
-      EXPECT_LT(cx, 20);
-      EXPECT_GE(cy, 0);
-      EXPECT_LT(cy, 12);
-      EXPECT_TRUE(geom::point_in_polygon({cx + 0.5, cy + 0.5}, hull));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------
 // Evaluator: AP is invariant under strictly monotone confidence
 // transforms and never exceeds 1.

@@ -22,7 +22,7 @@ constexpr int kH = 96;
 
 /// Sidecar with a quiet motion field (all-zero MVs, nothing skipped) and
 /// no regions unless added — plans against it light only policy tiles
-/// (horizon band, stripes).
+/// (horizon band, stripes). 8x6 tiles of 16 px; the band is tile row 3.
 RoiMetadata quiet_meta() {
   RoiMetadata m;
   m.mb_cols = kW / codec::kMacroblockSize;
@@ -36,10 +36,14 @@ RoiGateConfig quiet_config() {
   RoiGateConfig cfg;
   cfg.tile_px = 16;
   cfg.halo_tiles = 0;
-  cfg.full_refresh_interval = 0;  // no periodic full pass
   cfg.scan_stripes = 0;
-  cfg.horizon_rows = 0;
   return cfg;
+}
+
+/// Plans and discards the first frame, which is always a full refresh.
+void skip_refresh(RoiGate& gate) {
+  const RoiMetadata m = quiet_meta();
+  EXPECT_FALSE(gate.plan(&m, kW, kH).gated);
 }
 
 bool tile_at(const GatePlan& p, int tx, int ty) {
@@ -57,31 +61,31 @@ TEST(RoiGatePlan, NullOrMismatchedMetadataFallsBackToFullFrame) {
 
 TEST(RoiGatePlan, FullRefreshCadence) {
   edge::EdgeServer server({}, 1);
-  RoiGateConfig cfg = quiet_config();
-  cfg.full_refresh_interval = 4;
-  cfg.horizon_rows = 1;  // something to gate on between refreshes
-  RoiGate gate(cfg, &server);
-  const RoiMetadata m = quiet_meta();
-  for (int k = 0; k < 12; ++k) {
+  RoiGate gate(quiet_config(), &server);
+  const RoiMetadata m = quiet_meta();  // the horizon band gates between
+  static_assert(kFullRefreshInterval == 12);
+  for (int k = 0; k < 30; ++k) {
     const GatePlan p = gate.plan(&m, kW, kH);
-    EXPECT_EQ(p.gated, k % 4 != 0) << "frame " << k;
+    EXPECT_EQ(p.gated, k % 12 != 0) << "frame " << k;
   }
-  EXPECT_EQ(gate.stats().planned, 12);
+  EXPECT_EQ(gate.stats().planned, 30);
 }
 
 TEST(RoiGatePlan, HorizonBandStaysLit) {
   edge::EdgeServer server({}, 1);
-  RoiGateConfig cfg = quiet_config();
-  cfg.horizon_rows = 1;
+  const RoiGateConfig cfg = quiet_config();
   RoiGate gate(cfg, &server);
+  skip_refresh(gate);
   const RoiMetadata m = quiet_meta();
   const GatePlan p = gate.plan(&m, kW, kH);
   ASSERT_TRUE(p.gated);
+  static_assert(kHorizonRows == 1);
   const int horizon_ty = (kH / 2) / cfg.tile_px;
-  for (int tx = 0; tx < p.tile_cols; ++tx)
-    EXPECT_TRUE(tile_at(p, tx, horizon_ty)) << "tx=" << tx;
+  for (int ty = 0; ty < p.tile_rows; ++ty)
+    for (int tx = 0; tx < p.tile_cols; ++tx)
+      EXPECT_EQ(tile_at(p, tx, ty), ty == horizon_ty) << tx << "," << ty;
   // Only the band is lit: work is the floored fraction of one tile row.
-  EXPECT_LT(p.coverage, 0.3);
+  EXPECT_DOUBLE_EQ(p.coverage, 1.0 / 6.0);
   EXPECT_GE(p.work, kMinWorkFraction);
 }
 
@@ -90,8 +94,9 @@ TEST(RoiGatePlan, ScanStripesRotate) {
   RoiGateConfig cfg = quiet_config();
   cfg.scan_stripes = 4;
   RoiGate gate(cfg, &server);
+  skip_refresh(gate);
   const RoiMetadata m = quiet_meta();
-  for (int k = 0; k < 8; ++k) {
+  for (int k = 1; k < 9; ++k) {
     const GatePlan p = gate.plan(&m, kW, kH);
     ASSERT_TRUE(p.gated) << "frame " << k;
     for (int tx = 0; tx < p.tile_cols; ++tx) {
@@ -106,6 +111,7 @@ TEST(RoiGatePlan, MotionDeviationLightsOutliersNotEgoMotion) {
   RoiGateConfig cfg = quiet_config();
   cfg.motion_deviation = 4;
   RoiGate gate(cfg, &server);
+  skip_refresh(gate);
   // Uniform pan (pure ego motion) + one deviating macroblock.
   RoiMetadata m = quiet_meta();
   for (auto& mv : m.mvs) mv = {10, -6};
@@ -120,18 +126,25 @@ TEST(RoiGatePlan, MotionDeviationLightsOutliersNotEgoMotion) {
 
 TEST(RoiGatePlan, CoverageThresholdForcesFullFrame) {
   edge::EdgeServer server({}, 1);
-  RoiGateConfig cfg = quiet_config();
-  cfg.motion_deviation = 1;
-  cfg.max_coverage = 0.5;
-  RoiGate gate(cfg, &server);
-  // Every MB deviates wildly: post-plan coverage 1.0 >= threshold.
+  RoiGate gate(quiet_config(), &server);
+  skip_refresh(gate);
+  // Tile rows 0-2 pan against a still majority (the median MV stays 0),
+  // so each deviating MB lights its tile; the band adds row 3. 32 of 48
+  // tiles reach the threshold, 31 stay under it.
+  static_assert(31.0 / 48.0 < kMaxCoverage && kMaxCoverage <= 32.0 / 48.0);
   RoiMetadata m = quiet_meta();
-  util::Rng rng(5);
-  for (auto& mv : m.mvs) mv = {rng.uniform_int(-40, 40), rng.uniform_int(-40, 40)};
-  const GatePlan p = gate.plan(&m, kW, kH);
-  EXPECT_FALSE(p.gated);
-  EXPECT_EQ(p.work, 1.0);
-  EXPECT_EQ(p.pixel_fraction, 1.0);
+  for (int mb = 0; mb < 3 * m.mb_cols; ++mb)
+    m.mvs[static_cast<std::size_t>(mb)] = {-30, 0};
+  const GatePlan over = gate.plan(&m, kW, kH);
+  EXPECT_FALSE(over.gated);
+  EXPECT_EQ(over.coverage, 1.0);
+  EXPECT_EQ(over.work, 1.0);
+  EXPECT_EQ(over.pixel_fraction, 1.0);
+
+  m.mvs[0] = {0, 0};
+  const GatePlan under = gate.plan(&m, kW, kH);
+  EXPECT_TRUE(under.gated);
+  EXPECT_DOUBLE_EQ(under.coverage, 31.0 / 48.0);
 }
 
 TEST(RoiGateRun, FullFramePlanSeedsHeldBoxes) {
@@ -160,8 +173,7 @@ TEST(RoiGateProcess, MatchesEdgeServerOnFullFramePlans) {
   // same detections, same latency, same jitter stream position.
   codec::Encoder enc_a({.width = kW, .height = kH});
   codec::Encoder enc_b({.width = kW, .height = kH});
-  edge::ServerConfig sc;
-  sc.inference_jitter_ms = 3.0;
+  const edge::ServerConfig sc;
   edge::EdgeServer plain(sc, 9);
   edge::EdgeServer wrapped(sc, 9);
   RoiGate gate(quiet_config(), &wrapped);

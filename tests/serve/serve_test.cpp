@@ -23,13 +23,11 @@ constexpr util::SimTime kDecode = from_millis(3.0);
 constexpr util::SimTime kInfer = from_millis(18.0);
 
 Scheduler make_scheduler(int workers, std::size_t max_batch,
-                         util::SimTime window = from_millis(4.0),
-                         double marginal = 0.35) {
+                         util::SimTime window = from_millis(4.0)) {
   SchedulerConfig cfg;
   cfg.workers = workers;
   cfg.max_batch = max_batch;
   cfg.batch_window = window;
-  cfg.batch_marginal = marginal;
   return Scheduler(cfg, kDecode, kInfer);
 }
 
@@ -174,7 +172,6 @@ ServeNodeConfig slow_node_config() {
   cfg.scheduler.max_batch = 1;
   cfg.admission.max_queue = 2;
   cfg.server.inference_latency = from_seconds(10.0);  // pin the worker
-  cfg.server.inference_jitter_ms = 0.0;
   cfg.seed = 5;
   return cfg;
 }
@@ -197,7 +194,9 @@ FrameJob encoded_job(codec::Encoder& enc, std::uint32_t session,
 
 TEST(Admission, QueueBoundIsRespected) {
   ServeNodeConfig cfg = slow_node_config();
-  cfg.admission.deadline_aware = false;
+  // A deadline far past every completion (<= 30 s) isolates the queue
+  // bound from the deadline drop.
+  cfg.session.deadline = from_seconds(1000);
   ServeNode node(cfg);
   node.open_session(fast_uplink());
   codec::Encoder enc({.width = 64, .height = 32});
@@ -231,7 +230,7 @@ TEST(Admission, QueueBoundIsRespected) {
 }
 
 TEST(Admission, DeadlineAwareDropUnderBacklog) {
-  ServeNodeConfig cfg = slow_node_config();  // deadline_aware on by default
+  ServeNodeConfig cfg = slow_node_config();
   // Between the idle-worker completion (~10 s) and the backlogged one
   // (~20 s): frame 0 is servable in time, frame 1 provably is not.
   cfg.session.deadline = from_seconds(15);

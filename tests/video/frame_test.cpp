@@ -39,11 +39,17 @@ TEST(Frame, DefaultPixelValues) {
 }
 
 TEST(Frame, ChromaCoSiting) {
+  // 4:2:0: chroma sample (cx, cy) covers luma pixels (2cx..2cx+1,
+  // 2cy..2cy+1); the planes are exactly half size, so no luma pixel maps
+  // past the chroma edge.
   Frame f(16, 16);
   f.u.at(3, 2) = 200;
-  EXPECT_EQ(f.u_at_luma(6, 4), 200);
-  EXPECT_EQ(f.u_at_luma(7, 5), 200);
-  EXPECT_NE(f.u_at_luma(8, 4), 200);
+  const auto u_at_luma = [&f](int x, int y) { return f.u.at(x / 2, y / 2); };
+  EXPECT_EQ(u_at_luma(6, 4), 200);
+  EXPECT_EQ(u_at_luma(7, 5), 200);
+  EXPECT_NE(u_at_luma(8, 4), 200);
+  EXPECT_EQ(f.u.width * 2, f.y.width);
+  EXPECT_EQ(f.u.height * 2, f.y.height);
 }
 
 TEST(Frame, EqualityAndEmpty) {

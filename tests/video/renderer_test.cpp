@@ -119,15 +119,19 @@ TEST(Renderer, DeterministicForSameSeed) {
 }
 
 TEST(Renderer, SensorNoiseToggle) {
-  RenderOptions opts;
-  opts.sensor_noise = false;
-  const Renderer ren(test_camera(), opts);
-  const Scene scene = road_scene();
+  // Sensor noise scales with SceneParams::luma_noise_amplitude; at 0 the
+  // noise seed has no effect.
+  SceneParams quiet;
+  quiet.luma_noise_amplitude = 0.0;
+  Scene scene(quiet);
+  util::Rng rng(99);
+  scene.add_buildings(-20, 200, rng);
+  const Renderer ren(test_camera());
   geom::CameraPose pose;
   pose.position = {0, -1.5, 0};
   const auto a = ren.render(scene, 0.0, pose, 1);
   const auto b = ren.render(scene, 0.0, pose, 2);
-  EXPECT_EQ(a.frame, b.frame);  // noise seed has no effect when disabled
+  EXPECT_EQ(a.frame, b.frame);
 }
 
 TEST(Renderer, ForwardMotionExpandsImage) {
@@ -152,33 +156,45 @@ TEST(Renderer, ForwardMotionExpandsImage) {
 }
 
 TEST(Renderer, TinyObjectsNotAnnotated) {
-  RenderOptions opts;
-  opts.min_annotation_pixels = 1000000;  // absurd threshold
-  const Renderer ren(test_camera(), opts);
-  Scene scene;
-  SceneObject car;
-  car.cls = ObjectClass::kCar;
-  car.half = {0.9, 0.75, 2.2};
-  car.track.base_xz = {0.0, 15.0};
-  scene.add_object(car);
+  // A far car covers fewer than kMinAnnotationPixels pixels: it is drawn
+  // (the frame differs from the empty scene's) but not annotated.
+  const Renderer ren(test_camera());
   geom::CameraPose pose;
   pose.position = {0, -1.5, 0};
-  EXPECT_TRUE(ren.render(scene, 0.0, pose, 1).objects.empty());
+  const auto car_at = [&](double z) {
+    Scene scene;
+    SceneObject car;
+    car.cls = ObjectClass::kCar;
+    car.half = {0.9, 0.75, 2.2};
+    car.track.base_xz = {0.0, z};
+    scene.add_object(car);
+    return ren.render(scene, 0.0, pose, 1);
+  };
+  const auto empty = ren.render(Scene{}, 0.0, pose, 1);
+  const auto drawn_pixels = [&](const RenderResult& r) {
+    int n = 0;
+    for (std::size_t i = 0; i < r.frame.y.data.size(); ++i)
+      if (r.frame.y.data[i] != empty.frame.y.data[i]) ++n;
+    return n;
+  };
+
+  const auto near = car_at(15.0);
+  ASSERT_EQ(near.objects.size(), 1u);
+  EXPECT_GE(near.objects[0].pixel_count, kMinAnnotationPixels);
+
+  const auto far = car_at(150.0);
+  EXPECT_GT(drawn_pixels(far), 0);
+  EXPECT_LT(drawn_pixels(far), kMinAnnotationPixels);
+  EXPECT_TRUE(far.objects.empty());
 }
 
 // --- Hostile-condition rendering (DESIGN.md §16) ---
 
 TEST(RenderOptionsValidate, RejectsBadConditionKnobs) {
   RenderOptions opts;
-  opts.min_annotation_pixels = -1;
-  EXPECT_THROW(Renderer(test_camera(), opts), std::invalid_argument);
-
-  opts = RenderOptions{};
   opts.rain_streak_density = 1.5;
   EXPECT_THROW(Renderer(test_camera(), opts), std::invalid_argument);
-
-  opts = RenderOptions{};
-  opts.rain_streak_luma = -1.0;
+  opts.rain_streak_density = -0.1;
   EXPECT_THROW(Renderer(test_camera(), opts), std::invalid_argument);
 }
 

@@ -36,6 +36,15 @@ a serve node. This lint forbids them at the source level:
                 name and re-walks the registry map, which is exactly the
                 per-frame hot-path cost the handle API exists to avoid.
                 Compose dynamic names once, outside the recording path.
+  unset-knob    a data member of a struct named *Config/*Options in a
+                src/ header that no program assigns. Programs are the
+                files under src/, bench/, examples/, fuzz/ and perfbench/;
+                tests do not count. Assignments are `.name =`, `->name =`
+                (compound assignment too), designated initializers
+                `{.name = ...}` and nested `.name.field =`. Matching is by
+                member name. A knob no program sets is a constant in
+                disguise: make it a named constant beside its reader, or
+                mark a deliberate one with the escape and a reason.
 
 Escapes, in preference order:
   1. a `// dive-lint: allow(<rule>)` comment on the offending line;
@@ -62,6 +71,10 @@ DETERMINISTIC_DIRS = ("src/codec", "src/roi", "src/serve", "src/core")
 
 # Files scanned overall.
 SOURCE_EXTENSIONS = (".cpp", ".h")
+
+# Directories (relative to --root) whose assignments make a knob "set"
+# for the unset-knob rule: every program, no tests.
+PROGRAM_DIRS = ("src", "bench", "examples", "fuzz", "perfbench")
 
 ALLOWLIST_FILE = os.path.join("tools", "dive_lint_allow.txt")
 
@@ -136,6 +149,16 @@ RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;)]*?:\s*([^)]*)\)")
 UNORDERED_INLINE_RE = re.compile(r"std\s*::\s*unordered_(?:map|set)\b")
 
 
+def is_digit_separator(text, i):
+    """True when the quote at text[i] separates digits (`1'000`): the
+    token it ends starts with a digit. A char literal's prefix (`u8'x'`,
+    `L'x'`) starts with a letter, and a bare `'x'` follows no token."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "'._"):
+        j -= 1
+    return j < i and text[j].isdigit()
+
+
 def strip_comments_and_strings(text):
     """Blanks out comments, string and char literals, preserving line
     structure and column positions (a crude but honest C++ lexer)."""
@@ -166,6 +189,9 @@ def strip_comments_and_strings(text):
                     state = "str"
                     out.append(" ")
                     i += 1
+            elif c == "'" and is_digit_separator(text, i):
+                out.append(c)
+                i += 1
             elif c == "'":
                 state = "chr"
                 out.append(" ")
@@ -366,7 +392,87 @@ def check_metric_calls(stripped_lines, raw_lines):
     return findings
 
 
-def lint_file(root, relpath, allowlist):
+KNOB_STRUCT_RE = re.compile(
+    r"\bstruct\s+(\w+(?:Config|Options))\s*(?::[^{;]*)?\{"
+)
+NOT_A_MEMBER_RE = re.compile(
+    r"(using|static|friend|enum|struct|class|union|typedef|template)\b"
+)
+ACCESS_RE = re.compile(r"^(public|private|protected)\s*:")
+
+
+def knob_members(stripped_text):
+    """Data members of every struct named *Config/*Options in one
+    comment-stripped header: a list of (struct, member, lineno). Member
+    functions, nested types, static and using declarations are skipped."""
+    members = []
+    s = stripped_text
+    for m in KNOB_STRUCT_RE.finditer(s):
+        i = m.end()
+        depth, parens = 1, 0
+        start = i
+        brace_head = ""
+        statements = []
+        while i < len(s) and depth > 0:
+            c = s[i]
+            if c == "(":
+                parens += 1
+            elif c == ")":
+                parens -= 1
+            elif c == "{":
+                if depth == 1:
+                    brace_head = s[start:i]
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                # A function body closes a declaration without a ';'.
+                if depth == 1 and "(" in brace_head:
+                    statements.append((start, s[start : i + 1]))
+                    start = i + 1
+            elif c == ";" and depth == 1 and parens == 0:
+                statements.append((start, s[start:i]))
+                start = i + 1
+            i += 1
+        for pos, text in statements:
+            decl = ACCESS_RE.sub("", text.strip()).strip()
+            if not decl or NOT_A_MEMBER_RE.match(decl):
+                continue
+            head = re.split(r"[={]", decl, maxsplit=1)[0]
+            if "(" in head:
+                continue  # a function or constructor
+            name = re.search(r"(\w+)\s*(?:\[[^\]]*\])?\s*$", head)
+            if name is None:
+                continue
+            offset = pos + text.index(decl) + head.rindex(name.group(1))
+            lineno = s.count("\n", 0, offset) + 1
+            members.append((m.group(1), name.group(1), lineno))
+    return members
+
+
+def assigned_member_names(root):
+    """Names assigned anywhere in the program directories (see the
+    unset-knob rule): `.name`/`->name`, optionally followed by nested
+    `.field`s, then `=` or a compound assignment."""
+    pattern = re.compile(
+        r"(?:\.|->)\s*(\w+)(?:\s*(?:\.|->)\s*\w+)*\s*"
+        r"(?:[-+*/%&|^]|<<|>>)?=(?!=)"
+    )
+    names = set()
+    for subdir in PROGRAM_DIRS:
+        if not os.path.isdir(os.path.join(root, subdir)):
+            continue
+        for relpath in iter_source_files(root, subdir):
+            with open(os.path.join(root, relpath), encoding="utf-8",
+                      errors="replace") as f:
+                stripped = strip_comments_and_strings(f.read())
+            for m in pattern.finditer(stripped):
+                # Every name on the access path counts: `.a.b = x` sets b
+                # and, through it, a.
+                names.update(re.findall(r"\w+", m.group(0)))
+    return names
+
+
+def lint_file(root, relpath, allowlist, assigned_names=frozenset()):
     path = os.path.join(root, relpath)
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
@@ -410,6 +516,18 @@ def lint_file(root, relpath, allowlist):
     ):
         emit(rule_name, lineno, message)
 
+    if relpath.endswith(".h"):
+        for struct, member, lineno in knob_members("\n".join(stripped_lines)):
+            if member not in assigned_names:
+                emit(
+                    "unset-knob",
+                    lineno,
+                    f"{struct}::{member} is set by no program ("
+                    + ", ".join(PROGRAM_DIRS)
+                    + "); make it a named constant beside its reader, or "
+                    "mark a deliberate knob with the escape and a reason",
+                )
+
     return findings
 
 
@@ -452,15 +570,20 @@ def main():
             "metric-concat: no string concatenation in the name argument "
             "of metric calls (hot-path allocation)"
         )
+        print(
+            "unset-knob: *Config/*Options data members in src/ headers "
+            "that no program (" + ", ".join(PROGRAM_DIRS) + ") assigns"
+        )
         return 0
 
     root = os.path.abspath(args.root)
     allowlist = load_allowlist(root)
+    assigned = assigned_member_names(root)
     all_findings = []
     files = 0
     for relpath in iter_source_files(root):
         files += 1
-        all_findings.extend(lint_file(root, relpath, allowlist))
+        all_findings.extend(lint_file(root, relpath, allowlist, assigned))
 
     if all_findings:
         print(f"dive_lint: {len(all_findings)} finding(s):", file=sys.stderr)

@@ -389,4 +389,85 @@ expect(
     should_fail=False,
 )
 
+# unset-knob: a *Config/*Options member in a src/ header must be
+# assigned by some program; tests do not count.
+KNOB_HEADER = """
+#pragma once
+#include <cstdint>
+namespace dive::core {
+struct FooConfig {
+  int width = 0;
+  /// Doc comments and member functions are not knobs.
+  bool valid() const { return width > 0; }
+  double knob = 1'000.5;
+  static constexpr int kNotAKnob = 3;
+};
+}
+"""
+
+KNOB_SETTER_BENCH = """
+#include "core/foo.h"
+int main() {
+  dive::core::FooConfig cfg{.width = 64};
+  cfg.knob = 2.0;
+  return cfg.valid() ? 0 : 1;
+}
+"""
+
+expect(
+    "config member only a test sets fails",
+    {
+        "src/core/foo.h": KNOB_HEADER,
+        "bench/foo_bench.cpp": KNOB_SETTER_BENCH.replace(
+            "  cfg.knob = 2.0;\n", ""
+        ),
+        "tests/core/foo_test.cpp": "void t(dive::core::FooConfig& c) "
+        "{ c.knob = 3.0; }\n",
+    },
+    should_fail=True,
+    needle="unset-knob: FooConfig::knob",
+)
+
+expect(
+    "config members a program assigns pass (designated and member)",
+    {"src/core/foo.h": KNOB_HEADER, "bench/foo_bench.cpp": KNOB_SETTER_BENCH},
+    should_fail=False,
+)
+
+expect(
+    "nested and pointer assignments count",
+    {
+        "src/core/foo.h": KNOB_HEADER,
+        "examples/foo.cpp": "struct Outer { dive::core::FooConfig foo; };\n"
+        "void set(Outer* o) { o->foo.width = 3; o->foo.knob += 1.0; }\n",
+    },
+    should_fail=False,
+)
+
+expect(
+    "a comparison is not an assignment",
+    {
+        "src/core/foo.h": KNOB_HEADER,
+        "bench/foo_bench.cpp": KNOB_SETTER_BENCH.replace(
+            "cfg.knob = 2.0;", "(void)(cfg.knob == 2.0);"
+        ),
+    },
+    should_fail=True,
+    needle="unset-knob: FooConfig::knob",
+)
+
+expect(
+    "allow(unset-knob) escape on the member keeps a deliberate knob",
+    {
+        "src/core/foo.h": KNOB_HEADER.replace(
+            "double knob = 1'000.5;",
+            "double knob = 1'000.5;  // dive-lint: allow(unset-knob) tests",
+        ),
+        "bench/foo_bench.cpp": KNOB_SETTER_BENCH.replace(
+            "  cfg.knob = 2.0;\n", ""
+        ),
+    },
+    should_fail=False,
+)
+
 print(f"dive_lint self-test: {PASSED} cases passed")
