@@ -14,6 +14,8 @@ DecodedFrame Decoder::decode(std::span<const std::uint8_t> data) {
   BitReader br(data);
   const FrameHeader h =
       read_frame_header(br, has_reference_ ? &reference_ : nullptr);
+  if (h.type == FrameType::kInter && !has_reference_)
+    throw BitstreamError("Decoder: inter frame without reference");
 
   DecodedFrame out;
   out.type = h.type;
@@ -122,6 +124,16 @@ std::optional<DecodedFrame> Decoder::try_decode(
   } catch (const BitstreamError& e) {
     if (error != nullptr) *error = e.what();
     return std::nullopt;
+  }
+}
+
+std::pair<int, int> peek_frame_size(std::span<const std::uint8_t> data) {
+  try {
+    BitReader br(data);
+    const FrameHeader h = read_frame_header(br, nullptr);
+    return {h.mb_cols * kMacroblockSize, h.mb_rows * kMacroblockSize};
+  } catch (const BitstreamError&) {
+    return {0, 0};
   }
 }
 

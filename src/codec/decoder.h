@@ -9,6 +9,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "codec/types.h"
 #include "video/frame.h"
@@ -47,5 +48,12 @@ class Decoder {
   video::Frame reference_;
   bool has_reference_ = false;
 };
+
+/// Luma width and height an encoded frame's header declares, read without
+/// decoding the frame or touching any decoder; {0, 0} when the header is
+/// malformed. The edge plans a frame's inference from it at admission,
+/// before its decoder reaches the frame.
+[[nodiscard]] std::pair<int, int> peek_frame_size(
+    std::span<const std::uint8_t> data);
 
 }  // namespace dive::codec

@@ -49,8 +49,8 @@ void write_frame_header(Sink& sink, const FrameHeader& h) {
 
 /// Parses and validates a frame header against the decoder's current
 /// reference (null when it has none). Throws BitstreamError on a bad
-/// magic, an out-of-range QP or geometry, an inter frame without a
-/// reference, or a frame size that differs from the reference's.
+/// magic, an out-of-range QP or geometry, or a frame size that differs
+/// from the reference's.
 inline FrameHeader read_frame_header(BitReader& br,
                                      const video::Frame* reference) {
   if (br.get_bits(8) != 0xD1) throw BitstreamError("Decoder: bad magic");
@@ -65,8 +65,6 @@ inline FrameHeader read_frame_header(BitReader& br,
     throw BitstreamError("Decoder: implausible frame geometry");
   h.mb_cols = static_cast<int>(cols);
   h.mb_rows = static_cast<int>(rows);
-  if (h.type == FrameType::kInter && reference == nullptr)
-    throw BitstreamError("Decoder: inter frame without reference");
   if (reference != nullptr &&
       (reference->width() != h.mb_cols * kMacroblockSize ||
        reference->height() != h.mb_rows * kMacroblockSize))

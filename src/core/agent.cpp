@@ -35,8 +35,7 @@ DiveAgent::DiveAgent(DiveConfig config, codec::EncoderConfig encoder_config,
       server_(std::move(server)),
       preprocessor_(config.preprocess, config.seed),
       extractor_(config.foreground),
-      qp_assigner_(config.qp),
-      gate_(roi::RoiGateConfig{}, server_.get()) {
+      qp_assigner_(config.qp) {
   if (config_.obs != nullptr) {
     encoder_.set_obs(config_.obs);
     uplink_.link().set_obs(config_.obs);
@@ -168,15 +167,13 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
     outcome.bytes_sent = upload_bytes;
     outcome.offloaded = true;
     edge::InferenceResult inference;
-    roi::GatePlan plan;  // set only on the metadata lane
+    edge::GatePlan plan;
     {
       DIVE_OBS_SPAN(span, obs, "agent.edge_infer", obs::kTrackAgent);
-      if (config_.roi_metadata) {
-        inference = gate_.process(encoded.data, &meta, tx.arrival, &plan);
-        span.arg("gated", plan.gated ? 1 : 0);
-      } else {
-        inference = server_->process(encoded.data, tx.arrival);
-      }
+      inference = server_->process(encoded.data, tx.arrival,
+                                   config_.roi_metadata ? &meta : nullptr,
+                                   &plan);
+      if (config_.roi_metadata) span.arg("gated", plan.gated ? 1 : 0);
     }
     last_detections_ = inference.detections;
     outcome.detections = inference.detections;
@@ -203,7 +200,7 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
         m.distribution("roi.pixel_fraction", "ratio").add(plan.pixel_fraction);
         m.distribution("roi.coverage", "ratio").add(plan.coverage);
         m.gauge("roi.propagated_boxes", "count")
-            .set(static_cast<double>(gate_.stats().propagated_boxes));
+            .set(static_cast<double>(server_->gate_stats().propagated_boxes));
       }
     }
     return outcome;

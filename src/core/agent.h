@@ -20,7 +20,6 @@
 #include "edge/server.h"
 #include "geom/pinhole_camera.h"
 #include "net/uplink.h"
-#include "roi/gate.h"
 #include "roi/metadata.h"
 
 namespace dive::obs {
@@ -36,11 +35,11 @@ struct DiveConfig {
   double fps = 12.0;
   bool enable_offline_tracking = true;  ///< Fig. 13 ablation switch
   /// Ship the compressed-domain RoI sidecar (MV field + SKIP flags +
-  /// foreground hulls) with every upload and gate edge inference on it
-  /// through roi::RoiGate. Sidecar bytes are sent on top of the
-  /// encoder's byte target, so the upload runs above the estimated rate;
-  /// the video bitstream is byte-identical on or off. The gate runs the
-  /// default roi::RoiGateConfig policy.
+  /// foreground hulls) with every upload and let the edge server gate
+  /// inference on it (edge/gate.h, with the server's RoiGateConfig).
+  /// Sidecar bytes are sent on top of the encoder's byte target, so the
+  /// upload runs above the estimated rate; the video bitstream is
+  /// byte-identical on or off.
   bool roi_metadata = false;
   std::uint64_t seed = 7;
   /// Encoder worker lanes (motion search + macroblock loop). Applied to
@@ -84,8 +83,6 @@ class DiveAgent final : public AnalyticsScheme {
   }
   [[nodiscard]] int last_background_delta() const { return last_delta_; }
 
-  [[nodiscard]] const roi::RoiGate& gate() const { return gate_; }
-
  private:
   DiveConfig config_;
   codec::Encoder encoder_;
@@ -97,7 +94,6 @@ class DiveAgent final : public AnalyticsScheme {
   ForegroundExtractor extractor_;
   QpAssigner qp_assigner_;
   OfflineTracker tracker_;
-  roi::RoiGate gate_;  ///< wraps server_; used only with roi_metadata
 
   edge::DetectionList last_detections_;
   PreprocessResult last_pre_;

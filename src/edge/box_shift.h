@@ -2,7 +2,7 @@
 // vector of the macroblocks whose centers it contains. This is the
 // primitive behind both the agent-side MOT fallback
 // (core::OfflineTracker, Sec. III-E) and edge-side RoI gating
-// (roi::RoiGate propagating background boxes between full inferences) —
+// (edge/gate.h propagating background boxes between full inferences) —
 // one definition so the two stay bit-identical.
 #pragma once
 

@@ -1,18 +1,25 @@
 #include "edge/server.h"
 
+#include <cmath>
+
 #include "obs/obs.h"
 
 namespace dive::edge {
 
 InferenceResult EdgeServer::process(std::span<const std::uint8_t> data,
-                                    util::SimTime arrival) {
+                                    util::SimTime arrival,
+                                    const roi::RoiMetadata* meta,
+                                    GatePlan* plan_out) {
+  const codec::DecodedFrame decoded = decoder_.decode(data);
+  GatePlan p = plan(meta, decoded.frame.width(), decoded.frame.height());
   InferenceResult result;
-  result.detections = detector_.detect(decoder_.decode(data).frame);
+  result.detections = infer(decoded.frame, meta, p).detections;
 
+  const auto inference = static_cast<util::SimTime>(std::llround(
+      static_cast<double>(config_.inference_latency) * p.work));
   const util::SimTime jitter = inference_jitter(processed_++);
-  result.result_at_agent = arrival + config_.decode_latency +
-                           config_.inference_latency + jitter +
-                           kDownlinkDelay;
+  result.result_at_agent = arrival + config_.decode_latency + inference +
+                           jitter + kDownlinkDelay;
 
   if (obs_ != nullptr) {
     obs_->metrics.counter("edge.frames").add();
@@ -21,18 +28,38 @@ InferenceResult EdgeServer::process(std::span<const std::uint8_t> data,
     obs_->metrics.distribution("edge.service_ms", "ms")
         .add(util::to_millis(result.result_at_agent - arrival));
   }
+  if (plan_out != nullptr) *plan_out = std::move(p);
   return result;
 }
 
-DetectionList EdgeServer::decode_and_detect(
-    std::span<const std::uint8_t> data) {
-  return detector_.detect(decode(data).frame);
+GatePlan EdgeServer::plan(const roi::RoiMetadata* meta, int width,
+                          int height) {
+  return plan_gate(gate_, meta, width, height, gate_stats_.planned++);
 }
 
-codec::DecodedFrame EdgeServer::decode(std::span<const std::uint8_t> data) {
-  codec::DecodedFrame decoded = decoder_.decode(data);
-  if (obs_ != nullptr) obs_->metrics.counter("edge.decodes").add();
-  return decoded;
+GatedDetections EdgeServer::run(std::span<const std::uint8_t> data,
+                                const roi::RoiMetadata* meta,
+                                const GatePlan& plan) {
+  return infer(decoder_.decode(data).frame, meta, plan);
+}
+
+GatedDetections EdgeServer::infer(const video::Frame& frame,
+                                  const roi::RoiMetadata* meta,
+                                  const GatePlan& plan) {
+  GatedDetections out;
+  // A plan gates only against a sidecar on the decoded frame's MB grid.
+  if (plan.gated && meta != nullptr && meta->width() == frame.width() &&
+      meta->height() == frame.height()) {
+    out = infer_gated(gate_, frame, *meta, plan, held_, detector_);
+    ++gate_stats_.gated;
+    gate_stats_.propagated_boxes += out.propagated;
+  } else {
+    out.detections = detector_.detect(frame);
+    out.fresh = static_cast<int>(out.detections.size());
+    ++gate_stats_.full;
+  }
+  held_ = out.detections;
+  return out;
 }
 
 util::SimTime EdgeServer::inference_jitter(std::uint64_t frame_index) const {

@@ -1,6 +1,8 @@
 // Edge-server model: decode + DNN inference + downlink return, with a
-// simple latency model ("serverless edge computing" entity of Sec. II-A).
-// The server is stateful because inter frames reference its decoder state.
+// simple latency model ("serverless edge computing" entity of Sec. II-A),
+// optionally RoI-gated by a sidecar (edge/gate.h). The server is stateful:
+// inter frames reference its decoder state, and the gate carries the
+// previous frame's boxes and a refresh counter.
 //
 // Determinism contract (multi-session serving): the inference jitter
 // applied to the k-th frame a server processes (k = 0, 1, ...) is a pure
@@ -19,6 +21,8 @@
 #include "codec/decoder.h"
 #include "edge/detection.h"
 #include "edge/detector.h"
+#include "edge/gate.h"
+#include "roi/metadata.h"
 #include "util/rng.h"
 #include "util/sim_clock.h"
 
@@ -47,30 +51,32 @@ struct InferenceResult {
 
 class EdgeServer {
  public:
-  EdgeServer(ServerConfig config, std::uint64_t seed)
-      : config_(config), detector_(config.detector), rng_(seed) {}
+  EdgeServer(ServerConfig config, std::uint64_t seed,
+             RoiGateConfig gate = {})
+      : config_(config), gate_(gate), detector_(config.detector), rng_(seed) {}
 
-  /// Decodes an uploaded frame that arrived at `arrival`, runs the
-  /// detector, and reports when the result lands back on the agent. The
-  /// jitter applied is inference_jitter(k) for the k-th process() call.
+  /// Synchronous endpoint of every scheme: decodes an upload that arrived
+  /// at `arrival`, infers it as planned from `meta` (null = full frame)
+  /// and reports when the result lands back on the agent. The jitter
+  /// applied is inference_jitter(k) for the k-th process() call.
+  /// `plan_out`, when given, receives the plan used.
   InferenceResult process(std::span<const std::uint8_t> data,
-                          util::SimTime arrival);
+                          util::SimTime arrival,
+                          const roi::RoiMetadata* meta = nullptr,
+                          GatePlan* plan_out = nullptr);
 
-  /// Decodes + detects without applying the latency model (and without
-  /// consuming jitter): the serving layer schedules decode/inference
-  /// timing itself and pairs the result with inference_jitter().
-  DetectionList decode_and_detect(std::span<const std::uint8_t> data);
+  /// Decides how the next frame, of `width` x `height`, is inferred.
+  /// Advances the refresh counter — call exactly once per frame, in
+  /// per-session frame order.
+  [[nodiscard]] GatePlan plan(const roi::RoiMetadata* meta, int width,
+                              int height);
 
-  /// Decodes an uploaded frame, advancing the decoder reference state,
-  /// without detecting and without the latency model. RoI gating decodes
-  /// through this and then drives the detector itself on masked frames.
-  codec::DecodedFrame decode(std::span<const std::uint8_t> data);
-
-  /// Consumes one value from the sequential jitter stream — exactly what
-  /// process() does internally for its k-th call. A gating front-end that
-  /// replaces process() calls this once per frame so the (seed, k)
-  /// pairing, and thus every downstream timestamp, is unchanged.
-  util::SimTime take_jitter() { return inference_jitter(processed_++); }
+  /// Decodes and infers one frame as `plan` says (full-frame unless
+  /// `meta`'s MB grid matches the decoded frame), without the latency
+  /// model or jitter: the serving layer schedules the timing itself and
+  /// pairs the result with inference_jitter().
+  GatedDetections run(std::span<const std::uint8_t> data,
+                      const roi::RoiMetadata* meta, const GatePlan& plan);
 
   /// Inference jitter of the k-th frame — a pure function of (seed, k),
   /// uniform in [-kInferenceJitterMs, +kInferenceJitterMs]. See the
@@ -85,23 +91,34 @@ class EdgeServer {
 
   [[nodiscard]] const ServerConfig& config() const { return config_; }
   [[nodiscard]] bool has_reference() const { return decoder_.has_reference(); }
-  /// Frames consumed through process() (decode_and_detect not counted;
-  /// the serving layer indexes jitter by its own per-session counter).
+  /// Frames consumed through process() (run() not counted; the serving
+  /// layer indexes jitter by its own per-session counter).
   [[nodiscard]] std::uint64_t frames_processed() const { return processed_; }
+  [[nodiscard]] const GateStats& gate_stats() const { return gate_stats_; }
+  /// Detections the gate propagates from: the previous frame's output.
+  [[nodiscard]] const DetectionList& held() const { return held_; }
 
   /// Attaches an observability context (non-owning, null detaches):
-  /// "edge.*" counters and the service-time distribution (simulated
-  /// time). The frame's inference/result stages are the caller's to
-  /// record in the ledger.
+  /// process() records "edge.*" counters and the service-time
+  /// distribution (simulated time). The frame's inference/result stages
+  /// are the caller's to record in the ledger.
   void set_obs(obs::ObsContext* obs) { obs_ = obs; }
 
  private:
+  /// Infers a decoded frame as `plan` says and makes its detections the
+  /// held boxes of the next frame.
+  GatedDetections infer(const video::Frame& frame,
+                        const roi::RoiMetadata* meta, const GatePlan& plan);
+
   ServerConfig config_;
+  RoiGateConfig gate_;
   codec::Decoder decoder_;
   ChromaDetector detector_;
   util::Rng rng_;  ///< base seed; per-frame streams are forked off it
   obs::ObsContext* obs_ = nullptr;
   std::uint64_t processed_ = 0;
+  GateStats gate_stats_;  ///< `planned` is the refresh cadence's clock
+  DetectionList held_;
 };
 
 }  // namespace dive::edge

@@ -51,8 +51,8 @@ struct ServeScenarioOptions {
   bool enable_offline_tracking = true;
   /// RoI metadata lane: every agent ships the compressed-domain sidecar
   /// (coded MV field + SKIP flags + foreground hulls) with each frame —
-  /// its bytes ride the uplink — and the node infers through the
-  /// per-session roi::RoiGate. Gate policy: node.session.roi_gate.
+  /// its bytes ride the uplink — and the node gates inference on it in
+  /// each session's EdgeServer. Gate policy: node.session.roi_gate.
   bool roi_metadata = false;
   serve::ServeNodeConfig node;
   std::uint64_t seed = 99;

@@ -4,7 +4,7 @@
 // and per-object foreground hulls to drive QP assignment — all of it free
 // by the time the frame is encoded. This module packages that metadata
 // into a compact byte lane that travels with the bitstream through
-// net::Uplink, so the edge can gate inference on it (roi::RoiGate). The
+// net::Uplink, so the edge can gate inference on it (edge/gate.h). The
 // video bytes are untouched. The sidecar is sent on top of the encoder's
 // byte target, so with the lane on the upload runs above the estimated
 // rate.

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "codec/decoder.h"
+
 namespace dive::serve {
 
 ServeNode::ServeNode(ServeNodeConfig config)
@@ -64,18 +66,19 @@ AdmissionVerdict ServeNode::submit(FrameJob job) {
 
   // RoI lane: parse the sidecar and plan the gate now, in admission order
   // (per-session frame order), so the scheduler can price the job and the
-  // gate's refresh cadence never depends on dispatch interleaving. An
-  // unparsable sidecar degrades to a full-frame plan.
+  // gate's refresh cadence never depends on dispatch interleaving. The
+  // plan is made for the frame size the bitstream declares, so a sidecar
+  // on another MB grid, like an unparsable one, plans full-frame.
   PendingPayload pending;
   pending.data = std::move(job.data);
   if (!job.roi_metadata.empty()) {
     pending.roi = true;
     pending.meta = roi::RoiMetadata::parse(job.roi_metadata);
-    const roi::RoiMetadata* m = pending.meta ? &*pending.meta : nullptr;
-    pending.plan = s.gate().plan(m, m != nullptr ? m->width() : 0,
-                                 m != nullptr ? m->height() : 0);
+    const auto [width, height] = codec::peek_frame_size(pending.data);
+    pending.plan = s.server().plan(pending.meta ? &*pending.meta : nullptr,
+                                   width, height);
   }
-  const double work = pending.roi ? pending.plan.work : 1.0;
+  const double work = pending.plan.work;
   payloads_.emplace(std::make_pair(job.session_id, job.frame_index),
                     std::move(pending));
   scheduler_.submit({job.session_id, job.frame_index, job.capture_time,
@@ -111,26 +114,24 @@ std::vector<JobResult> ServeNode::realize(std::vector<Batch> batches) {
                           edge::kDownlinkDelay;
       SessionCounters& counters = metrics_.session(job.session_id);
       PendingPayload& pp = payload->second;
+      // Per-session dispatch order equals frame order (the scheduler
+      // keeps arrivals sorted and per-session arrivals are monotonic),
+      // so the gate's held-box state evolves identically for every
+      // worker count and batch interleaving.
+      edge::GatedDetections inferred =
+          s.server().run(pp.data, pp.meta ? &*pp.meta : nullptr, pp.plan);
+      r.gated = inferred.gated;
+      r.detections = std::move(inferred.detections);
       if (pp.roi) {
-        // Per-session dispatch order equals frame order (the scheduler
-        // keeps arrivals sorted and per-session arrivals are monotonic),
-        // so the gate's held-box state evolves identically for every
-        // worker count and batch interleaving.
-        const roi::RoiMetadata* m = pp.meta ? &*pp.meta : nullptr;
-        roi::GatedDetections gated = s.gate().run(pp.data, m, pp.plan);
-        r.gated = gated.gated;
-        r.detections = std::move(gated.detections);
-        if (gated.gated) {
+        if (inferred.gated) {
           ++counters.gated;
-          counters.fresh_boxes += gated.fresh;
-          counters.propagated_boxes += gated.propagated;
-          counters.gate_pixel_fraction.add(gated.pixel_fraction);
+          counters.fresh_boxes += inferred.fresh;
+          counters.propagated_boxes += inferred.propagated;
+          counters.gate_pixel_fraction.add(inferred.pixel_fraction);
         } else {
           ++counters.full_inference;
         }
         counters.gate_work.add(pp.plan.work);
-      } else {
-        r.detections = s.server().decode_and_detect(pp.data);
       }
       payloads_.erase(payload);
 

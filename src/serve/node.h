@@ -25,7 +25,6 @@
 
 #include "edge/server.h"
 #include "obs/obs.h"
-#include "roi/gate.h"
 #include "roi/metadata.h"
 #include "serve/admission.h"
 #include "serve/metrics.h"
@@ -107,12 +106,13 @@ class ServeNode {
  private:
   /// An admitted job awaiting dispatch: bitstream plus (when the frame
   /// carried a sidecar) the parsed metadata and the gate plan computed
-  /// at submission, which priced the scheduler job.
+  /// at submission, which priced the scheduler job. Without a sidecar
+  /// the plan stays full-frame.
   struct PendingPayload {
     std::vector<std::uint8_t> data;
     bool roi = false;  ///< frame arrived with a sidecar lane
-    std::optional<roi::RoiMetadata> meta;  ///< nullopt: sidecar unparsable
-    roi::GatePlan plan;
+    std::optional<roi::RoiMetadata> meta;  ///< nullopt: none or unparsable
+    edge::GatePlan plan;
   };
 
   std::vector<JobResult> realize(std::vector<Batch> batches);

@@ -10,7 +10,7 @@
 // well below 1).
 //
 // RoI-gated work. A job may carry a `work` fraction < 1 (the gated pixel
-// fraction from roi::RoiGate): the batch then costs
+// fraction from EdgeServer::plan): the batch then costs
 //     n * decode_latency + inference_latency * (max_work
 //                          + batch_marginal * (total_work - max_work))
 // — the heaviest member leads the pass and every other member amortizes
@@ -59,7 +59,7 @@ struct ScheduledJob {
   util::SimTime capture_time = 0;
   util::SimTime arrival = 0;  ///< last byte reached the edge
   /// Inference cost scale in (0, 1]: 1 = full-frame, < 1 = RoI-gated
-  /// (roi::GatePlan::work, the floored gated pixel fraction).
+  /// (edge::GatePlan::work, the floored gated pixel fraction).
   double work = 1.0;
   /// Causal identity minted at encode time; carried by value so wait/
   /// inference spans and the FrameLedger can attribute this job's

@@ -13,8 +13,8 @@ Session::Session(std::uint32_t id, SessionConfig config,
     : id_(id),
       config_(config),
       uplink_(std::move(uplink)),
-      server_(server_config, util::Rng(node_seed).fork(id).seed()),
-      gate_(config.roi_gate, &server_) {
+      server_(server_config, util::Rng(node_seed).fork(id).seed(),
+              config.roi_gate) {
   if (uplink_ == nullptr) throw std::invalid_argument("Session: null uplink");
 }
 

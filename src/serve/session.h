@@ -1,8 +1,8 @@
 // One mobile agent's state on the edge node. A session owns the per-agent
-// decoder (wrapped in an EdgeServer so the serving layer shares the
-// latency constants and jitter contract with the single-agent model) and
-// the agent's uplink; the admission controller charges queued frames
-// against it.
+// EdgeServer (its decoder and RoI gate state, so the serving layer shares
+// the latency constants, gate policy and jitter contract with the
+// single-agent model) and the agent's uplink; the admission controller
+// charges queued frames against it.
 //
 // Lifecycle: ServeNode::open_session() creates the session and seeds its
 // server with util::Rng(node_seed).fork(id), so every session draws
@@ -18,7 +18,6 @@
 
 #include "edge/server.h"
 #include "net/uplink.h"
-#include "roi/gate.h"
 #include "util/sim_clock.h"
 
 namespace dive::serve {
@@ -27,9 +26,9 @@ struct SessionConfig {
   /// End-to-end deadline (capture -> result at the agent) the admission
   /// controller enforces; a frame predicted to miss it is not admitted.
   util::SimTime deadline = util::from_millis(400.0);
-  /// Gating policy of the per-session roi::RoiGate (active only for
+  /// RoI gating policy of the per-session EdgeServer (active only for
   /// frames submitted with sidecar metadata).
-  roi::RoiGateConfig roi_gate;
+  edge::RoiGateConfig roi_gate;
 };
 
 class Session {
@@ -41,13 +40,11 @@ class Session {
   [[nodiscard]] std::uint32_t id() const { return id_; }
   [[nodiscard]] const SessionConfig& config() const { return config_; }
   [[nodiscard]] net::Uplink& uplink() { return *uplink_; }
+  /// The node plans through it at submission and runs it at dispatch,
+  /// both in per-session frame order, so gated results are
+  /// schedule-independent.
   [[nodiscard]] edge::EdgeServer& server() { return server_; }
   [[nodiscard]] const edge::EdgeServer& server() const { return server_; }
-  /// Per-session RoI gate wrapping this session's server. The node plans
-  /// through it at submission and runs it at dispatch, both in
-  /// per-session frame order, so gated results are schedule-independent.
-  [[nodiscard]] roi::RoiGate& gate() { return gate_; }
-  [[nodiscard]] const roi::RoiGate& gate() const { return gate_; }
 
   /// Frames currently admitted but not yet dispatched to a worker — the
   /// quantity the admission controller bounds.
@@ -60,7 +57,6 @@ class Session {
   SessionConfig config_;
   std::shared_ptr<net::Uplink> uplink_;
   edge::EdgeServer server_;
-  roi::RoiGate gate_;  ///< wraps server_ (declared after it)
   std::size_t queued_ = 0;
 };
 

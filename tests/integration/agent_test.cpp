@@ -6,6 +6,7 @@
 #include "data/dataset.h"
 #include "edge/evaluator.h"
 #include "harness/experiment.h"
+#include "obs/obs.h"
 
 namespace dive::core {
 namespace {
@@ -109,6 +110,32 @@ TEST(DiveAgent, OutageTriggersOfflineTracking) {
   }
   EXPECT_GT(offloaded, 5);
   EXPECT_GT(tracked, 3);  // frames during the outage fell back to MOT
+}
+
+TEST(DiveAgent, EdgeMetricsCountEveryOffloadInBothLanes) {
+  // With or without the RoI sidecar, every offloaded frame is one
+  // synchronous inference and records the same edge metric set.
+  const auto clip = small_clip(12);
+  for (const bool roi_lane : {false, true}) {
+    obs::ObsContext obs;
+    DiveConfig cfg;
+    cfg.roi_metadata = roi_lane;
+    cfg.obs = &obs;
+    auto agent = make_agent(clip, 2.0, nullptr, cfg);
+    for (const auto& rec : clip.frames)
+      agent->process_frame(rec.image, util::from_seconds(rec.timestamp));
+    const auto count = [&obs](const char* name) {
+      return obs.metrics.counter(name).value();
+    };
+    const std::int64_t offloaded = count("agent.offloaded");
+    EXPECT_GT(offloaded, 0) << "roi lane " << roi_lane;
+    EXPECT_EQ(count("edge.frames"), offloaded) << "roi lane " << roi_lane;
+    EXPECT_EQ(obs.metrics.distribution("edge.service_ms", "ms")
+                  .snapshot()
+                  .count(),
+              static_cast<std::size_t>(offloaded))
+        << "roi lane " << roi_lane;
+  }
 }
 
 TEST(DiveAgent, ForegroundStateExposed) {

@@ -8,6 +8,7 @@
 #include "codec/encoder.h"
 #include "harness/serve_scenario.h"
 #include "net/bandwidth.h"
+#include "roi/metadata.h"
 #include "serve/node.h"
 #include "serve/scheduler.h"
 
@@ -287,6 +288,44 @@ TEST(Session, DecodersAreIsolatedAcrossSessions) {
   EXPECT_TRUE(node.session(1).server().has_reference());
   EXPECT_EQ(node.metrics().aggregate().completed, 4);
   EXPECT_GT(node.metrics().aggregate().batch_size.max(), 1.0);
+}
+
+TEST(ServeNode, MismatchedSidecarInfersFullFrame) {
+  // A sidecar claiming twice the bitstream's MB grid must never drive
+  // gating. Planned on its own grid, its hull lights tiles past the
+  // 64x32 frame, whose clipped area is negative: the frame would count
+  // as gated with a pixel fraction below 0.
+  ServeNodeConfig cfg;
+  cfg.session.roi_gate = {.tile_px = 16, .halo_tiles = 0, .scan_stripes = 0};
+  ServeNode node(cfg);
+  node.open_session(fast_uplink());
+  codec::Encoder enc({.width = 64, .height = 32});
+  roi::RoiMetadata wrong;
+  wrong.mb_cols = 2 * 64 / codec::kMacroblockSize;
+  wrong.mb_rows = 2 * 32 / codec::kMacroblockSize;
+  wrong.mvs.assign(static_cast<std::size_t>(wrong.mb_cols) * wrong.mb_rows,
+                   {0, 0});
+  wrong.skip.assign(wrong.mvs.size(), 0);
+  roi::add_region(wrong, {{100, 4}, {120, 4}, {120, 28}, {100, 28}},
+                  {0.0, 0.0});
+  for (std::uint64_t f = 0; f < 3; ++f) {
+    FrameJob j = encoded_job(
+        enc, 0, f, from_millis(1.0 + 100.0 * static_cast<double>(f)));
+    j.roi_metadata = wrong.serialize();
+    ASSERT_EQ(node.submit(std::move(j)), AdmissionVerdict::kAdmit);
+  }
+  const std::vector<JobResult> results = node.drain();
+  ASSERT_EQ(results.size(), 3u);
+  for (const JobResult& r : results) {
+    EXPECT_FALSE(r.gated) << "frame " << r.frame_index;
+    EXPECT_EQ(r.work, 1.0) << "frame " << r.frame_index;
+  }
+  const SessionCounters& c = node.metrics().session(0);
+  EXPECT_EQ(c.gated, 0);
+  EXPECT_EQ(c.full_inference, 3);
+  EXPECT_EQ(c.gate_pixel_fraction.count(), 0u)
+      << "gated pixel fractions span [" << c.gate_pixel_fraction.min()
+      << ", " << c.gate_pixel_fraction.max() << "]";
 }
 
 // ----------------------------------------------------------------- Scenario

@@ -6,8 +6,10 @@ treatment as any parser: missing-file, metric-set, unit, and
 tolerance-edge cases. Runs as ctest 'lint/check_bench_baseline'.
 """
 
+import atexit
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -60,6 +62,7 @@ def expect(name, returncode, proc, needle=None):
 
 def fresh_dirs():
     root = tempfile.mkdtemp(prefix="bench_gate_test_")
+    atexit.register(shutil.rmtree, root)
     return os.path.join(root, "baselines"), os.path.join(root, "fresh")
 
 

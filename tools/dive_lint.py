@@ -18,8 +18,9 @@ a serve node. This lint forbids them at the source level:
                 util::Rng streams, never process-global state).
   unordered-iter  iteration over std::unordered_{map,set} in the
                 deterministic directories (src/codec, src/roi,
-                src/serve, src/core) — iteration order is unspecified
-                and varies across libstdc++ versions and hash seeds.
+                src/edge, src/serve, src/core) — iteration order is
+                unspecified and varies across libstdc++ versions and
+                hash seeds.
   float-reduce  order-unspecified float/double reductions (std::reduce,
                 std::transform_reduce, parallel execution policies, omp
                 reductions) in the deterministic directories — float
@@ -67,7 +68,13 @@ import re
 import sys
 
 # Directories (relative to --root) whose code must be bit-deterministic.
-DETERMINISTIC_DIRS = ("src/codec", "src/roi", "src/serve", "src/core")
+DETERMINISTIC_DIRS = (
+    "src/codec",
+    "src/roi",
+    "src/edge",
+    "src/serve",
+    "src/core",
+)
 
 # Files scanned overall.
 SOURCE_EXTENSIONS = (".cpp", ".h")

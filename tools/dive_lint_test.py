@@ -8,6 +8,7 @@ fails the lint. Runs as ctest 'lint/dive_lint_selftest'.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -39,7 +40,10 @@ def make_tree(files):
 def expect(name, files, should_fail, needle=None):
     global PASSED
     root = make_tree(files)
-    proc = run_lint(root)
+    try:
+        proc = run_lint(root)
+    finally:
+        shutil.rmtree(root)
     if should_fail and proc.returncode != 1:
         sys.exit(
             f"FAIL {name}: expected findings (exit 1), got exit "
@@ -218,7 +222,7 @@ expect(
 expect(
     "explicit begin() walk over an unordered_set fails",
     {
-        "src/roi/gate.cpp": (
+        "src/roi/metadata.cpp": (
             "#include <unordered_set>\n"
             "namespace dive::roi {\n"
             "std::unordered_set<int> lit;\n"
@@ -264,6 +268,37 @@ expect(
             "#include <execution>\n#include <numeric>\n#include <vector>\n"
             "double t(const std::vector<double>& v) {\n"
             "  return std::reduce(std::execution::par, v.begin(), v.end());\n"
+            "}\n"
+        )
+    },
+    should_fail=True,
+    needle="float-reduce",
+)
+
+expect(
+    "range-for over an unordered_map in src/edge fails",
+    {
+        "src/edge/gate.cpp": (
+            "#include <unordered_map>\n"
+            "namespace dive::edge {\n"
+            "std::unordered_map<int, double> held;\n"
+            "double s() { double a = 0; for (auto& kv : held) a += kv.second; "
+            "return a; }\n"
+            "}\n"
+        )
+    },
+    should_fail=True,
+    needle="unordered-iter",
+)
+
+expect(
+    "std::transform_reduce in src/edge fails",
+    {
+        "src/edge/server.cpp": (
+            "#include <numeric>\n#include <vector>\n"
+            "double area(const std::vector<double>& w, "
+            "const std::vector<double>& h) {\n"
+            "  return std::transform_reduce(w.begin(), w.end(), h.begin(), 0.0);\n"
             "}\n"
         )
     },

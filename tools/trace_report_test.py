@@ -10,6 +10,7 @@ the trace cross-check. Runs as ctest 'lint/trace_report_selftest'.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -101,7 +102,10 @@ def run_report(ledger_obj, trace_obj=None, check=True):
         cmd += ["--trace", tpath]
     if check:
         cmd.append("--check")
-    return subprocess.run(cmd, capture_output=True, text=True)
+    try:
+        return subprocess.run(cmd, capture_output=True, text=True)
+    finally:
+        shutil.rmtree(d)
 
 
 def expect(name, proc, want_rc, needle=None):
