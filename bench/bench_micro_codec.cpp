@@ -1,7 +1,8 @@
 // Microbenchmarks of the codec substrate (google-benchmark): transform,
 // quantization and SAD kernels (scalar vs. SIMD dispatch), the five
-// motion-search methods, bit I/O, block emission, and full frame
-// encode/decode (synthetic frames and a rendered RobotCar-like clip).
+// motion-search methods, bit I/O, block emission, full frame
+// encode/decode (synthetic frames and a rendered RobotCar-like clip), and
+// the renderer that stands in for the datasets (one frame, one clip).
 //
 // Besides the google-benchmark suite, main() emits four machine-readable
 // records (bench_record.h, schema-checked in CI):
@@ -370,6 +371,42 @@ void BM_Decode(benchmark::State& state) {
   state.SetLabel(decode_inter ? "inter" : "intra");
 }
 BENCHMARK(BM_Decode)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+// Rendering, the set-up cost of every bench, test and perfbench run.
+// Arg 0 renders one 512x384 RobotCar-like frame on the calling thread
+// (per-pixel shading); Arg 1 generates one 32-frame RobotCar-like clip,
+// whose frames render on ThreadPool(0)'s lanes (DIVE_THREADS). Items are
+// frames.
+void BM_Render(benchmark::State& state) {
+  const data::DatasetSpec spec = data::robotcar_like(1, 32);
+  if (state.range(0) == 1) {
+    for (auto _ : state) benchmark::DoNotOptimize(data::generate_clip(spec, 0));
+    state.SetItemsProcessed(state.iterations() * spec.frames_per_clip);
+    state.SetLabel("clip");
+    return;
+  }
+  // A 240 m corridor at the preset's densities, viewed from its start.
+  constexpr double kZ0 = -40.0, kZ1 = 200.0;
+  const auto per_corridor = [&](double per_100m) {
+    return static_cast<int>(per_100m * (kZ1 - kZ0) / 100.0);
+  };
+  video::Scene scene;
+  util::Rng rng(spec.seed);
+  scene.add_buildings(kZ0, kZ1, rng);
+  scene.add_parked_cars(per_corridor(spec.parked_cars_per_100m), kZ0, kZ1, rng);
+  scene.add_moving_cars(per_corridor(spec.moving_cars_per_100m), kZ0, kZ1, rng);
+  scene.add_pedestrians(per_corridor(spec.pedestrians_per_100m), kZ0, kZ1, rng);
+  const video::Renderer renderer(
+      geom::PinholeCamera(spec.focal_px, spec.width, spec.height));
+  geom::CameraPose pose;
+  pose.position = {0.0, -1.5, 0.0};
+  std::uint64_t noise_seed = 1;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(renderer.render(scene, 0.5, pose, noise_seed++));
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("frame");
+}
+BENCHMARK(BM_Render)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One real inter frame's symbol stream (the fast pan BM_EncodeHme codes,
 // at QP 22), recorded by parsing its bytes with the frame syntax, so the

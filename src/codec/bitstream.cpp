@@ -12,16 +12,11 @@ void check_count(int count, const char* what) {
 
 }  // namespace
 
-void BitWriter::put_word(std::uint64_t value, int count) {
-  const int free = 64 - acc_bits_;  // 1..64
-  if (count < free) {
-    acc_ |= value << (free - count);
-    acc_bits_ += count;
-    return;
-  }
+void BitWriter::put_word_flush(std::uint64_t value, int count) {
   // The accumulator fills: append it as one big-endian word and keep the
   // `rest` low bits of `value` as the new pending bits.
-  const int rest = count - free;  // 0..63
+  const int free = 64 - acc_bits_;  // 1..64
+  const int rest = count - free;    // 0..63
   acc_ |= value >> rest;
   const std::size_t n = bytes_.size();
   bytes_.resize(n + 8);
@@ -32,24 +27,15 @@ void BitWriter::put_word(std::uint64_t value, int count) {
   acc_bits_ = rest;
 }
 
-void BitWriter::put_bits(std::uint32_t value, int count) {
+void BitWriter::check_bits_count(int count) {
   check_count(count, "BitWriter::put_bits: count outside [0, 32]");
-  if (count == 0) return;
-  put_word(value & (~std::uint64_t{0} >> (64 - count)), count);
 }
 
-void BitWriter::put_ue(std::uint32_t value) {
-  // code = value + 1 in "leading zeros + binary" form: 2 * bits - 1 bits,
-  // i.e. the code itself right-aligned in that width. Only UINT32_MAX
-  // (a 65-bit code) needs a second word.
+void BitWriter::put_ue_long(std::uint32_t value) {
   const std::uint64_t code = static_cast<std::uint64_t>(value) + 1;
-  const int length = ue_bits(value);
-  if (length <= 64) {
-    put_word(code, length);
-  } else {
-    put_word(0, length - 64);
-    put_word(code, 64);
-  }
+  const int length = ue_bits(value);  // 65
+  put_word(0, length - 64);
+  put_word(code, 64);
 }
 
 std::vector<std::uint8_t> BitWriter::finish() {

@@ -29,12 +29,33 @@ inline std::uint32_t se_to_ue(std::int32_t value) {
 
 class BitWriter {
  public:
+  // The common case of each write is inline: the code fits in the
+  // accumulator. Appending a full word, a put_bits count of 0 or outside
+  // [0, 32] (with its std::invalid_argument) and the one 65-bit ue code
+  // are out of line.
+
   void put_bit(bool bit) { put_word(bit ? 1U : 0U, 1); }
   /// MSB-first. Throws std::invalid_argument unless 0 <= count <= 32.
-  void put_bits(std::uint32_t value, int count);
+  void put_bits(std::uint32_t value, int count) {
+    if (count <= 0 || count > 32) [[unlikely]] {
+      check_bits_count(count);  // a count of 0 writes nothing
+      return;
+    }
+    put_word(value & (~std::uint64_t{0} >> (64 - count)), count);
+  }
 
   /// Unsigned Exp-Golomb.
-  void put_ue(std::uint32_t value);
+  void put_ue(std::uint32_t value) {
+    // code = value + 1 in "leading zeros + binary" form: 2 * bits - 1
+    // bits, i.e. the code itself right-aligned in that width. Only
+    // UINT32_MAX (a 65-bit code) needs a second word.
+    const int length = ue_bits(value);
+    if (length > 64) [[unlikely]] {
+      put_ue_long(value);
+      return;
+    }
+    put_word(static_cast<std::uint64_t>(value) + 1, length);
+  }
   /// Signed Exp-Golomb (zigzag mapping 0,1,-1,2,-2,...).
   void put_se(std::int32_t value) { put_ue(se_to_ue(value)); }
 
@@ -56,7 +77,21 @@ class BitWriter {
  private:
   /// Appends the low `count` bits of `value` (1 <= count <= 64; the bits
   /// above `count` must be zero).
-  void put_word(std::uint64_t value, int count);
+  void put_word(std::uint64_t value, int count) {
+    const int free = 64 - acc_bits_;  // 1..64
+    if (count < free) [[likely]] {
+      acc_ |= value << (free - count);
+      acc_bits_ += count;
+      return;
+    }
+    put_word_flush(value, count);
+  }
+  /// put_word when the accumulator fills (count >= 64 - acc_bits_).
+  void put_word_flush(std::uint64_t value, int count);
+  /// Throws std::invalid_argument unless 0 <= count <= 32.
+  static void check_bits_count(int count);
+  /// put_ue(UINT32_MAX), whose 65-bit code takes two words.
+  void put_ue_long(std::uint32_t value);
 
   std::vector<std::uint8_t> bytes_;
   std::uint64_t acc_ = 0;  ///< pending bits, left-aligned

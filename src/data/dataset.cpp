@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dive::data {
 
@@ -193,24 +194,31 @@ Clip generate_clip(const DatasetSpec& spec, int clip_index) {
   video::RenderOptions render_options;
   render_options.rain_streak_density = spec.rain_streak_density;
   const video::Renderer renderer(clip.camera, render_options);
+  // Seeds come off the noise stream serially, in frame order, so each
+  // frame's render is a pure function of its index and the frames can be
+  // rendered on any number of lanes with the same result.
   util::Rng noise_rng = rng.fork(2);
-  clip.frames.reserve(static_cast<std::size_t>(spec.frames_per_clip));
-  for (int i = 0; i < spec.frames_per_clip; ++i) {
+  const int frame_count = spec.frames_per_clip;
+  std::vector<std::uint64_t> noise_seeds(static_cast<std::size_t>(frame_count));
+  for (std::uint64_t& seed : noise_seeds)
+    seed = static_cast<std::uint64_t>(noise_rng.uniform_int(0, 1 << 30));
+  clip.frames.resize(static_cast<std::size_t>(frame_count));
+  util::ThreadPool pool(std::max(
+      1, std::min(util::ThreadPool::resolve_thread_count(0), frame_count)));
+  pool.parallel_for(0, frame_count, [&](int i) {
     const double t = i / spec.fps;
-    FrameRecord rec;
+    FrameRecord& rec = clip.frames[static_cast<std::size_t>(i)];
     rec.timestamp = t;
     rec.ego = trajectory.state_at(t);
     // Motion-state labels classify the drive, not the camera shake: the
     // vibration-free base state keeps Fig. 14 buckets stable under the
     // vibration condition.
     rec.motion_state = classify_motion(trajectory.base_state_at(t));
-    auto rendered = renderer.render(
-        scene, t, rec.ego.camera_pose(),
-        static_cast<std::uint64_t>(noise_rng.uniform_int(0, 1 << 30)));
+    auto rendered = renderer.render(scene, t, rec.ego.camera_pose(),
+                                    noise_seeds[static_cast<std::size_t>(i)]);
     rec.image = std::move(rendered.frame);
     rec.objects = std::move(rendered.objects);
-    clip.frames.push_back(std::move(rec));
-  }
+  });
 
   if (spec.kind == DatasetKind::kKittiLike) {
     util::Rng imu_rng = rng.fork(3);

@@ -101,7 +101,11 @@ struct Clip {
 /// Classify an ego state into the paper's three motion states.
 MotionState classify_motion(const video::EgoState& ego);
 
-/// Deterministically generates clip `clip_index` of the dataset.
+/// Deterministically generates clip `clip_index` of the dataset. The
+/// frames render in parallel on a util::ThreadPool sized like the
+/// encoder's (DIVE_THREADS, else hardware threads), capped at the frame
+/// count; the clip is byte-identical at any lane count, and
+/// DIVE_THREADS=1 renders serially on the calling thread.
 Clip generate_clip(const DatasetSpec& spec, int clip_index);
 
 /// Aggregate annotation statistics (Table I).

@@ -44,21 +44,42 @@ double lattice(std::int32_t x, std::int32_t y, std::uint32_t seed) {
   return static_cast<double>(hash2(x, y, seed)) / 4294967296.0;
 }
 
-/// Bilinear value noise in [0,1); `scale` is meters per cell.
-double value_noise(double x, double y, double scale, std::uint32_t seed) {
+/// The four lattice corners of one value-noise cell. Neighbouring pixels
+/// mostly sample the same cell, so a field that keeps its last cell
+/// hashes only when a lookup crosses into another one.
+struct NoiseCell {
+  bool valid = false;
+  std::int32_t ix = 0, iy = 0;
+  double v00 = 0.0, v10 = 0.0, v01 = 0.0, v11 = 0.0;
+};
+
+/// Bilinear value noise in [0,1); `scale` is meters per cell. `cell`
+/// holds the corners of the last cell this field looked up.
+double value_noise(double x, double y, double scale, std::uint32_t seed,
+                   NoiseCell& cell) {
   const double fx = x / scale;
   const double fy = y / scale;
   const auto ix = static_cast<std::int32_t>(std::floor(fx));
   const auto iy = static_cast<std::int32_t>(std::floor(fy));
   const double tx = fx - std::floor(fx);
   const double ty = fy - std::floor(fy);
-  const double v00 = lattice(ix, iy, seed);
-  const double v10 = lattice(ix + 1, iy, seed);
-  const double v01 = lattice(ix, iy + 1, seed);
-  const double v11 = lattice(ix + 1, iy + 1, seed);
-  const double a = v00 * (1.0 - tx) + v10 * tx;
-  const double b = v01 * (1.0 - tx) + v11 * tx;
+  if (!cell.valid || cell.ix != ix || cell.iy != iy) {
+    cell.valid = true;
+    cell.ix = ix;
+    cell.iy = iy;
+    cell.v00 = lattice(ix, iy, seed);
+    cell.v10 = lattice(ix + 1, iy, seed);
+    cell.v01 = lattice(ix, iy + 1, seed);
+    cell.v11 = lattice(ix + 1, iy + 1, seed);
+  }
+  const double a = cell.v00 * (1.0 - tx) + cell.v10 * tx;
+  const double b = cell.v01 * (1.0 - tx) + cell.v11 * tx;
   return a * (1.0 - ty) + b * ty;
+}
+
+double value_noise(double x, double y, double scale, std::uint32_t seed) {
+  NoiseCell cell;
+  return value_noise(x, y, scale, seed, cell);
 }
 
 double fract(double x) { return x - std::floor(x); }
@@ -76,14 +97,21 @@ struct Yuv {
 // push V up; everything else stays within +-10 of neutral 128.
 // ---------------------------------------------------------------------
 
-Yuv shade_ground(const SceneParams& p, double wx, double wz) {
+/// The last cell of each of the ground's three noise fields.
+struct GroundCells {
+  NoiseCell gate, tex, tex2;
+};
+
+Yuv shade_ground(const SceneParams& p, double wx, double wz,
+                 GroundCells& cells) {
   Yuv out;
   // Plain-patch gate: low-frequency noise decides where the asphalt is
   // featureless (those areas produce the noisy MVs the paper discusses).
-  const double gate = value_noise(wx, wz, 9.0, 0xA11CE5u);
+  const double gate = value_noise(wx, wz, 9.0, 0xA11CE5u, cells.gate);
   const double strength =
       gate < p.plain_patch_fraction ? 0.12 : 0.55 + 0.45 * gate;
-  const double tex = value_noise(wx, wz, p.texture_scale, 0x50ADu) - 0.5;
+  const double tex =
+      value_noise(wx, wz, p.texture_scale, 0x50ADu, cells.tex) - 0.5;
 
   if (std::abs(wx) < p.road_half_width) {
     out.y = 74.0 + 52.0 * tex * strength;
@@ -97,7 +125,7 @@ Yuv shade_ground(const SceneParams& p, double wx, double wz) {
     out.v = 128.0 + 8.0 * tex;
   } else {
     // Sidewalk / verge: brighter, slightly green.
-    const double tex2 = value_noise(wx, wz, 0.6, 0x51DEu) - 0.5;
+    const double tex2 = value_noise(wx, wz, 0.6, 0x51DEu, cells.tex2) - 0.5;
     out.y = 108.0 + 48.0 * tex2 * (0.3 + 0.7 * strength);
     out.u = 121.0 + 8.0 * tex2;
     out.v = 123.0 + 8.0 * tex2;
@@ -114,9 +142,28 @@ Yuv shade_sky(Vec3 dir) {
   return out;
 }
 
-Yuv shade_building(std::uint32_t seed, Vec3 local, Vec3 half) {
+/// A building's per-facade constants, hashed once per frame instead of
+/// once per pixel.
+struct Facade {
+  double base = 0.0;      ///< wall tone
+  double period_u = 1.0;  ///< window spacing along the face, meters
+  double period_v = 1.0;  ///< window spacing up the face, meters
+  double u = 128.0, v = 128.0;
+};
+
+Facade facade(std::uint32_t seed) {
+  Facade f;
+  f.base = 80.0 + 50.0 * lattice(0, 0, seed);
+  f.period_u = 1.8 + 1.4 * lattice(3, 0, seed);
+  f.period_v = 2.3 + 1.0 * lattice(4, 0, seed);
+  f.u = 128.0 + 9.0 * (lattice(1, 0, seed) - 0.5);
+  f.v = 128.0 + 9.0 * (lattice(2, 0, seed) - 0.5);
+  return f;
+}
+
+Yuv shade_building(std::uint32_t seed, const Facade& f, Vec3 local,
+                   Vec3 half) {
   Yuv out;
-  const double base = 80.0 + 50.0 * lattice(0, 0, seed);
   // Window grid keyed to the face's in-plane coordinates. Spacing varies
   // per building and every window cell gets its own brightness: a
   // perfectly periodic facade would let block matching lock onto the
@@ -125,18 +172,17 @@ Yuv shade_building(std::uint32_t seed, Vec3 local, Vec3 half) {
   const bool x_face = std::abs(std::abs(local.x) - half.x) < 1e-6;
   const double uu = x_face ? local.z : local.x;
   const double vv = -local.y;  // height above ground
-  const double period_u = 1.8 + 1.4 * lattice(3, 0, seed);
-  const double period_v = 2.3 + 1.0 * lattice(4, 0, seed);
-  const auto iu = static_cast<std::int32_t>(std::floor(uu / period_u));
-  const auto iv = static_cast<std::int32_t>(std::floor(vv / period_v));
-  const bool window = fract(uu / period_u) > 0.35 &&
-                      fract(uu / period_u) < 0.8 &&
-                      fract(vv / period_v) > 0.3 && fract(vv / period_v) < 0.75;
+  const auto iu = static_cast<std::int32_t>(std::floor(uu / f.period_u));
+  const auto iv = static_cast<std::int32_t>(std::floor(vv / f.period_v));
+  const bool window = fract(uu / f.period_u) > 0.35 &&
+                      fract(uu / f.period_u) < 0.8 &&
+                      fract(vv / f.period_v) > 0.3 &&
+                      fract(vv / f.period_v) < 0.75;
   const double cell_tone = 60.0 * (lattice(iu, iv, seed ^ 0x77AAu) - 0.5);
   const double tex = value_noise(uu, vv, 0.3, seed ^ 0xB11Du) - 0.5;
-  out.y = (window ? base - 45.0 + cell_tone : base + 25.0) + 18.0 * tex;
-  out.u = 128.0 + 9.0 * (lattice(1, 0, seed) - 0.5);
-  out.v = 128.0 + 9.0 * (lattice(2, 0, seed) - 0.5);
+  out.y = (window ? f.base - 45.0 + cell_tone : f.base + 25.0) + 18.0 * tex;
+  out.u = f.u;
+  out.v = f.v;
   return out;
 }
 
@@ -183,17 +229,24 @@ struct ObjectPose {
   double cos_yaw = 1.0;
   double sin_yaw = 0.0;
   Vec3 half;
+  /// The frame's ray origin in the box frame: every ray of a frame starts
+  /// at the camera, so this is resolved once per object, not per ray.
+  Vec3 origin;
 };
 
-/// Ray/oriented-box intersection via slab test in the box frame.
-/// Returns hit distance and the local hit point.
-bool ray_obb(const ObjectPose& obb, Vec3 origin, Vec3 dir, double& t_hit,
-             Vec3& local_hit) {
-  // World -> box-local (rotate by -yaw about y).
-  const Vec3 rel = origin - obb.center;
+/// World -> box-local direction or offset (rotate by -yaw about y).
+Vec3 to_box(const ObjectPose& obb, Vec3 v) {
   const double c = obb.cos_yaw, s = obb.sin_yaw;
-  const Vec3 o{c * rel.x - s * rel.z, rel.y, s * rel.x + c * rel.z};
-  const Vec3 d{c * dir.x - s * dir.z, dir.y, s * dir.x + c * dir.z};
+  return {c * v.x - s * v.z, v.y, s * v.x + c * v.z};
+}
+
+/// Ray/oriented-box intersection via slab test in the box frame, for a
+/// ray from the frame's camera. Returns hit distance and the local hit
+/// point.
+bool ray_obb(const ObjectPose& obb, Vec3 dir, double& t_hit,
+             Vec3& local_hit) {
+  const Vec3 o = obb.origin;
+  const Vec3 d = to_box(obb, dir);
 
   double t0 = 1e-4;
   double t1 = std::numeric_limits<double>::infinity();
@@ -249,6 +302,7 @@ RenderResult Renderer::render(const Scene& scene, double t,
   // Resolve object poses once and build per-tile candidate lists.
   const auto& objects = scene.objects();
   std::vector<ObjectPose> poses(objects.size());
+  std::vector<Facade> facades(objects.size());  ///< buildings on screen
   const int tiles_x = (W + (1 << kTileShift) - 1) >> kTileShift;
   const int tiles_y = (H + (1 << kTileShift) - 1) >> kTileShift;
   std::vector<std::vector<std::uint16_t>> tile_objects(
@@ -262,6 +316,7 @@ RenderResult Renderer::render(const Scene& scene, double t,
     op.cos_yaw = std::cos(yaw);
     op.sin_yaw = std::sin(yaw);
     op.half = obj.half;
+    op.origin = to_box(op, origin - op.center);
 
     // Conservative screen bound from the 8 corners.
     double x0 = 1e18, y0 = 1e18, x1 = -1e18, y1 = -1e18;
@@ -297,6 +352,8 @@ RenderResult Renderer::render(const Scene& scene, double t,
     const int tx1 = std::clamp(static_cast<int>(x1) >> kTileShift, 0, tiles_x - 1);
     const int ty1 = std::clamp(static_cast<int>(y1) >> kTileShift, 0, tiles_y - 1);
     if (x1 < 0 || y1 < 0 || x0 >= W || y0 >= H) continue;
+    if (obj.cls == ObjectClass::kBuilding)
+      facades[i] = facade(obj.appearance_seed);
     for (int ty = ty0; ty <= ty1; ++ty)
       for (int tx = tx0; tx <= tx1; ++tx)
         tile_objects[static_cast<std::size_t>(ty) * tiles_x + tx].push_back(
@@ -351,15 +408,25 @@ RenderResult Renderer::render(const Scene& scene, double t,
     }
   }
 
+  const auto& R = cam_to_world.m;
+  GroundCells ground_cells;
   std::vector<Yuv> row_yuv(static_cast<std::size_t>(W));
   for (int py = 0; py < H; ++py) {
     const auto* tile_row =
         &tile_objects[static_cast<std::size_t>(py >> kTileShift) * tiles_x];
+    // The row's share of cam_to_world * {x / f, y / f, 1}: the y column
+    // times the row's y / f, and the z column (times 1, exactly itself).
+    // Each pixel adds its x term in Mat3::operator*'s (a + b) + c order.
+    const double dir_cam_y = camera_.to_centered({0.5, py + 0.5}).y /
+                             camera_.focal();
+    const Vec3 row_y{R[0][1] * dir_cam_y, R[1][1] * dir_cam_y,
+                     R[2][1] * dir_cam_y};
     for (int px = 0; px < W; ++px) {
-      const Vec2 centered = camera_.to_centered({px + 0.5, py + 0.5});
-      const Vec3 dir_cam{centered.x / camera_.focal(),
-                         centered.y / camera_.focal(), 1.0};
-      const Vec3 dir = cam_to_world * dir_cam;
+      const double dir_cam_x =
+          camera_.to_centered({px + 0.5, py + 0.5}).x / camera_.focal();
+      const Vec3 dir{(R[0][0] * dir_cam_x + row_y.x) + R[0][2],
+                     (R[1][0] * dir_cam_x + row_y.y) + R[1][2],
+                     (R[2][0] * dir_cam_x + row_y.z) + R[2][2]};
 
       double best_t = std::numeric_limits<double>::infinity();
       int hit_obj = -1;
@@ -368,7 +435,7 @@ RenderResult Renderer::render(const Scene& scene, double t,
       for (std::uint16_t oi : tile_row[px >> kTileShift]) {
         double th;
         Vec3 lh;
-        if (ray_obb(poses[oi], origin, dir, th, lh) && th < best_t) {
+        if (ray_obb(poses[oi], dir, th, lh) && th < best_t) {
           best_t = th;
           hit_obj = oi;
           hit_local = lh;
@@ -390,7 +457,9 @@ RenderResult Renderer::render(const Scene& scene, double t,
             sh = shade_pedestrian(obj.appearance_seed, hit_local, obj.half);
             break;
           case ObjectClass::kBuilding:
-            sh = shade_building(obj.appearance_seed, hit_local, obj.half);
+            sh = shade_building(obj.appearance_seed,
+                                facades[static_cast<std::size_t>(hit_obj)],
+                                hit_local, obj.half);
             break;
         }
         if (obj.cls != ObjectClass::kBuilding) {
@@ -405,7 +474,7 @@ RenderResult Renderer::render(const Scene& scene, double t,
       } else if (ground_t < std::numeric_limits<double>::infinity()) {
         const double wx = origin.x + dir.x * ground_t;
         const double wz = origin.z + dir.z * ground_t;
-        sh = shade_ground(sp, wx, wz);
+        sh = shade_ground(sp, wx, wz, ground_cells);
       } else {
         sh = shade_sky(dir);
       }

@@ -60,7 +60,10 @@ class Renderer {
   [[nodiscard]] const geom::PinholeCamera& camera() const { return camera_; }
 
   /// Renders the scene at simulation time `t` from `pose`. `noise_seed`
-  /// varies per frame so sensor noise decorrelates across frames.
+  /// varies per frame so sensor noise decorrelates across frames. The
+  /// result depends only on the arguments: render() is const, keeps no
+  /// state between calls and is safe to call concurrently on one
+  /// Renderer and Scene (generate_clip renders a clip's frames so).
   [[nodiscard]] RenderResult render(const Scene& scene, double t,
                                     const geom::CameraPose& pose,
                                     std::uint64_t noise_seed) const;

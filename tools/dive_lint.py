@@ -18,9 +18,10 @@ a serve node. This lint forbids them at the source level:
                 util::Rng streams, never process-global state).
   unordered-iter  iteration over std::unordered_{map,set} in the
                 deterministic directories (src/codec, src/roi,
-                src/edge, src/serve, src/core) — iteration order is
-                unspecified and varies across libstdc++ versions and
-                hash seeds.
+                src/edge, src/serve, src/core, and src/video and
+                src/data, whose rendered clips feed every digest) —
+                iteration order is unspecified and varies across
+                libstdc++ versions and hash seeds.
   float-reduce  order-unspecified float/double reductions (std::reduce,
                 std::transform_reduce, parallel execution policies, omp
                 reductions) in the deterministic directories — float
@@ -74,6 +75,8 @@ DETERMINISTIC_DIRS = (
     "src/edge",
     "src/serve",
     "src/core",
+    "src/video",
+    "src/data",
 )
 
 # Files scanned overall.

@@ -307,6 +307,22 @@ expect(
 )
 
 expect(
+    "std::reduce over a frame's shading in src/video fails",
+    {
+        "src/video/renderer.cpp": (
+            "#include <numeric>\n#include <vector>\n"
+            "namespace dive::video {\n"
+            "double mean_depth(const std::vector<double>& d) {\n"
+            "  return std::reduce(d.begin(), d.end(), 0.0) / d.size();\n"
+            "}\n"
+            "}\n"
+        )
+    },
+    should_fail=True,
+    needle="float-reduce",
+)
+
+expect(
     "sequential std::accumulate is fine (fixed order)",
     {
         "src/codec/psnr.cpp": (
