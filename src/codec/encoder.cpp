@@ -16,7 +16,6 @@
 #include "codec/dct.h"
 #include "codec/quant.h"
 #include "codec/reconstruct.h"
-#include "codec/ref_planes.h"
 #include "obs/obs.h"
 #include "video/image_ops.h"
 
@@ -110,16 +109,15 @@ void Encoder::set_obs(obs::ObsContext* obs) {
 
 MotionField Encoder::analyze_motion(const video::Frame& src) const {
   if (!has_reference_) return {};
-  return search_motion(src, RefPlanes(reference_.y, searcher_.reference_pad()));
+  return search_motion(src);
 }
 
-MotionField Encoder::search_motion(const video::Frame& src,
-                                   const RefPlanes& ref_y) const {
+MotionField Encoder::search_motion(const video::Frame& src) const {
   DIVE_OBS_SPAN(span, obs_, "codec.motion_search", obs::kTrackCodec);
   span.flow(frame_ctx_);
   if (obs_handles_.motion_searches != nullptr)
     obs_handles_.motion_searches->add();
-  return searcher_.search_frame(src.y, ref_y, pool_.get());
+  return searcher_.search_frame(src.y, reference_.y, pool_.get());
 }
 
 namespace {
@@ -154,15 +152,9 @@ Encoder::InterPlan Encoder::build_inter_plan(
   const std::size_t mb_count =
       static_cast<std::size_t>(mb_cols) * static_cast<std::size_t>(mb_rows);
 
-  // The luma reference planes are scratch of this call (DESIGN §11):
-  // they serve the motion search (when no field was given), the SKIP
-  // check and luma MC, and die with the plan's construction. Chroma MC
-  // reads the reference frame on demand (mc_predict_u8).
-  const int pad = searcher_.reference_pad();
-  const RefPlanes ref_y(reference_.y, pad);
   MotionField searched;
   if (motion == nullptr) {
-    searched = search_motion(src, ref_y);
+    searched = search_motion(src);
     motion = &searched;
   }
 
@@ -186,9 +178,13 @@ Encoder::InterPlan Encoder::build_inter_plan(
   // decisions are bit-identical for every thread count. A skipped
   // macroblock is predicted at the predicted MV and never pays the
   // residual DCT; its coefficients (and their max |coeff|) stay zero.
+  // Blocks are predicted on demand from reference_ (DESIGN §11); the
+  // SKIP check's luma prediction is reused as the luma MC of a macroblock
+  // coded at the predicted MV, skipped or not.
   const bool skip_on = config_.skip_blocks;
   const Sad16Fn sad_fn = searcher_.sad_fn();
   const auto plan_row = [&](int row) {
+    MbLuma at_pred;
     for (int col = 0; col < mb_cols; ++col) {
       const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
       const std::size_t base = mb * kBlocksPerMb;
@@ -196,16 +192,19 @@ Encoder::InterPlan Encoder::build_inter_plan(
       MotionVector mv = motion->at(col, row);
       bool skip = false;
       if (skip_on) {
-        const std::uint32_t pred_sad =
-            sad_16x16(src.y, ref_y, col * kMb, row * kMb, pred, sad_fn);
-        skip = pred_sad < kSkipThreshold;
+        predict_mb_luma(reference_.y, col, row, pred, at_pred);
+        const std::size_t at =
+            static_cast<std::size_t>(row) * kMb * src.y.width + col * kMb;
+        skip = sad_fn(&src.y.data[at], src.y.width, at_pred.data(), kMb) <
+               kSkipThreshold;
       }
       if (skip) {
         plan.skip[mb] = 1;
         mv = pred;
       }
       plan.eff_motion.at(col, row) = mv;
-      predict_inter_mb(ref_y, reference_, col, row, mv, &plan.preds[base]);
+      predict_inter_mb(reference_, col, row, mv, &plan.preds[base],
+                       skip_on && mv == pred ? &at_pred : nullptr);
       if (skip) continue;
       const auto blocks = mb_blocks(col, row);
       for (int b = 0; b < kBlocksPerMb; ++b) {

@@ -28,9 +28,12 @@
 // lists buffer by buffer. Each coded block is emitted from the zigzag
 // nonzero mask its quantizer pass built, not by walking all 64 positions.
 //
-// Luma references are read through RefPlanes (codec/ref_planes.h), built
-// from reference_ once per encode call and dropped with it; chroma MC
-// reads reference_ on demand (mc_predict_u8 in codec/reconstruct.h).
+// Motion search reads the luma reference through padded RefPlanes
+// (codec/ref_planes.h), scratch of each search call. Every other read of
+// reference_ — the SKIP check, luma and chroma MC — predicts its block on
+// demand with the decoder's mc_predict_u8 (codec/reconstruct.h); the SKIP
+// check's luma prediction is reused as the MC of a macroblock coded at
+// the predicted MV.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +43,6 @@
 #include "codec/dct.h"
 #include "codec/motion_search.h"
 #include "codec/quant.h"
-#include "codec/ref_planes.h"
 #include "codec/scratch.h"
 #include "codec/types.h"
 #include "obs/frame_context.h"
@@ -247,11 +249,10 @@ class Encoder {
   /// average-luma scene-change detector (which needs the source pixels).
   /// Non-const: detected cuts are counted.
   [[nodiscard]] FrameType next_frame_type(const video::Frame& src);
-  /// Motion search against `ref_y`, with the codec.motion_search span.
-  [[nodiscard]] MotionField search_motion(const video::Frame& src,
-                                          const RefPlanes& ref_y) const;
-  /// Builds this call's reference planes, searches motion unless
-  /// `motion` is given, and computes the QP-independent plan.
+  /// Motion search against reference_, with the codec.motion_search span.
+  [[nodiscard]] MotionField search_motion(const video::Frame& src) const;
+  /// Searches motion unless `motion` is given, and computes the
+  /// QP-independent plan.
   [[nodiscard]] InterPlan build_inter_plan(const video::Frame& src,
                                            const MotionField* motion) const;
   /// The parallel half of an inter trial at `base_qp`, into `trial`

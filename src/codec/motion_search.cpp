@@ -21,6 +21,9 @@ constexpr int kHmeCandidates = 3;
 constexpr int kHmeLevels = 2;
 /// Rate-cost weight of the MV bits in pattern searches.
 constexpr double kLambda = 6.0;
+/// Reference-plane padding for the search range: every candidate block
+/// lies inside the pad, so the origin clamp never moves one.
+constexpr int kReferencePad = kSearchRange + kMb + 1;
 
 }  // namespace
 
@@ -402,15 +405,10 @@ MotionVector MotionSearcher::search_block(const video::Plane& cur,
 MotionField MotionSearcher::search_frame(const video::Plane& cur,
                                          const video::Plane& ref,
                                          util::ThreadPool* pool) const {
-  return search_frame(cur, RefPlanes(ref, reference_pad()), pool);
-}
-
-MotionField MotionSearcher::search_frame(const video::Plane& cur,
-                                         const RefPlanes& ref,
-                                         util::ThreadPool* pool) const {
   const int cols = cur.width / kMb;
   const int rows = cur.height / kMb;
   MotionField field(cols, rows);
+  const RefPlanes ref_planes(ref, kReferencePad);
   // The pyramid is a pure function of the two planes, built once per
   // frame (serially, before the row fan-out) and shared read-only by
   // every row, so the parallel field stays bit-identical to the serial
@@ -419,7 +417,7 @@ MotionField MotionSearcher::search_frame(const video::Plane& cur,
   const PyramidPair* pyr = nullptr;
   if (config_.method == MotionSearchMethod::kHme) {
     pyr_storage.cur = build_pyramid(cur, kHmeLevels);
-    pyr_storage.ref = build_pyramid(ref.source(), kHmeLevels);
+    pyr_storage.ref = build_pyramid(ref, kHmeLevels);
     pyr_storage.ref_planes.reserve(std::size_t{kHmeLevels});
     for (int l = 0; l < kHmeLevels; ++l)
       pyr_storage.ref_planes.emplace_back(
@@ -432,7 +430,7 @@ MotionField MotionSearcher::search_frame(const video::Plane& cur,
     for (int col = 0; col < cols; ++col) {
       std::uint32_t sad = 0;
       const MotionVector mv =
-          search_block(cur, ref, col * kMb, row * kMb, pred, sad, pyr);
+          search_block(cur, ref_planes, col * kMb, row * kMb, pred, sad, pyr);
       field.at(col, row) = mv;
       field.sad[static_cast<std::size_t>(row) * cols + col] = sad;
       pred = mv;

@@ -62,8 +62,9 @@ LumaPyramid build_pyramid(const video::Plane& base, int levels);
 /// coordinates (hx, hy) = pixel position (hx/2, hy/2), bilinearly
 /// averaged on odd components, with reads clamped to the plane border.
 /// The codec itself never calls this: it reads references through
-/// RefPlanes, whose planes hold exactly these values. It stays as the
-/// specification the plane tests check RefPlanes against.
+/// RefPlanes or mc_predict_u8, which compute exactly these values. It
+/// stays as the specification the plane and prediction tests check
+/// both against.
 int half_pel_sample(const video::Plane& ref, int hx, int hy);
 
 /// Sum of absolute differences between the 16x16 block of `cur` at
@@ -88,26 +89,15 @@ class MotionSearcher {
   /// The SAD kernel this searcher resolved from its policy.
   [[nodiscard]] Sad16Fn sad_fn() const { return sad_fn_; }
 
-  /// Reference-plane padding for the search range: every candidate
-  /// block lies inside the pad, so the origin clamp never moves one.
-  [[nodiscard]] static constexpr int reference_pad() {
-    return kSearchRange + kMacroblockSize + 1;
-  }
-
   /// Estimates the motion field of `cur` against reference `ref`
   /// (both luma planes; dimensions must match and be multiples of 16).
   /// Rows are searched independently (the spatial predictor chain resets
   /// per row), so a pool parallelizes over rows with a result that is
-  /// bit-identical to the serial field for every thread count. Builds the
-  /// reference planes for this call.
+  /// bit-identical to the serial field for every thread count. The
+  /// padded reference planes every candidate is read through are scratch
+  /// of this call: built here, dropped on return.
   [[nodiscard]] MotionField search_frame(const video::Plane& cur,
                                          const video::Plane& ref,
-                                         util::ThreadPool* pool = nullptr) const;
-
-  /// Same search against reference planes the caller already built (the
-  /// encoder shares one set between search and its SKIP/MC pass).
-  [[nodiscard]] MotionField search_frame(const video::Plane& cur,
-                                         const RefPlanes& ref,
                                          util::ThreadPool* pool = nullptr) const;
 
  private:

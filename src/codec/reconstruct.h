@@ -3,11 +3,10 @@
 // chroma-MV rules, DC intra and motion-compensated prediction, and block
 // reconstruction (dequantize + IDCT + clamp). The encoder's reconstruction
 // equals the decoder's output bit for bit because both call these, so a
-// change to any of them is a format change made in one place. Motion
-// compensation has two readers of the one half-pel rule: mc_predict
-// through padded RefPlanes (the encoder's luma, whose planes motion
-// search already built) and mc_predict_u8 on demand (the decoder, and
-// the encoder's chroma); the differential McPredict tests pin them equal.
+// change to any of them is a format change made in one place. Every
+// motion-compensated block either side codes is predicted on demand by
+// mc_predict_u8; only motion search reads padded RefPlanes, and the
+// differential McPredict tests pin the two equal.
 //
 // Everything is inline, like block_io.h, so the per-block hot loops of
 // both sides compile exactly as if written in place.
@@ -22,7 +21,6 @@
 #include "codec/block_pixels.h"
 #include "codec/dct.h"
 #include "codec/quant.h"
-#include "codec/ref_planes.h"
 #include "codec/types.h"
 #include "video/frame.h"
 
@@ -133,24 +131,14 @@ inline Block8x8 dc_predict(const video::Plane& recon, int bx, int by) {
   return pred;
 }
 
-/// Motion-compensated 8x8 prediction read through reference planes;
-/// `mv` is the displacement in half-pel units of that plane.
-inline Block8x8 mc_predict(const RefPlanes& ref, int bx, int by,
-                           MotionVector mv) {
-  Block8x8 pred;
-  load_block_u8(ref.block(bx, by, mv), ref.stride(), pred);
-  return pred;
-}
-
-/// The same prediction computed on demand from the reference plane
-/// itself, as u8 samples into `dst` (rows `dst_stride` bytes apart):
-/// sample (i, j) is half_pel_sample(ref, 2*(bx+i) - mv.dx,
+/// Motion-compensated 8x8 prediction of the block at (bx, by) displaced
+/// by `mv` (half-pel units of `ref`), computed on demand from the
+/// reference plane as u8 samples into `dst` (rows `dst_stride` bytes
+/// apart): sample (i, j) is half_pel_sample(ref, 2*(bx+i) - mv.dx,
 /// 2*(by+j) - mv.dy), exactly what RefPlanes::block reads. A block whose
 /// reads all fall inside the plane takes raw row pointers. Border blocks
-/// and hostile vectors clamp every read: with a = ref(X, Y),
-/// b = ref(X+fx, Y), c = ref(X, Y+fy), d = ref(X+fx, Y+fy), all read
-/// clamped, (a + b + c + d + 2) >> 2 is the half-pel rule of each phase
-/// (fx = fy = 0 gives a, fx alone (a+b+1)>>1, fy alone (a+c+1)>>1).
+/// and hostile vectors first copy the 9x9 window they read with every
+/// read clamped, then take the same row loops over that window.
 inline void mc_predict_u8(const video::Plane& ref, int bx, int by,
                           MotionVector mv, std::uint8_t* dst,
                           int dst_stride) {
@@ -159,22 +147,20 @@ inline void mc_predict_u8(const video::Plane& ref, int bx, int by,
   const int fy = mv.dy & 1;
   const int ox = bx + ((-mv.dx) >> 1);
   const int oy = by + ((-mv.dy) >> 1);
+  std::ptrdiff_t stride = ref.width;
+  const std::uint8_t* top = nullptr;
+  std::array<std::uint8_t, (n + 1) * (n + 1)> window;
   if (ox < 0 || oy < 0 || ox + n + fx > ref.width ||
       oy + n + fy > ref.height) {
-    for (int j = 0; j < n; ++j, dst += dst_stride)
-      for (int i = 0; i < n; ++i) {
-        const int x = ox + i;
-        const int y = oy + j;
-        dst[i] = static_cast<std::uint8_t>(
-            (ref.at_clamped(x, y) + ref.at_clamped(x + fx, y) +
-             ref.at_clamped(x, y + fy) + ref.at_clamped(x + fx, y + fy) +
-             2) >>
-            2);
-      }
-    return;
+    for (int j = 0; j <= n; ++j)
+      for (int i = 0; i <= n; ++i)
+        window[static_cast<std::size_t>(j * (n + 1) + i)] =
+            ref.at_clamped(ox + i, oy + j);
+    top = window.data();
+    stride = n + 1;
+  } else {
+    top = ref.data.data() + oy * stride + ox;
   }
-  const std::ptrdiff_t stride = ref.width;
-  const std::uint8_t* top = ref.data.data() + oy * stride + ox;
   // Runs `row(a, c, d)` for each block row: a is the reference row, c the
   // row below it when fy (a itself otherwise), d the output row.
   const auto rows = [&](auto row) {
@@ -210,20 +196,41 @@ inline void mc_predict_u8(const video::Plane& ref, int bx, int by,
   }
 }
 
+/// A macroblock's 16x16 luma prediction, rows kMacroblockSize apart;
+/// luma block b (0..3, in mb_blocks order) starts at mb_luma_offset(b).
+using MbLuma = std::array<std::uint8_t, kMacroblockSize * kMacroblockSize>;
+constexpr int mb_luma_offset(int b) {
+  return (b >> 1) * kBlockSize * kMacroblockSize + (b & 1) * kBlockSize;
+}
+
+/// Luma prediction of macroblock (col, row) at `mv`: its four 8x8 blocks
+/// by mc_predict_u8.
+inline void predict_mb_luma(const video::Plane& ref, int col, int row,
+                            MotionVector mv, MbLuma& dst) {
+  for (int b = 0; b < 4; ++b)
+    mc_predict_u8(ref, col * kMacroblockSize + (b & 1) * kBlockSize,
+                  row * kMacroblockSize + (b >> 1) * kBlockSize, mv,
+                  dst.data() + mb_luma_offset(b), kMacroblockSize);
+}
+
 /// Motion-compensated predictions of the six blocks of macroblock
-/// (col, row) coded with luma vector `mv`, into `preds[0..5]`: luma
-/// through `ref_y` (the planes of `ref.y`), chroma on demand from
-/// `ref.u` and `ref.v`.
-inline void predict_inter_mb(const RefPlanes& ref_y, const video::Frame& ref,
-                             int col, int row, MotionVector mv,
-                             Block8x8* preds) {
+/// (col, row) coded with luma vector `mv`, into `preds[0..5]`, all by
+/// mc_predict_u8 from `ref`. `luma`, when given, is predict_mb_luma's
+/// output at this same `mv` and is reused instead of predicting again.
+inline void predict_inter_mb(const video::Frame& ref, int col, int row,
+                             MotionVector mv, Block8x8* preds,
+                             const MbLuma* luma = nullptr) {
+  MbLuma own;
+  if (luma == nullptr) {
+    predict_mb_luma(ref.y, col, row, mv, own);
+    luma = &own;
+  }
+  for (int b = 0; b < 4; ++b)
+    load_block_u8(luma->data() + mb_luma_offset(b), kMacroblockSize,
+                  preds[b]);
   const auto blocks = mb_blocks(col, row);
-  for (int b = 0; b < kBlocksPerMb; ++b) {
+  for (int b = 4; b < kBlocksPerMb; ++b) {
     const MbBlock& blk = blocks[static_cast<std::size_t>(b)];
-    if (blk.plane == 0) {
-      preds[b] = mc_predict(ref_y, blk.bx, blk.by, mv);
-      continue;
-    }
     std::array<std::uint8_t, kBlockSize * kBlockSize> px;
     mc_predict_u8(plane_of(ref, blk.plane), blk.bx, blk.by, chroma_mv(mv),
                   px.data(), kBlockSize);

@@ -7,8 +7,7 @@
 namespace dive::codec {
 
 RefPlanes::RefPlanes(const video::Plane& src, int pad)
-    : source_(&src),
-      width_(src.width),
+    : width_(src.width),
       height_(src.height),
       pad_(std::max(pad, kMacroblockSize)),
       stride_(src.width + 2 * pad_) {

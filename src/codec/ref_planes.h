@@ -1,9 +1,9 @@
-// Padded half-pel reference planes: how the encoder reads a luma
-// reference many times over (motion search SAD/SATD, the SKIP check, and
-// luma motion compensation). Readers that touch each block once — the
-// decoder, and the encoder's chroma motion compensation — compute the same
-// samples on demand with mc_predict_u8 (codec/reconstruct.h) instead of
-// paying for four padded planes.
+// Padded half-pel reference planes: how motion search reads a luma
+// reference many times over (SAD/SATD of every candidate). Every other
+// reader touches a block once or twice — the encoder's SKIP check and
+// motion compensation, and the decoder — and computes the same samples
+// on demand with mc_predict_u8 (codec/reconstruct.h) instead of paying
+// for four padded planes.
 //
 // A RefPlanes holds four planes built from one reference plane, each a
 // replicated-border copy padded by `pad` samples on every side. Plane
@@ -29,10 +29,10 @@
 // changing one sample, provided the pad is at least one block (16). That
 // covers vectors of any length.
 //
-// Memory: four padded planes per reference plane. They are per-call
-// scratch — built once per encode call from the encoder's reference
-// frame and dropped at the end of the call, never kept as per-encoder
-// state (many sessions share one host).
+// Memory: four padded planes per reference plane. They are scratch of
+// one MotionSearcher::search_frame call — built at its start and dropped
+// when it returns, never kept as per-encoder state (many sessions share
+// one host).
 #pragma once
 
 #include <array>
@@ -47,10 +47,8 @@ namespace dive::codec {
 class RefPlanes {
  public:
   /// Builds the four padded planes of `src`. `pad` is raised to at least
-  /// one macroblock (the origin-clamp exactness bound). `src` is kept by
-  /// pointer for source(), so it must outlive this object.
+  /// one macroblock (the origin-clamp exactness bound).
   RefPlanes(const video::Plane& src, int pad);
-  RefPlanes(const video::Plane&& src, int pad) = delete;
 
   /// First sample of the block whose top-left pixel is (x, y), displaced
   /// by `mv` (half-pel units of this plane) — i.e. sample (i, j) of the
@@ -67,8 +65,6 @@ class RefPlanes {
 
   [[nodiscard]] int stride() const { return stride_; }
   [[nodiscard]] int pad() const { return pad_; }
-  /// The plane these were built from.
-  [[nodiscard]] const video::Plane& source() const { return *source_; }
 
  private:
   [[nodiscard]] int clamp_origin(int o, int extent) const {
@@ -77,7 +73,6 @@ class RefPlanes {
     return o < lo ? lo : (o > hi ? hi : o);
   }
 
-  const video::Plane* source_;
   int width_;
   int height_;
   int pad_;

@@ -6,11 +6,12 @@
 // kernel follows the process-wide SIMD level of util/simd.h.
 //
 // Kernels operate on raw row pointers with independent strides so they
-// serve both full planes (stride == width, including odd widths) and the
-// padded reference planes (codec/ref_planes.h). Blocks must lie fully
-// inside their buffers; reading the reference through RefPlanes makes
-// every search candidate — full-pel, half-pel, or at the border — such
-// a block, so no candidate bypasses the kernel.
+// serve full planes (stride == width, including odd widths), the padded
+// reference planes (codec/ref_planes.h) and the encoder's on-demand
+// 16x16 SKIP-check prediction. Blocks must lie fully inside their
+// buffers; reading the reference through RefPlanes makes every search
+// candidate — full-pel, half-pel, or at the border — such a block, so no
+// candidate bypasses the kernel.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,10 @@
 // Property tests of the padded half-pel reference planes
 // (codec/ref_planes.h) against the clamped per-pixel reference definition
-// half_pel_sample. The encoder's luma readers — motion search SAD/SATD,
-// the SKIP check and luma motion compensation — go through
-// RefPlanes::block, and the on-demand predictor of the decoder and of
-// chroma MC is checked against it (mc_predict_test.cpp), so these
-// properties are what keeps the goldens unchanged:
+// half_pel_sample. Motion search reads every SAD/SATD candidate through
+// RefPlanes::block, and the on-demand predictor of every other reader
+// (the encoder's SKIP check and MC, the decoder) is checked against it
+// (mc_predict_test.cpp), so these properties are what keeps the goldens
+// unchanged:
 //   1. every padded sample of all four planes is half_pel_sample at the
 //      matching half-pel coordinate;
 //   2. block SAD and 8x8 MC reads through the planes equal the clamped
@@ -108,7 +108,6 @@ TEST(RefPlanes, PadIsAtLeastOneMacroblock) {
   const auto ref = random_plane(32, 32, 5);
   EXPECT_EQ(RefPlanes(ref, 0).pad(), kMb);
   EXPECT_EQ(RefPlanes(ref, 40).pad(), 40);
-  EXPECT_EQ(&RefPlanes(ref, 0).source(), &ref);
 }
 
 TEST(RefPlanes, SearchWindowSadAndMcMatchTheClampedDefinition) {
