@@ -73,7 +73,7 @@ void BM_QpMapConstruction(benchmark::State& state) {
   const auto fg = extractor.extract(prep, kCamera);
   const core::QpAssigner assigner;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(assigner.build_map(fg, 32, 18));
+    benchmark::DoNotOptimize(assigner.assign(fg, 32, 18));
   }
 }
 BENCHMARK(BM_QpMapConstruction);

@@ -93,8 +93,9 @@ FrameOutcome DiveAgent::process_frame(const video::Frame& frame,
   codec::QpOffsetMap offsets;
   {
     DIVE_OBS_SPAN(span, obs, "agent.qp_assign", obs::kTrackAgent);
-    offsets = qp_assigner_.build_map(last_fg_, mb_cols, mb_rows);
-    last_delta_ = qp_assigner_.background_delta(last_fg_, mb_cols, mb_rows);
+    QpAssignment assignment = qp_assigner_.assign(last_fg_, mb_cols, mb_rows);
+    offsets = std::move(assignment.map);
+    last_delta_ = assignment.background_delta;
     span.arg("bg_delta", last_delta_);
   }
   const auto target_bytes =

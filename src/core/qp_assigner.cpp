@@ -60,41 +60,33 @@ codec::QpOffsetMap QpAssigner::box_map(const edge::DetectionList& boxes,
   return map;
 }
 
-int QpAssigner::delta_from_mask(const ForegroundResult& fg,
-                                const std::vector<bool>& mask) const {
-  if (config_.fixed_delta >= 0) return config_.fixed_delta;
-  if (!fg.valid || fg.regions.empty()) {
-    // No foreground knowledge: compress uniformly but gently — encoding
-    // everything as "background" at a large delta would risk the true
-    // foreground.
-    return kDeltaMin;
-  }
-  const std::size_t covered = static_cast<std::size_t>(
-      std::count(mask.begin(), mask.end(), true));
-  const double fraction =
-      mask.empty() ? 0.0
-                   : static_cast<double>(covered) /
-                         static_cast<double>(mask.size());
-  const int delta =
-      static_cast<int>(std::lround(kAdaptiveCoefficient * fraction));
-  return std::clamp(delta, kDeltaMin, kDeltaMax);
-}
-
-int QpAssigner::background_delta(const ForegroundResult& fg, int mb_cols,
-                                 int mb_rows) const {
-  return delta_from_mask(fg, foreground_mask(fg, mb_cols, mb_rows));
-}
-
-codec::QpOffsetMap QpAssigner::build_map(const ForegroundResult& fg,
-                                         int mb_cols, int mb_rows) const {
+QpAssignment QpAssigner::assign(const ForegroundResult& fg, int mb_cols,
+                                int mb_rows) const {
   const std::vector<bool> mask = foreground_mask(fg, mb_cols, mb_rows);
-  const int delta = delta_from_mask(fg, mask);
-  codec::QpOffsetMap map(mb_cols, mb_rows, static_cast<std::int8_t>(delta));
+  // No foreground knowledge keeps the gentle minimum: encoding everything
+  // as "background" at a large delta would risk the true foreground.
+  int delta = kDeltaMin;
+  if (config_.fixed_delta >= 0) {
+    delta = config_.fixed_delta;
+  } else if (fg.valid && !fg.regions.empty()) {
+    const std::size_t covered = static_cast<std::size_t>(
+        std::count(mask.begin(), mask.end(), true));
+    const double fraction =
+        mask.empty() ? 0.0
+                     : static_cast<double>(covered) /
+                           static_cast<double>(mask.size());
+    delta = std::clamp(
+        static_cast<int>(std::lround(kAdaptiveCoefficient * fraction)),
+        kDeltaMin, kDeltaMax);
+  }
+  QpAssignment out{
+      codec::QpOffsetMap(mb_cols, mb_rows, static_cast<std::int8_t>(delta)),
+      delta};
   for (int row = 0; row < mb_rows; ++row)
     for (int col = 0; col < mb_cols; ++col)
       if (mask[static_cast<std::size_t>(row) * mb_cols + col])
-        map.at(col, row) = 0;
-  return map;
+        out.map.at(col, row) = 0;
+  return out;
 }
 
 }  // namespace dive::core

@@ -19,6 +19,13 @@ struct QpAssignerConfig {
   int fixed_delta = -1;
 };
 
+/// One frame's QP assignment: the offset map and the delta its
+/// background macroblocks carry.
+struct QpAssignment {
+  codec::QpOffsetMap map;
+  int background_delta = 0;
+};
+
 class QpAssigner {
  public:
   explicit QpAssigner(QpAssignerConfig config = {}) : config_(config) {}
@@ -35,20 +42,14 @@ class QpAssigner {
       const edge::DetectionList& boxes, double pad_px, int background_delta,
       int mb_cols, int mb_rows);
 
-  /// The background delta for a given foreground extraction result; the
-  /// adaptive rule uses the *union* area of the extracted foreground.
-  [[nodiscard]] int background_delta(const ForegroundResult& fg, int mb_cols,
-                                     int mb_rows) const;
-
-  /// Builds the per-macroblock QP offset map for a frame of
-  /// `mb_cols` x `mb_rows` macroblocks.
-  [[nodiscard]] codec::QpOffsetMap build_map(const ForegroundResult& fg,
-                                             int mb_cols, int mb_rows) const;
+  /// Per-macroblock QP offsets of a frame of `mb_cols` x `mb_rows`
+  /// macroblocks: 0 on the foreground hulls' macroblocks, the background
+  /// delta elsewhere. The adaptive delta follows the *union* area of the
+  /// extracted foreground, so one rasterization of the hulls yields both.
+  [[nodiscard]] QpAssignment assign(const ForegroundResult& fg, int mb_cols,
+                                    int mb_rows) const;
 
  private:
-  [[nodiscard]] int delta_from_mask(const ForegroundResult& fg,
-                                    const std::vector<bool>& mask) const;
-
   QpAssignerConfig config_;
 };
 
