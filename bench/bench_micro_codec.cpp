@@ -15,7 +15,8 @@
 //                             null context / disabled tracer / enabled
 //                             tracer, and the ledger per-frame record
 // Set DIVE_BENCH_RECORDS_ONLY=1 to emit only the records and skip the
-// google-benchmark run (the CI smoke mode).
+// google-benchmark run (the CI smoke mode). A run given
+// --benchmark_filter times the benchmarks it names and skips the records.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -303,9 +304,33 @@ void BM_EncodeToTarget(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeToTarget);
 
+// The agent's per-frame codec calls on a rendered 512x384 RobotCar-like
+// frame pair at 1 thread: analyze_motion (the MV harvest), then
+// encode_to_target at robotcar_t1's 2 Mbps budget reusing that field. One
+// encoder runs throughout, as in the agent: before each iteration it
+// codes the first frame intra (untimed), which makes it the reference.
+void BM_AnalyzeThenEncode(benchmark::State& state) {
+  const data::DatasetSpec spec = data::robotcar_like(1, 2);
+  const data::Clip clip = data::generate_clip(spec, 0);
+  const auto target = static_cast<std::size_t>(2e6 / 8 / spec.fps);
+  codec::Encoder enc(
+      {.width = spec.width, .height = spec.height, .threads = 1});
+  for (auto _ : state) {
+    state.PauseTiming();
+    enc.request_intra();
+    (void)enc.encode_to_target(clip.frames[0].image, target);
+    state.ResumeTiming();
+    const codec::MotionField motion =
+        enc.analyze_motion(clip.frames[1].image);
+    benchmark::DoNotOptimize(enc.encode_to_target(clip.frames[1].image,
+                                                  target, nullptr, &motion));
+  }
+}
+BENCHMARK(BM_AnalyzeThenEncode)->Unit(benchmark::kMillisecond);
+
 // Arg(0) decodes an intra frame; Arg(1) an inter frame of a panning
-// scene, which pays decoder motion compensation (and the per-call
-// reference planes) on top of the residual path.
+// scene, which pays decoder motion compensation on top of the residual
+// path.
 /// A rendered 512x384 RobotCar-like clip encoded as robotcar_t1 sends
 /// it, 2 Mbps at the clip's frame rate: frame 0 intra, the rest inter.
 const std::vector<codec::EncodedFrame>& rendered_stream() {
@@ -801,14 +826,20 @@ void emit_obs_record() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  emit_sad_record();
-  emit_sse_record();
-  emit_hme_record();
-  emit_obs_record();
-  if (const char* only = std::getenv("DIVE_BENCH_RECORDS_ONLY");
-      only != nullptr && *only != '\0' && std::string_view(only) != "0") {
-    return 0;
+  const char* only = std::getenv("DIVE_BENCH_RECORDS_ONLY");
+  const bool records_only =
+      only != nullptr && *only != '\0' && std::string_view(only) != "0";
+  // Read before benchmark::Initialize consumes the flag.
+  const bool filtered = std::any_of(argv + 1, argv + argc, [](const char* a) {
+    return std::string_view(a).starts_with("--benchmark_filter");
+  });
+  if (records_only || !filtered) {
+    emit_sad_record();
+    emit_sse_record();
+    emit_hme_record();
+    emit_obs_record();
   }
+  if (records_only) return 0;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
