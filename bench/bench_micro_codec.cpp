@@ -114,6 +114,31 @@ BENCHMARK(BM_Quantize)
     ->Args({0, 30})->Args({1, 30})
     ->Args({0, 50})->Args({1, 50});
 
+// The rate-control trial's fused kernel on BM_Quantize's block, taken as
+// scan-order coefficients: quantize plus the block's Exp-Golomb length.
+// Args: {kernel arm, QP}.
+void BM_QuantizeScanBits(benchmark::State& state) {
+  util::Rng rng(3);
+  codec::Block8x8 in;
+  codec::QuantBlock levels;
+  std::uint64_t scan = 0;
+  for (auto& v : in) v = rng.uniform(-512, 512);
+  const bool dispatched = state.range(0) != 0;
+  const auto fn = dispatched ? &codec::quantize_scan_bits
+                             : &codec::quantize_scan_bits_scalar;
+  const int qp = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fn(in, qp, levels, scan));
+    benchmark::DoNotOptimize(levels);
+    benchmark::DoNotOptimize(scan);
+  }
+  state.SetLabel(block_kernel_label(dispatched));
+}
+BENCHMARK(BM_QuantizeScanBits)
+    ->Args({0, 10})->Args({1, 10})
+    ->Args({0, 30})->Args({1, 30})
+    ->Args({0, 50})->Args({1, 50});
+
 // One search candidate through the padded reference planes: Arg(0) a
 // full-pel vector, Arg(1) a half-pel one. Both are one strided block
 // handed to the dispatched kernel, so they should cost the same.
@@ -305,25 +330,27 @@ void BM_EncodeToTarget(benchmark::State& state) {
 BENCHMARK(BM_EncodeToTarget);
 
 // The agent's per-frame codec calls on a rendered 512x384 RobotCar-like
-// frame pair at 1 thread: analyze_motion (the MV harvest), then
-// encode_to_target at robotcar_t1's 2 Mbps budget reusing that field. One
-// encoder runs throughout, as in the agent: before each iteration it
-// codes the first frame intra (untimed), which makes it the reference.
+// clip at 1 thread: analyze_motion (the MV harvest), then
+// encode_to_target at robotcar_t1's 2 Mbps budget reusing that field.
+// One encoder codes frame 0 intra (untimed) and then frames 1..15 in a
+// loop, so every timed call is an inter frame that follows an inter
+// frame, as in the agent's steady state between intra frames (GoP off).
 void BM_AnalyzeThenEncode(benchmark::State& state) {
-  const data::DatasetSpec spec = data::robotcar_like(1, 2);
+  const data::DatasetSpec spec = data::robotcar_like(1, 16);
   const data::Clip clip = data::generate_clip(spec, 0);
   const auto target = static_cast<std::size_t>(2e6 / 8 / spec.fps);
-  codec::Encoder enc(
-      {.width = spec.width, .height = spec.height, .threads = 1});
+  codec::Encoder enc({.width = spec.width,
+                      .height = spec.height,
+                      .gop_length = 0,
+                      .threads = 1});
+  (void)enc.encode_to_target(clip.frames[0].image, target);
+  std::size_t next = 1;
   for (auto _ : state) {
-    state.PauseTiming();
-    enc.request_intra();
-    (void)enc.encode_to_target(clip.frames[0].image, target);
-    state.ResumeTiming();
-    const codec::MotionField motion =
-        enc.analyze_motion(clip.frames[1].image);
-    benchmark::DoNotOptimize(enc.encode_to_target(clip.frames[1].image,
-                                                  target, nullptr, &motion));
+    const video::Frame& frame = clip.frames[next].image;
+    next = next + 1 < clip.frames.size() ? next + 1 : 1;
+    const codec::MotionField motion = enc.analyze_motion(frame);
+    benchmark::DoNotOptimize(
+        enc.encode_to_target(frame, target, nullptr, &motion));
   }
 }
 BENCHMARK(BM_AnalyzeThenEncode)->Unit(benchmark::kMillisecond);
@@ -541,26 +568,34 @@ void BM_BitReader(benchmark::State& state) {
 BENCHMARK(BM_BitReader);
 
 // Emission of 4096 coded residual-like blocks (coefficients decaying
-// along the zigzag scan, quantized at QP 26, about 7 nonzero levels per
-// block): Arg(0) the 64-position write_block_reference, Arg(1) the
-// encoder's write_block driven by the zigzag mask quantize_block_bits
-// built. Both write the same bits.
+// along the zigzag scan, quantized at QP 26, about 5 nonzero levels per
+// block): Arg(0) the 64-position write_block_reference of the raster
+// levels, Arg(1) the encoder's write_block of the scan-order levels,
+// driven by the mask quantize_scan_bits built. Both write the same bits.
 void BM_WriteBlock(benchmark::State& state) {
   struct Coded {
-    codec::QuantBlock levels;
+    codec::QuantBlock levels;  ///< scan order
+    codec::QuantBlock raster;
     std::uint64_t scan;
   };
   std::vector<Coded> blocks;
   util::Rng rng(17);
-  const auto& rank = codec::zigzag_rank();
+  const auto& zz = codec::zigzag_order();
+  std::array<int, 64> rank{};
+  for (std::size_t k = 0; k < 64; ++k)
+    rank[static_cast<std::size_t>(zz[k])] = static_cast<int>(k);
   while (blocks.size() < 4096) {
     codec::Block8x8 coeffs;
     for (std::size_t i = 0; i < 64; ++i)
       coeffs[i] = rng.uniform(-1, 1) * 400.0 /
                   ((1.0 + rank[i]) * (1.0 + rank[i]));
+    codec::Block8x8 scan_coeffs;
+    codec::to_scan_order(coeffs, scan_coeffs);
     Coded b{};
-    if (codec::quantize_block_bits(coeffs, 26, b.levels, b.scan) != 0)
+    if (codec::quantize_scan_bits(scan_coeffs, 26, b.levels, b.scan) != 0) {
+      codec::scan_levels_to_raster(b.levels, b.scan, b.raster);
       blocks.push_back(b);
+    }
   }
   const bool masked = state.range(0) != 0;
   std::size_t nonzero = 0;
@@ -571,7 +606,7 @@ void BM_WriteBlock(benchmark::State& state) {
     if (masked) {
       for (const Coded& b : blocks) codec::write_block(bw, b.levels, b.scan);
     } else {
-      for (const Coded& b : blocks) codec::write_block_reference(bw, b.levels);
+      for (const Coded& b : blocks) codec::write_block_reference(bw, b.raster);
     }
     benchmark::DoNotOptimize(bw.finish());
   }

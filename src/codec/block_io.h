@@ -13,35 +13,25 @@
 
 namespace dive::codec {
 
-/// A raster nonzero mask (bit i set when levels[i] != 0, as quantize()
-/// returns it) moved to zigzag scan positions.
-inline std::uint64_t zigzag_scan(std::uint64_t raster) {
-  const auto& rank = zigzag_rank();
-  std::uint64_t scan = 0;
-  for (; raster != 0; raster &= raster - 1)
-    scan |= std::uint64_t{1} << rank[static_cast<std::size_t>(
-                std::countr_zero(raster))];
-  return scan;
-}
-
 /// Writes `levels` to `sink` (a BitWriter, or a BitCounter to size it)
-/// from `scan`, the block's nonzero levels by zigzag position: the count
-/// is its popcount and each (run, level) pair is read off one set bit.
+/// from `scan`, the mask of the block's nonzero levels by zigzag scan
+/// position, as quantize_scan_bits fills both (`levels` in scan order):
+/// the count is the mask's popcount and each (run, level) pair is read off
+/// one set bit. Only the levels at set bits are read.
 template <class Sink>
 void write_block(Sink& sink, const QuantBlock& levels, std::uint64_t scan) {
-  const auto& zz = zigzag_order();
   sink.put_ue(static_cast<std::uint32_t>(std::popcount(scan)));
   for (int next = 0; scan != 0; scan &= scan - 1) {
     const int pos = std::countr_zero(scan);
     sink.put_ue(static_cast<std::uint32_t>(pos - next));
-    sink.put_se(
-        levels[static_cast<std::size_t>(zz[static_cast<std::size_t>(pos)])]);
+    sink.put_se(levels[static_cast<std::size_t>(pos)]);
     next = pos + 1;
   }
 }
 
-/// The definition write_block implements: walks all 64 zigzag positions.
-/// Kept as the reference the differential suite compares against.
+/// The definition write_block implements, from raster-order levels: walks
+/// all 64 zigzag positions. Kept as the reference the differential suite
+/// compares against.
 template <class Sink>
 void write_block_reference(Sink& sink, const QuantBlock& levels) {
   const auto& zz = zigzag_order();
@@ -63,34 +53,6 @@ void write_block_reference(Sink& sink, const QuantBlock& levels) {
       --nonzero;
     }
   }
-}
-
-/// quantize() fused with sizing: fills `levels` and `scan` (the nonzero
-/// levels by zigzag position, for write_block) and returns the length in
-/// bits of write_block(levels, scan), or 0 when every level is zero (the
-/// block is not coded). Only the zero runs depend on the scan order, so
-/// they are read off the set bits of `scan`. The differential suite
-/// checks the result against write_block_reference into a BitWriter.
-inline int quantize_block_bits(const Block8x8& coeffs, int qp,
-                               QuantBlock& levels, std::uint64_t& scan) {
-  std::uint64_t nonzero = quantize(coeffs, qp, levels);
-  scan = 0;
-  if (nonzero == 0) return 0;
-  const auto& rank = zigzag_rank();
-  int bits =
-      BitWriter::ue_bits(static_cast<std::uint32_t>(std::popcount(nonzero)));
-  for (; nonzero != 0; nonzero &= nonzero - 1) {
-    const auto i = static_cast<std::size_t>(std::countr_zero(nonzero));
-    scan |= std::uint64_t{1} << rank[i];
-    bits += BitWriter::se_bits(levels[i]);
-  }
-  std::uint64_t rest = scan;
-  for (int next = 0; rest != 0; rest &= rest - 1) {
-    const int pos = std::countr_zero(rest);
-    bits += BitWriter::ue_bits(static_cast<std::uint32_t>(pos - next));
-    next = pos + 1;
-  }
-  return bits;
 }
 
 inline void read_block(BitReader& br, QuantBlock& levels) {

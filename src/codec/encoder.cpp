@@ -47,15 +47,19 @@ double max_abs(const Block8x8& coeffs) {
   return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
 }
 
-/// Transform + quantize the (src - pred) residual of one 8x8 block.
-/// Returns the nonzero levels by zigzag position (write_block's mask), so
-/// zero means the block is not coded.
+/// Transform + quantize the (src - pred) residual of one 8x8 block into
+/// scan-order `levels`. Returns their nonzero mask by scan position
+/// (write_block's), so zero means the block is not coded. The intra path
+/// emits as it codes, so it takes quantize_scan_bits' quantizer without
+/// the sizing.
 std::uint64_t transform_block(const video::Plane& src, int bx, int by,
                               const Block8x8& pred, int qp,
                               QuantBlock& levels) {
   Block8x8 coeffs;
   residual_dct(src, bx, by, pred, coeffs);
-  return zigzag_scan(quantize(coeffs, qp, levels));
+  Block8x8 scan_coeffs;
+  to_scan_order(coeffs, scan_coeffs);
+  return quantize(scan_coeffs, qp, levels);
 }
 
 int mb_qp(int base_qp, const QpOffsetMap* offsets, int col, int row) {
@@ -210,9 +214,11 @@ Encoder::InterPlan Encoder::build_inter_plan(
       for (int b = 0; b < kBlocksPerMb; ++b) {
         const MbBlock& blk = blocks[static_cast<std::size_t>(b)];
         const std::size_t i = base + static_cast<std::size_t>(b);
+        Block8x8 coeffs;
         residual_dct(plane_of(src, blk.plane), blk.bx, blk.by, plan.preds[i],
-                     plan.coeffs[i]);
-        plan.max_abs[i] = max_abs(plan.coeffs[i]);
+                     coeffs);
+        to_scan_order(coeffs, plan.coeffs[i]);
+        plan.max_abs[i] = max_abs(coeffs);
       }
     }
   };
@@ -243,9 +249,9 @@ bool Encoder::prepare_inter_trial(const InterPlan& plan, int base_qp,
   // per-mb entry, so a previous trial's storage is reused as is. Levels
   // and scan masks are written only for coded blocks and read only where
   // the cbp bit is set, so they are not zero-filled; a block whose
-  // largest |coeff| lies inside the dead zone quantizes to all zeros, so
-  // it is never visited. Nothing is reconstructed here: only the
-  // committed trial is, by reconstruct_inter.
+  // largest |coeff| is at or below the QP's zero bound quantizes to all
+  // zeros, so it is never visited. Nothing is reconstructed here: only
+  // the committed trial is, by reconstruct_inter.
   //
   // `block_bits` sums the completed rows' block bits. Once it passes
   // `bit_limit` a row that has not started returns at once. The sum ends
@@ -271,11 +277,11 @@ bool Encoder::prepare_inter_trial(const InterPlan& plan, int base_qp,
       int bits = 0;
       if (plan.skip[mb] == 0) {
         const std::size_t base = mb * kBlocksPerMb;
-        const double deadzone = quant_step(qp).deadzone;
+        const double zero_bound = quant_step(qp).zero_bound;
         for (int b = 0; b < kBlocksPerMb; ++b) {
           const std::size_t i = base + static_cast<std::size_t>(b);
-          if (plan.max_abs[i] <= deadzone) continue;
-          const int coded_bits = quantize_block_bits(
+          if (plan.max_abs[i] <= zero_bound) continue;
+          const int coded_bits = quantize_scan_bits(
               plan.coeffs[i], qp, prep.levels[i], prep.scans[i]);
           if (coded_bits == 0) continue;
           mask |= 1 << b;
@@ -308,13 +314,21 @@ video::Frame Encoder::reconstruct_inter(const InterPlan& plan,
   video::Frame recon(config_.width, config_.height);
   // Parallel by row, disjoint writes. SKIP macroblocks (cbp 0)
   // reconstruct as the bare prediction — exactly the reference copy the
-  // decoder performs.
+  // decoder performs. Coded blocks' scan-order levels go back to raster
+  // order first, as the decoder's read_block leaves them.
   const auto recon_row = [&](int row) {
+    std::array<QuantBlock, kBlocksPerMb> raster;
     for (int col = 0; col < mb_cols; ++col) {
       const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
       const std::size_t base = mb * kBlocksPerMb;
-      reconstruct_inter_mb(recon, col, row, &plan.preds[base],
-                           &prep.levels[base], prep.cbp[mb], prep.qps[mb]);
+      for (int b = 0; b < kBlocksPerMb; ++b) {
+        const std::size_t i = base + static_cast<std::size_t>(b);
+        if (prep.cbp[mb] & (1 << b))
+          scan_levels_to_raster(prep.levels[i], prep.scans[i],
+                                raster[static_cast<std::size_t>(b)]);
+      }
+      reconstruct_inter_mb(recon, col, row, &plan.preds[base], raster.data(),
+                           prep.cbp[mb], prep.qps[mb]);
     }
   };
   if (pool_) pool_->parallel_for(0, mb_rows, recon_row);
@@ -406,9 +420,13 @@ Encoder::Trial Encoder::run_intra_trial(const video::Frame& src, int base_qp,
         const std::uint64_t scan = transform_block(
             plane_of(src, blk.plane), blk.bx, blk.by, pred, qp, levels);
         bw.put_bit(scan != 0);
-        if (scan != 0) write_block(bw, levels, scan);
+        QuantBlock raster;
+        if (scan != 0) {
+          write_block(bw, levels, scan);
+          scan_levels_to_raster(levels, scan, raster);
+        }
         reconstruct_block(rp, blk.bx, blk.by, pred,
-                          scan != 0 ? &levels : nullptr, qp);
+                          scan != 0 ? &raster : nullptr, qp);
       }
     }
   }

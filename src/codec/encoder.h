@@ -14,8 +14,9 @@
 // Rate control: encode_to_target binary-searches the base QP. The
 // QP-independent work of an inter frame — motion field, motion-
 // compensated predictions, and the DCT coefficients of the prediction
-// residual — is computed once per frame; each QP trial only re-quantizes
-// and counts bits, and only the committed trial is emitted and
+// residual, stored in zigzag scan order — is computed once per frame; each
+// QP trial only re-quantizes and counts bits, one fused kernel per block
+// (quantize_scan_bits), and only the committed trial is emitted and
 // reconstructed. The search never revisits a QP. Once a trial has fitted,
 // a later trial stops as soon as its block bits alone pass the budget: it
 // can no longer be committed (RateControlStats::trials_cut). encode()
@@ -23,10 +24,12 @@
 // pass.
 //
 // Per-call scratch (the plan's predictions and coefficients, a trial's
-// levels and zigzag masks) is sized without zero-filling (codec/
+// levels and scan masks) is sized without zero-filling (codec/
 // scratch.h): every element that is read was written first, as DESIGN §7
-// lists buffer by buffer. Each coded block is emitted from the zigzag
-// nonzero mask its quantizer pass built, not by walking all 64 positions.
+// lists buffer by buffer. Each coded block's levels stay in scan order:
+// emission reads them straight off the nonzero mask its quantizer pass
+// built, and reconstruction scatters them back to raster order. Intra
+// blocks take the same path.
 //
 // Motion search reads the luma reference through padded RefPlanes
 // (codec/ref_planes.h), scratch of each search call. Every other read of
@@ -203,13 +206,15 @@ class Encoder {
   /// QP-independent per-frame state of an inter frame: the SKIP decision
   /// and effective (coded) motion field, and for every 8x8 block (6 per
   /// macroblock: 4 luma + U + V) the motion-compensated prediction and
-  /// the forward DCT of the prediction residual. SKIP macroblocks carry
-  /// predictions at the predicted MV and never pay the residual DCT.
+  /// the forward DCT of the prediction residual in zigzag scan order.
+  /// SKIP macroblocks carry predictions at the predicted MV and never pay
+  /// the residual DCT.
   struct InterPlan {
     /// mb_count * 6, block-major; every block is written.
     ScratchVector<Block8x8> preds;
-    /// mb_count * 6, block-major; written for non-SKIP macroblocks only,
-    /// read only where max_abs passes the dead zone (never for SKIP).
+    /// mb_count * 6, block-major, each block in scan order; written for
+    /// non-SKIP macroblocks only, read only where max_abs passes the
+    /// trial QP's zero bound (never for SKIP).
     ScratchVector<Block8x8> coeffs;
     std::vector<double> max_abs;   ///< max |coeff| per block, 0 for SKIP
     std::vector<std::uint8_t> skip;  ///< per-mb threshold-forced SKIP
@@ -223,10 +228,11 @@ class Encoder {
   /// macroblock. Enough to size the trial for rate control and, for the
   /// committed trial only, to emit and reconstruct it.
   struct PreparedInter {
-    /// mb_count * 6, block-major. Both are written for coded blocks only
-    /// and read only where the cbp bit is set.
+    /// mb_count * 6, block-major. Both are written for quantized blocks
+    /// only and read only where the cbp bit is set; a block's levels are
+    /// in scan order and read only at the set bits of its scan mask.
     ScratchVector<QuantBlock> levels;
-    ScratchVector<std::uint64_t> scans;  ///< nonzero levels by zigzag position
+    ScratchVector<std::uint64_t> scans;  ///< nonzero levels by scan position
     std::vector<int> cbp;            ///< coded-block pattern per mb
     std::vector<int> block_bits;     ///< bits of the coded blocks per mb
     std::vector<int> qps;            ///< resolved QP per mb

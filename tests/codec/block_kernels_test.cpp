@@ -113,10 +113,13 @@ TEST(BlockKernels, QuantizeMatchesScalarAtEveryQp) {
       if (trial % 2 == 0) {
         forward_dct_scalar(random_residual(rng), coeffs);
       } else {
-        // Ties, dead-zone edges and zeros, some whole groups of 4 dead.
+        // Ties, zero-bound and old step/6 dead-zone edges and zeros,
+        // some whole groups of 4 at or below the zero bound.
         for (auto& c : coeffs) {
           const double k = rng.uniform_int(-40, 40);
-          const double e = rng.chance(0.5) ? (k + 0.5) * step : step / 6.0;
+          const double edge =
+              rng.chance(0.5) ? quant_step(qp).zero_bound : step / 6.0;
+          const double e = rng.chance(0.5) ? (k + 0.5) * step : edge;
           c = rng.chance(0.3) ? 0.0 : std::nextafter(e, rng.uniform(-1, 1));
         }
       }

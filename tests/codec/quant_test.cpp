@@ -42,7 +42,7 @@ TEST(Quant, RoundTripErrorBounded) {
 
 TEST(Quant, DeadZoneSuppressesSmallCoefficients) {
   Block8x8 coeffs{};
-  coeffs[5] = qp_step(24) / 8.0;  // below the dead zone
+  coeffs[5] = qp_step(24) / 8.0;  // rounds to level 0
   QuantBlock levels;
   EXPECT_EQ(quantize(coeffs, 24, levels), 0u);
   EXPECT_EQ(levels, QuantBlock{});
