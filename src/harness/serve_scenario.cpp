@@ -65,7 +65,8 @@ struct AgentState {
 
 }  // namespace
 
-ServeScenarioResult run_serve_scenario(const ServeScenarioOptions& options) {
+ServeScenarioResult run_serve_scenario(const ServeScenarioOptions& options,
+                                       const EncodeObserver& on_encoded) {
   // Shared clip pool: session i plays clip (i % clip_pool); decoder and
   // jitter state stay strictly per-session.
   data::DatasetSpec spec;
@@ -195,6 +196,7 @@ ServeScenarioResult run_serve_scenario(const ServeScenarioOptions& options) {
       if (agent.need_resync) agent.encoder->request_intra();
       codec::EncodedFrame encoded = agent.encoder->encode(
           image, options.base_qp, nullptr, motion.empty() ? nullptr : &motion);
+      if (on_encoded) on_encoded(static_cast<std::uint32_t>(s), encoded);
 
       // RoI metadata lane: the sidecar rides the uplink with the
       // bitstream and adds to its transmit time (this fixed-QP encoder
