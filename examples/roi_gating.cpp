@@ -1,9 +1,9 @@
 // Compressed-domain RoI gating walkthrough: the same multi-agent serving
 // scenario run twice — metadata lane off (every offloaded frame pays
-// full-frame inference) and on (agents ship the coded MV field, SKIP
-// flags, and foreground hulls as a sidecar; each session's EdgeServer
-// masks background tiles and infers only where the compressed domain
-// says something is happening). The gate propagates
+// full-frame inference) and on (agents ship their foreground hulls as a
+// sidecar; each session's EdgeServer reads motion and SKIP flags from
+// the bitstream it decodes, masks background tiles and infers only where
+// the compressed domain says something is happening). The gate propagates
 // background boxes by mean-MV shift, keeps the horizon band lit for
 // appearing far-field objects, and falls back to full-frame when
 // coverage is too high — accuracy stays at full-frame level while the

@@ -39,7 +39,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (!meta2 || !(*meta2 == *meta)) std::abort();
 
   // Exercise the consumers the gate touches on the hot path.
-  (void)meta->motion_field();
   (void)meta->width();
   (void)meta->height();
   for (const auto& region : meta->regions) (void)region.hull_px();

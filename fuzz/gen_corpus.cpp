@@ -8,7 +8,8 @@
 //                        largest motion-vector and QP deltas the decoder
 //                        accepts (64x64 inter frames, the fuzz target's
 //                        reference size)
-//   <out>/roi_metadata/  sidecars built from those encodes + hull regions
+//   <out>/roi_metadata/  sidecars on those encodes' MB grid: grid only,
+//                        with hull regions, with a degenerate hull
 //   <out>/bitio/         op sequences for fuzz_bitio: short codes, the
 //                        longest codes, every put_bits width, and the
 //                        shape of a frame's symbol stream
@@ -151,7 +152,6 @@ int main(int argc, char** argv) {
       {"hme", codec::MotionSearchMethod::kHme, true},
       {"noskip", codec::MotionSearchMethod::kHex, false},
   };
-  std::vector<roi::RoiMetadata> sidecars;
   for (const auto& mode : modes) {
     codec::EncoderConfig cfg;
     cfg.width = 64;
@@ -167,7 +167,6 @@ int main(int argc, char** argv) {
       write_file(root / "bitstream" /
                      (std::string(mode.name) + "_f" + std::to_string(t)),
                  encoded.data);
-      sidecars.push_back(roi::from_encoded(encoded, cfg.width, cfg.height));
     }
   }
 
@@ -233,23 +232,22 @@ int main(int argc, char** argv) {
     write_file(root / "bitio" / "frame_symbols", frame.bytes());
   }
 
-  // --- RoI metadata corpus: sidecars from the encodes above, with and
-  // without foreground hull regions (including a degenerate 2-pt hull,
-  // which the wire format must carry verbatim). ---
-  int idx = 0;
-  for (auto& meta : sidecars) {
-    if (idx % 3 == 1) {
+  // --- RoI metadata corpus: sidecars on the 64x48 grid of the encodes
+  // above, with and without foreground hull regions (including a
+  // degenerate 2-pt hull, which the wire format must carry verbatim). ---
+  for (int idx = 0; idx < 3; ++idx) {
+    roi::RoiMetadata meta;
+    meta.mb_cols = 64 / codec::kMacroblockSize;
+    meta.mb_rows = 48 / codec::kMacroblockSize;
+    if (idx == 1) {
       roi::add_region(meta,
-                      {{8.0, 10.0}, {30.0, 9.5}, {31.0, 27.0}, {7.5, 26.0}},
-                      {1.5, -0.5});
-      roi::add_region(meta, {{40.0, 12.0}, {55.0, 14.0}, {48.0, 30.0}},
-                      {-2.0, 0.0});
-    } else if (idx % 3 == 2) {
-      roi::add_region(meta, {{2.0, 2.0}, {5.0, 2.0}}, {0.0, 0.0});
+                      {{8.0, 10.0}, {30.0, 9.5}, {31.0, 27.0}, {7.5, 26.0}});
+      roi::add_region(meta, {{40.0, 12.0}, {55.0, 14.0}, {48.0, 30.0}});
+    } else if (idx == 2) {
+      roi::add_region(meta, {{2.0, 2.0}, {5.0, 2.0}});
     }
     write_file(root / "roi_metadata" / ("sidecar_" + std::to_string(idx)),
                meta.serialize());
-    ++idx;
   }
 
   std::printf("corpus written under %s\n", root.string().c_str());

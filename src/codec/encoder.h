@@ -120,9 +120,9 @@ struct EncodedFrame {
   /// Macroblocks coded as SKIP (inter frames; threshold-forced and
   /// natural skips both count).
   int skipped_mbs = 0;
-  /// Per-macroblock SKIP flags in raster order (inter frames; empty for
-  /// intra). Exactly the skip bits the bitstream carries — free
-  /// compression metadata that roi::RoiMetadata ships to the edge.
+  /// Per-macroblock SKIP flags in raster order, 0/1 (inter frames; empty
+  /// for intra). Exactly the skip bits the bitstream carries, so the
+  /// decoder returns the same flags (DecodedFrame::skip).
   std::vector<std::uint8_t> skip;
 
   [[nodiscard]] std::size_t bytes() const { return data.size(); }

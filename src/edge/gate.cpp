@@ -66,7 +66,10 @@ void sort_detections(DetectionList& dets) {
 }  // namespace
 
 GatePlan plan_gate(const RoiGateConfig& config, const roi::RoiMetadata* meta,
-                   int width, int height, long frame) {
+                   const codec::DecodedFrame& decoded, long frame) {
+  const int width = decoded.frame.width();
+  const int height = decoded.frame.height();
+  const codec::MotionField& motion = decoded.motion;
   const int tile = std::max(1, config.tile_px);
   GatePlan p;
   p.tile_cols = (width + tile - 1) / tile;
@@ -75,7 +78,7 @@ GatePlan plan_gate(const RoiGateConfig& config, const roi::RoiMetadata* meta,
   const bool refresh_due = frame % kFullRefreshInterval == 0;
   if (meta == nullptr || refresh_due || meta->width() != width ||
       meta->height() != height ||
-      (meta->regions.empty() && !meta->has_motion()))
+      (meta->regions.empty() && motion.empty()))
     return p;  // full-frame fallback
 
   const std::size_t tile_count =
@@ -110,11 +113,11 @@ GatePlan plan_gate(const RoiGateConfig& config, const roi::RoiMetadata* meta,
   // median MV are content the hulls may have missed (appearing objects,
   // close parallax). The median absorbs the ego-motion component that
   // dominates raw MVs on a moving agent.
-  if (meta->has_motion()) {
+  if (!motion.empty()) {
     std::vector<int> xs, ys;
-    xs.reserve(meta->mvs.size());
-    ys.reserve(meta->mvs.size());
-    for (const auto& mv : meta->mvs) {
+    xs.reserve(motion.size());
+    ys.reserve(motion.size());
+    for (const auto& mv : motion.mvs) {
       xs.push_back(mv.dx);
       ys.push_back(mv.dy);
     }
@@ -125,13 +128,13 @@ GatePlan plan_gate(const RoiGateConfig& config, const roi::RoiMetadata* meta,
     };
     const int med_dx = median(xs);
     const int med_dy = median(ys);
-    for (int row = 0; row < meta->mb_rows; ++row) {
-      for (int col = 0; col < meta->mb_cols; ++col) {
+    for (int row = 0; row < motion.mb_rows; ++row) {
+      for (int col = 0; col < motion.mb_cols; ++col) {
         const std::size_t mb =
-            static_cast<std::size_t>(row) * meta->mb_cols + col;
-        if (!meta->skip.empty() && meta->skip[mb] != 0) continue;
-        const int dev = std::abs(meta->mvs[mb].dx - med_dx) +
-                        std::abs(meta->mvs[mb].dy - med_dy);
+            static_cast<std::size_t>(row) * motion.mb_cols + col;
+        if (!decoded.skip.empty() && decoded.skip[mb] != 0) continue;
+        const int dev = std::abs(motion.mvs[mb].dx - med_dx) +
+                        std::abs(motion.mvs[mb].dy - med_dy);
         if (dev <= config.motion_deviation) continue;
         const int cx = col * codec::kMacroblockSize + codec::kMacroblockSize / 2;
         const int cy = row * codec::kMacroblockSize + codec::kMacroblockSize / 2;
@@ -211,10 +214,10 @@ GatePlan plan_gate(const RoiGateConfig& config, const roi::RoiMetadata* meta,
 }
 
 GatedDetections infer_gated(const RoiGateConfig& config,
-                            const video::Frame& frame,
-                            const roi::RoiMetadata& meta, const GatePlan& plan,
-                            const DetectionList& held,
+                            const codec::DecodedFrame& decoded,
+                            const GatePlan& plan, const DetectionList& held,
                             const ChromaDetector& detector) {
+  const video::Frame& frame = decoded.frame;
   GatedDetections out;
   const int width = frame.width();
   const int height = frame.height();
@@ -227,8 +230,8 @@ GatedDetections infer_gated(const RoiGateConfig& config,
   // as both a false positive and a miss. Held boxes are run-time state
   // updated strictly in per-session frame order, so the augmented tile
   // set — like everything else here — is independent of scheduling.
-  DetectionList shifted = shift_by_mean_mv(held, meta.motion_field(), width,
-                                           height, kPropagate);
+  DetectionList shifted =
+      shift_by_mean_mv(held, decoded.motion, width, height, kPropagate);
   std::vector<std::uint8_t> tiles = plan.tiles;
   for (const auto& det : shifted) {
     if (det.confidence < kPropagateMinConfidence) continue;

@@ -2,16 +2,18 @@
 // a frame that arrives with an RoI sidecar (roi::RoiMetadata).
 //
 // The gate tiles the decoded frame, rasterizes the sidecar's foreground
-// hulls (plus MBs the codec says are moving and not SKIPped) into the
-// tile grid, dilates by a halo, and runs the detector only on those
+// hulls (plus MBs the bitstream codes as moving and not SKIPped) into
+// the tile grid, dilates by a halo, and runs the detector only on those
 // tiles — the background is reset to neutral luma/chroma so the blob
-// detector cannot fire there. Background boxes from the previous frame
-// are propagated by mean-MV shift (shift_by_mean_mv, the same primitive
-// as the agent's MOT fallback). Full-frame inference remains the
-// fallback when metadata is absent, its MB grid disagrees with the
-// bitstream, foreground coverage exceeds a threshold, or the periodic
-// refresh is due (bounds propagation staleness, which is what keeps
-// gated mAP within points of full-frame).
+// detector cannot fire there. Motion and SKIP come from the decoded
+// frame itself, so the sidecar carries only the MB grid and the hulls.
+// Background boxes from the previous frame are propagated by mean-MV
+// shift (shift_by_mean_mv, the same primitive as the agent's MOT
+// fallback). Full-frame inference remains the fallback when metadata is
+// absent, its MB grid disagrees with the bitstream, foreground coverage
+// exceeds a threshold, or the periodic refresh is due (bounds
+// propagation staleness, which is what keeps gated mAP within points of
+// full-frame).
 //
 // Both functions here are pure; the state they thread (the refresh
 // counter and the previous frame's boxes) lives in EdgeServer, which
@@ -21,10 +23,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "codec/decoder.h"
 #include "edge/detection.h"
 #include "edge/detector.h"
 #include "roi/metadata.h"
-#include "video/frame.h"
 
 namespace dive::edge {
 
@@ -101,20 +103,22 @@ struct GateStats {
 };
 
 /// How the `frame`-th planned frame of a stream (counting from 0, the
-/// refresh cadence's clock) is inferred at `width` x `height`. `meta`
-/// null, without signal, or on another MB grid => full-frame.
+/// refresh cadence's clock) is inferred. Hulls come from `meta`, motion
+/// and SKIP flags from `decoded` (an intra frame has neither). `meta`
+/// null, on another MB grid than `decoded`, or with neither hulls nor
+/// motion => full-frame.
 [[nodiscard]] GatePlan plan_gate(const RoiGateConfig& config,
-                                 const roi::RoiMetadata* meta, int width,
-                                 int height, long frame);
+                                 const roi::RoiMetadata* meta,
+                                 const codec::DecodedFrame& decoded,
+                                 long frame);
 
 /// Gated inference on a decoded frame whose plan gates: the `held` boxes
-/// of the previous frame ride the sidecar's motion field, the tiles under
+/// of the previous frame ride the frame's motion field, the tiles under
 /// them are lit on top of the plan's, the rest is masked out before
 /// `detector` runs, and the carried boxes the detector did not re-find
 /// are merged into its output.
 [[nodiscard]] GatedDetections infer_gated(const RoiGateConfig& config,
-                                          const video::Frame& frame,
-                                          const roi::RoiMetadata& meta,
+                                          const codec::DecodedFrame& decoded,
                                           const GatePlan& plan,
                                           const DetectionList& held,
                                           const ChromaDetector& detector);

@@ -10,13 +10,12 @@ InferenceResult EdgeServer::process(std::span<const std::uint8_t> data,
                                     util::SimTime arrival,
                                     const roi::RoiMetadata* meta,
                                     GatePlan* plan_out) {
-  const codec::DecodedFrame decoded = decoder_.decode(data);
-  GatePlan p = plan(meta, decoded.frame.width(), decoded.frame.height());
+  PlannedFrame planned = plan(data, meta);
   InferenceResult result;
-  result.detections = infer(decoded.frame, meta, p).detections;
+  result.detections = run(planned).detections;
 
   const auto inference = static_cast<util::SimTime>(std::llround(
-      static_cast<double>(config_.inference_latency) * p.work));
+      static_cast<double>(config_.inference_latency) * planned.plan.work));
   const util::SimTime jitter = inference_jitter(processed_++);
   result.result_at_agent = arrival + config_.decode_latency + inference +
                            jitter + kDownlinkDelay;
@@ -28,33 +27,26 @@ InferenceResult EdgeServer::process(std::span<const std::uint8_t> data,
     obs_->metrics.distribution("edge.service_ms", "ms")
         .add(util::to_millis(result.result_at_agent - arrival));
   }
-  if (plan_out != nullptr) *plan_out = std::move(p);
+  if (plan_out != nullptr) *plan_out = std::move(planned.plan);
   return result;
 }
 
-GatePlan EdgeServer::plan(const roi::RoiMetadata* meta, int width,
-                          int height) {
-  return plan_gate(gate_, meta, width, height, gate_stats_.planned++);
+PlannedFrame EdgeServer::plan(std::span<const std::uint8_t> data,
+                              const roi::RoiMetadata* meta) {
+  PlannedFrame out;
+  out.decoded = decoder_.decode(data);
+  out.plan = plan_gate(gate_, meta, out.decoded, gate_stats_.planned++);
+  return out;
 }
 
-GatedDetections EdgeServer::run(std::span<const std::uint8_t> data,
-                                const roi::RoiMetadata* meta,
-                                const GatePlan& plan) {
-  return infer(decoder_.decode(data).frame, meta, plan);
-}
-
-GatedDetections EdgeServer::infer(const video::Frame& frame,
-                                  const roi::RoiMetadata* meta,
-                                  const GatePlan& plan) {
+GatedDetections EdgeServer::run(const PlannedFrame& frame) {
   GatedDetections out;
-  // A plan gates only against a sidecar on the decoded frame's MB grid.
-  if (plan.gated && meta != nullptr && meta->width() == frame.width() &&
-      meta->height() == frame.height()) {
-    out = infer_gated(gate_, frame, *meta, plan, held_, detector_);
+  if (frame.plan.gated) {
+    out = infer_gated(gate_, frame.decoded, frame.plan, held_, detector_);
     ++gate_stats_.gated;
     gate_stats_.propagated_boxes += out.propagated;
   } else {
-    out.detections = detector_.detect(frame);
+    out.detections = detector_.detect(frame.decoded.frame);
     out.fresh = static_cast<int>(out.detections.size());
     ++gate_stats_.full;
   }

@@ -43,6 +43,12 @@ struct ServerConfig {
   DetectorConfig detector;  // dive-lint: allow(unset-knob) perfbench reads it
 };
 
+/// A decoded upload and how it will be inferred (EdgeServer::plan).
+struct PlannedFrame {
+  codec::DecodedFrame decoded;
+  GatePlan plan;
+};
+
 /// Outcome of processing one uploaded frame.
 struct InferenceResult {
   DetectionList detections;
@@ -55,28 +61,28 @@ class EdgeServer {
              RoiGateConfig gate = {})
       : config_(config), gate_(gate), detector_(config.detector), rng_(seed) {}
 
-  /// Synchronous endpoint of every scheme: decodes an upload that arrived
-  /// at `arrival`, infers it as planned from `meta` (null = full frame)
-  /// and reports when the result lands back on the agent. The jitter
-  /// applied is inference_jitter(k) for the k-th process() call.
-  /// `plan_out`, when given, receives the plan used.
+  /// Synchronous endpoint of every scheme: plan() then run() on an upload
+  /// that arrived at `arrival`, reporting when the result lands back on
+  /// the agent. The jitter applied is inference_jitter(k) for the k-th
+  /// process() call. `plan_out`, when given, receives the plan used.
   InferenceResult process(std::span<const std::uint8_t> data,
                           util::SimTime arrival,
                           const roi::RoiMetadata* meta = nullptr,
                           GatePlan* plan_out = nullptr);
 
-  /// Decides how the next frame, of `width` x `height`, is inferred.
-  /// Advances the refresh counter — call exactly once per frame, in
-  /// per-session frame order.
-  [[nodiscard]] GatePlan plan(const roi::RoiMetadata* meta, int width,
-                              int height);
+  /// Decodes the next upload and decides how it is inferred: gated on
+  /// `meta`'s hulls and the frame's own motion and SKIP flags, or full
+  /// frame (`meta` null). Advances the decoder and the refresh counter —
+  /// call exactly once per frame, in per-session frame order. Throws
+  /// codec::BitstreamError on a malformed upload, with no state changed.
+  [[nodiscard]] PlannedFrame plan(std::span<const std::uint8_t> data,
+                                  const roi::RoiMetadata* meta);
 
-  /// Decodes and infers one frame as `plan` says (full-frame unless
-  /// `meta`'s MB grid matches the decoded frame), without the latency
-  /// model or jitter: the serving layer schedules the timing itself and
-  /// pairs the result with inference_jitter().
-  GatedDetections run(std::span<const std::uint8_t> data,
-                      const roi::RoiMetadata* meta, const GatePlan& plan);
+  /// Infers a planned frame, without the latency model or jitter: the
+  /// serving layer schedules the timing itself and pairs the result with
+  /// inference_jitter(). Makes its detections the held boxes of the next
+  /// frame, so runs too must come in per-session frame order.
+  GatedDetections run(const PlannedFrame& frame);
 
   /// Inference jitter of the k-th frame — a pure function of (seed, k),
   /// uniform in [-kInferenceJitterMs, +kInferenceJitterMs]. See the
@@ -105,11 +111,6 @@ class EdgeServer {
   void set_obs(obs::ObsContext* obs) { obs_ = obs; }
 
  private:
-  /// Infers a decoded frame as `plan` says and makes its detections the
-  /// held boxes of the next frame.
-  GatedDetections infer(const video::Frame& frame,
-                        const roi::RoiMetadata* meta, const GatePlan& plan);
-
   ServerConfig config_;
   RoiGateConfig gate_;
   codec::Decoder decoder_;

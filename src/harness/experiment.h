@@ -61,9 +61,10 @@ struct SchemeOptions {
   /// Fixed background delta for Fig. 11 (-1 = adaptive).
   int fixed_delta = -1;
   bool enable_offline_tracking = true;  ///< Fig. 13
-  /// Ship the compressed-domain RoI sidecar and gate edge inference on
-  /// it (DiVE only; see roi/). Off: uploads and encoded bytes are
-  /// byte-identical to a build without the RoI subsystem.
+  /// Ship the RoI sidecar (MB grid + foreground hulls) and gate edge
+  /// inference on it and on the decoded motion and SKIP flags (DiVE only;
+  /// see roi/). Off: uploads and encoded bytes are byte-identical to a
+  /// build without the RoI subsystem.
   bool roi_metadata = false;
   int gop_length = 48;
   std::uint64_t seed = 99;

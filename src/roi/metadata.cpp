@@ -6,9 +6,7 @@ namespace dive::roi {
 namespace {
 
 constexpr std::uint8_t kMagic = 0x52;  // 'R'
-constexpr std::uint8_t kVersion = 1;
-constexpr std::uint8_t kFlagMotion = 0x01;
-constexpr std::uint8_t kFlagSkip = 0x02;
+constexpr std::uint8_t kVersion = 2;
 
 // Sanity bounds while parsing untrusted bytes: reject before allocating.
 constexpr int kMaxMbDim = 1 << 12;
@@ -81,18 +79,6 @@ struct Reader {
   }
 
   std::int64_t svarint() { return unzigzag(varint()); }
-
-  /// svarint bounded to int32 — the wire stores int32 quantities, and
-  /// accepting wider values would truncate on store and then overflow
-  /// (UB) when serialize() re-derives deltas in int arithmetic.
-  std::int32_t svarint32() {
-    const std::int64_t v = svarint();
-    if (v < INT32_MIN || v > INT32_MAX) {
-      ok = false;
-      return 0;
-    }
-    return static_cast<std::int32_t>(v);
-  }
 };
 
 }  // namespace
@@ -109,49 +95,14 @@ std::vector<geom::Vec2> RoiRegion::hull_px() const {
   return out;
 }
 
-codec::MotionField RoiMetadata::motion_field() const {
-  codec::MotionField field(mb_cols, mb_rows);
-  if (has_motion()) field.mvs = mvs;
-  return field;
-}
-
 std::vector<std::uint8_t> RoiMetadata::serialize() const {
   std::vector<std::uint8_t> out;
   out.push_back(kMagic);
   out.push_back(kVersion);
   put_varint(out, static_cast<std::uint64_t>(mb_cols));
   put_varint(out, static_cast<std::uint64_t>(mb_rows));
-
-  std::uint8_t flags = 0;
-  if (!mvs.empty()) flags |= kFlagMotion;
-  if (!skip.empty()) flags |= kFlagSkip;
-  out.push_back(flags);
-
-  if (!mvs.empty()) {
-    for (const auto& mv : mvs) {
-      put_svarint(out, mv.dx);
-      put_svarint(out, mv.dy);
-    }
-  }
-  if (!skip.empty()) {
-    // Bit-packed, LSB-first within each byte.
-    std::uint8_t acc = 0;
-    int used = 0;
-    for (const std::uint8_t s : skip) {
-      if (s != 0) acc |= static_cast<std::uint8_t>(1 << used);
-      if (++used == 8) {
-        out.push_back(acc);
-        acc = 0;
-        used = 0;
-      }
-    }
-    if (used > 0) out.push_back(acc);
-  }
-
   put_varint(out, regions.size());
   for (const auto& region : regions) {
-    put_svarint(out, region.mean_mv.dx);
-    put_svarint(out, region.mean_mv.dy);
     put_varint(out, region.hull.size());
     // Delta-coded vertices: convex hulls walk the contour, so deltas are
     // small and the varints short.
@@ -178,40 +129,11 @@ std::optional<RoiMetadata> RoiMetadata::parse(
   if (!r.ok || cols > kMaxMbDim || rows > kMaxMbDim) return std::nullopt;
   meta.mb_cols = static_cast<int>(cols);
   meta.mb_rows = static_cast<int>(rows);
-  const std::size_t mb_count = static_cast<std::size_t>(cols) * rows;
-
-  const std::uint8_t flags = r.u8();
-  if (!r.ok || (flags & ~(kFlagMotion | kFlagSkip)) != 0) return std::nullopt;
-
-  if ((flags & kFlagMotion) != 0) {
-    meta.mvs.resize(mb_count);
-    for (auto& mv : meta.mvs) {
-      mv.dx = r.svarint32();
-      mv.dy = r.svarint32();
-    }
-  }
-  if ((flags & kFlagSkip) != 0) {
-    meta.skip.resize(mb_count, 0);
-    std::uint8_t acc = 0;
-    for (std::size_t i = 0; i < mb_count; ++i) {
-      const int used = static_cast<int>(i % 8);
-      if (used == 0) acc = r.u8();
-      meta.skip[i] = (acc >> used) & 1;
-    }
-    // Unused high bits of the final byte must be zero padding, or two
-    // distinct byte strings would parse to the same metadata and the
-    // digest check could be spoofed.
-    const std::size_t tail = mb_count % 8;
-    if (tail != 0 && (acc >> tail) != 0) return std::nullopt;
-  }
-  if (!r.ok) return std::nullopt;
 
   const std::uint64_t region_count = r.varint();
   if (!r.ok || region_count > kMaxRegions) return std::nullopt;
   meta.regions.resize(region_count);
   for (auto& region : meta.regions) {
-    region.mean_mv.dx = r.svarint32();
-    region.mean_mv.dy = r.svarint32();
     const std::uint64_t points = r.varint();
     if (!r.ok || points > kMaxHullPoints) return std::nullopt;
     region.hull.resize(points);
@@ -232,26 +154,19 @@ std::optional<RoiMetadata> RoiMetadata::parse(
   return meta;
 }
 
-RoiMetadata from_encoded(const codec::EncodedFrame& encoded, int width,
+RoiMetadata from_encoded(const codec::EncodedFrame& /*encoded*/, int width,
                          int height) {
   RoiMetadata meta;
   meta.mb_cols = width / codec::kMacroblockSize;
   meta.mb_rows = height / codec::kMacroblockSize;
-  if (!encoded.motion.empty()) meta.mvs = encoded.motion.mvs;
-  if (!encoded.skip.empty()) {
-    meta.skip = encoded.skip;
-    for (auto& s : meta.skip) s = s != 0 ? 1 : 0;  // normalize to the wire
-  }
   return meta;
 }
 
 void add_region(RoiMetadata& meta, const std::vector<geom::Vec2>& hull,
-                geom::Vec2 mean_mv_px) {
+                geom::Vec2 /*mean_mv_px*/) {
   RoiRegion region;
   region.hull.reserve(hull.size());
   for (const auto& p : hull) region.hull.push_back(HullPoint::from_vec2(p));
-  region.mean_mv.dx = static_cast<int>(std::llround(mean_mv_px.x * 2.0));
-  region.mean_mv.dy = static_cast<int>(std::llround(mean_mv_px.y * 2.0));
   meta.regions.push_back(std::move(region));
 }
 

@@ -1,16 +1,17 @@
 // RoiMetadata: the compressed-domain sidecar of one encoded frame.
 //
-// DiVE's agent computes a per-macroblock motion field, per-MB SKIP flags,
-// and per-object foreground hulls to drive QP assignment — all of it free
-// by the time the frame is encoded. This module packages that metadata
-// into a compact byte lane that travels with the bitstream through
-// net::Uplink, so the edge can gate inference on it (edge/gate.h). The
-// video bytes are untouched. The sidecar is sent on top of the encoder's
-// byte target, so with the lane on the upload runs above the estimated
-// rate.
+// DiVE's agent extracts per-object foreground hulls to drive QP
+// assignment; they are free by the time the frame is encoded. This
+// module packages them, with the frame's MB grid, into a compact byte
+// lane that travels with the bitstream through net::Uplink, so the edge
+// can gate inference on it (edge/gate.h). Motion is not shipped — not
+// the coded field, the SKIP flags or a region's mean motion: the edge
+// parses the field and the flags from the bitstream it decodes
+// (codec::DecodedFrame). The video bytes are untouched. The sidecar is
+// sent on top of the encoder's byte target, so with the lane on the
+// upload runs above the estimated rate.
 //
-// Everything is stored in integer domain — half-pel motion vectors,
-// 1/16-pixel fixed-point hull vertices, 0/1 skip flags — so
+// Hull vertices are stored in 1/16-pixel fixed point, so
 // parse(serialize(m)) == m holds bit-exactly, which the differential
 // suite locks down.
 #pragma once
@@ -44,10 +45,9 @@ struct HullPoint {
   static HullPoint from_vec2(geom::Vec2 p);
 };
 
-/// One foreground region: convex hull + mean motion, both quantized.
+/// One foreground region: its convex hull, quantized.
 struct RoiRegion {
-  std::vector<HullPoint> hull;    ///< convex contour, 1/16-px fixed point
-  codec::MotionVector mean_mv;    ///< mean region motion, half-pel units
+  std::vector<HullPoint> hull;  ///< convex contour, 1/16-px fixed point
 
   bool operator==(const RoiRegion&) const = default;
 
@@ -57,43 +57,39 @@ struct RoiRegion {
 
 /// Sidecar metadata of one encoded frame.
 struct RoiMetadata {
+  /// MB grid of the frame the hulls belong to; the edge gates only when
+  /// it matches the decoded frame's.
   int mb_cols = 0;
   int mb_rows = 0;
-  /// Coded motion field, row-major mb_cols x mb_rows (empty for intra
-  /// frames — the codec has no inter field to ship).
-  std::vector<codec::MotionVector> mvs;
-  /// Per-MB SKIP flags, 0/1, row-major (empty when the frame carried
-  /// none, e.g. intra).
-  std::vector<std::uint8_t> skip;
   /// Foreground hull regions from the agent's FE stage.
   std::vector<RoiRegion> regions;
 
   bool operator==(const RoiMetadata&) const = default;
 
-  [[nodiscard]] bool has_motion() const { return !mvs.empty(); }
   [[nodiscard]] int width() const { return mb_cols * codec::kMacroblockSize; }
   [[nodiscard]] int height() const { return mb_rows * codec::kMacroblockSize; }
 
-  /// Rebuilds a MotionField (SAD costs zeroed — they are not shipped).
-  /// Zero field when has_motion() is false.
-  [[nodiscard]] codec::MotionField motion_field() const;
-
-  /// Compact wire form: varint/zigzag integers, bit-packed skip flags,
-  /// delta-coded hull vertices. serialize() then parse() is bit-exact.
+  /// Compact wire form, version 2: magic 'R', version byte, varint
+  /// mb_cols, mb_rows and region count; per region the vertex count and
+  /// zigzag vertex deltas. serialize() then parse() is bit-exact; parse()
+  /// rejects every other version.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   static std::optional<RoiMetadata> parse(std::span<const std::uint8_t> bytes);
 };
 
-/// Seeds a sidecar from one encoded frame's free compression metadata
-/// (coded MV field + SKIP flags). `width`/`height` pin the MB grid even
-/// when the frame is intra (empty field).
+/// Seeds the sidecar of one encoded frame: the MB grid of `width` x
+/// `height`, no regions yet. Nothing is taken from `encoded` (its motion
+/// and SKIP flags reach the edge inside the bitstream); the parameter
+/// keeps the call sites that pair a sidecar with its frame unchanged.
 [[nodiscard]] RoiMetadata from_encoded(const codec::EncodedFrame& encoded,
                                        int width, int height);
 
-/// Appends one foreground region (quantizing hull + mean MV). Degenerate
-/// hulls (< 3 vertices) are kept verbatim — the gate ignores them, but
-/// the wire format must round-trip whatever the extractor produced.
+/// Appends one foreground region (quantizing its hull). Degenerate hulls
+/// (< 3 vertices) are kept verbatim — the gate ignores them, but the wire
+/// format must round-trip whatever the extractor produced. The region's
+/// mean motion is not shipped; `mean_mv_px` keeps the call sites that
+/// pass it unchanged.
 void add_region(RoiMetadata& meta, const std::vector<geom::Vec2>& hull,
-                geom::Vec2 mean_mv_px);
+                geom::Vec2 mean_mv_px = {});
 
 }  // namespace dive::roi

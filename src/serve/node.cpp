@@ -1,10 +1,9 @@
 #include "serve/node.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
-
-#include "codec/decoder.h"
 
 namespace dive::serve {
 
@@ -30,13 +29,27 @@ Session& ServeNode::session(std::uint32_t id) {
 
 AdmissionVerdict ServeNode::submit(FrameJob job) {
   Session& s = session(job.session_id);
-  SessionCounters& counters = metrics_.session(job.session_id);
-  ++counters.submitted;
-
   const util::SimTime predicted_done =
       scheduler_.estimated_completion(job.arrival);
   const AdmissionVerdict verdict = admission_.decide(
       s, job.capture_time, predicted_done, edge::kDownlinkDelay);
+
+  // An admitted frame is decoded and its gate planned now, in admission
+  // order (per-session frame order), so the scheduler can price the job
+  // and the gate's refresh cadence never depends on dispatch
+  // interleaving. A sidecar on another MB grid than the decoded frame,
+  // like an unparsable one, plans full-frame. Decoding comes before any
+  // accounting, so an upload that fails to decode leaves no trace.
+  PendingPayload pending;
+  if (verdict == AdmissionVerdict::kAdmit) {
+    pending.roi = !job.roi_metadata.empty();
+    const std::optional<roi::RoiMetadata> meta =
+        pending.roi ? roi::RoiMetadata::parse(job.roi_metadata) : std::nullopt;
+    pending.frame = s.server().plan(job.data, meta ? &*meta : nullptr);
+  }
+
+  SessionCounters& counters = metrics_.session(job.session_id);
+  ++counters.submitted;
   switch (verdict) {
     case AdmissionVerdict::kQueueFull:
       ++counters.dropped_queue;
@@ -64,21 +77,7 @@ AdmissionVerdict ServeNode::submit(FrameJob job) {
   }
   s.on_admitted();
 
-  // RoI lane: parse the sidecar and plan the gate now, in admission order
-  // (per-session frame order), so the scheduler can price the job and the
-  // gate's refresh cadence never depends on dispatch interleaving. The
-  // plan is made for the frame size the bitstream declares, so a sidecar
-  // on another MB grid, like an unparsable one, plans full-frame.
-  PendingPayload pending;
-  pending.data = std::move(job.data);
-  if (!job.roi_metadata.empty()) {
-    pending.roi = true;
-    pending.meta = roi::RoiMetadata::parse(job.roi_metadata);
-    const auto [width, height] = codec::peek_frame_size(pending.data);
-    pending.plan = s.server().plan(pending.meta ? &*pending.meta : nullptr,
-                                   width, height);
-  }
-  const double work = pending.plan.work;
+  const double work = pending.frame.plan.work;
   payloads_.emplace(std::make_pair(job.session_id, job.frame_index),
                     std::move(pending));
   scheduler_.submit({job.session_id, job.frame_index, job.capture_time,
@@ -118,8 +117,7 @@ std::vector<JobResult> ServeNode::realize(std::vector<Batch> batches) {
       // keeps arrivals sorted and per-session arrivals are monotonic),
       // so the gate's held-box state evolves identically for every
       // worker count and batch interleaving.
-      edge::GatedDetections inferred =
-          s.server().run(pp.data, pp.meta ? &*pp.meta : nullptr, pp.plan);
+      edge::GatedDetections inferred = s.server().run(pp.frame);
       r.gated = inferred.gated;
       r.detections = std::move(inferred.detections);
       if (pp.roi) {
@@ -131,7 +129,7 @@ std::vector<JobResult> ServeNode::realize(std::vector<Batch> batches) {
         } else {
           ++counters.full_inference;
         }
-        counters.gate_work.add(pp.plan.work);
+        counters.gate_work.add(pp.frame.plan.work);
       }
       payloads_.erase(payload);
 

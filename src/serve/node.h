@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "edge/server.h"
@@ -81,10 +80,12 @@ class ServeNode {
   Session& open_session(std::shared_ptr<net::Uplink> uplink);
   [[nodiscard]] Session& session(std::uint32_t id);
 
-  /// Admission decision for a frame that reached the edge. Admitted
-  /// frames complete during a later run_until()/drain(); rejected frames
-  /// are accounted and discarded (the agent treats the rejection like a
-  /// link outage).
+  /// Admission decision for a frame that reached the edge. An admitted
+  /// frame is decoded and planned now, in per-session frame order, and
+  /// completes during a later run_until()/drain(); rejected frames are
+  /// accounted and discarded (the agent treats the rejection like a link
+  /// outage). A malformed admitted upload throws codec::BitstreamError
+  /// before anything is counted or queued.
   AdmissionVerdict submit(FrameJob job);
 
   /// Dispatches every batch decidable by `now` and returns the finished
@@ -104,15 +105,12 @@ class ServeNode {
   void set_obs(obs::ObsContext* obs) { obs_ = obs; }
 
  private:
-  /// An admitted job awaiting dispatch: bitstream plus (when the frame
-  /// carried a sidecar) the parsed metadata and the gate plan computed
-  /// at submission, which priced the scheduler job. Without a sidecar
-  /// the plan stays full-frame.
+  /// An admitted job awaiting dispatch: the frame decoded at submission
+  /// and its gate plan, which priced the scheduler job. Without a
+  /// parsable sidecar the plan is full-frame.
   struct PendingPayload {
-    std::vector<std::uint8_t> data;
+    edge::PlannedFrame frame;
     bool roi = false;  ///< frame arrived with a sidecar lane
-    std::optional<roi::RoiMetadata> meta;  ///< nullopt: none or unparsable
-    edge::GatePlan plan;
   };
 
   std::vector<JobResult> realize(std::vector<Batch> batches);

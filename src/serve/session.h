@@ -40,8 +40,8 @@ class Session {
   [[nodiscard]] std::uint32_t id() const { return id_; }
   [[nodiscard]] const SessionConfig& config() const { return config_; }
   [[nodiscard]] net::Uplink& uplink() { return *uplink_; }
-  /// The node plans through it at submission and runs it at dispatch,
-  /// both in per-session frame order, so gated results are
+  /// The node decodes and plans through it at submission and runs it at
+  /// dispatch, both in per-session frame order, so gated results are
   /// schedule-independent.
   [[nodiscard]] edge::EdgeServer& server() { return server_; }
   [[nodiscard]] const edge::EdgeServer& server() const { return server_; }

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "codec/decoder.h"
 #include "codec/encoder.h"
 #include "edge/gate.h"
 #include "edge/server.h"
@@ -22,16 +23,25 @@ using roi::RoiMetadata;
 constexpr int kW = 128;
 constexpr int kH = 96;
 
-/// Sidecar with a quiet motion field (all-zero MVs, nothing skipped) and
-/// no regions unless added — plans against it light only policy tiles
-/// (horizon band, stripes). 8x6 tiles of 16 px; the band is tile row 3.
-RoiMetadata quiet_meta() {
+/// Sidecar on the kW x kH grid with no regions unless added.
+RoiMetadata grid_meta() {
   RoiMetadata m;
   m.mb_cols = kW / codec::kMacroblockSize;
   m.mb_rows = kH / codec::kMacroblockSize;
-  m.mvs.assign(static_cast<std::size_t>(m.mb_cols) * m.mb_rows, {0, 0});
-  m.skip.assign(m.mvs.size(), 0);
   return m;
+}
+
+/// A decoded inter frame with a quiet motion field (all-zero MVs,
+/// nothing skipped): plans on it light only policy tiles (horizon band,
+/// stripes). 8x6 tiles of 16 px; the band is tile row 3.
+codec::DecodedFrame quiet_frame() {
+  codec::DecodedFrame d;
+  d.frame = video::Frame(kW, kH);
+  d.type = codec::FrameType::kInter;
+  d.motion = codec::MotionField(kW / codec::kMacroblockSize,
+                                kH / codec::kMacroblockSize);
+  d.skip.assign(d.motion.size(), 0);
+  return d;
 }
 
 RoiGateConfig quiet_config() {
@@ -42,41 +52,50 @@ RoiGateConfig quiet_config() {
   return cfg;
 }
 
-/// Plans and discards the first frame, which is always a full refresh.
-void skip_refresh(EdgeServer& gate) {
-  const RoiMetadata m = quiet_meta();
-  EXPECT_FALSE(gate.plan(&m, kW, kH).gated);
-}
+/// Frame 0 of a stream is always a full refresh; plans past it gate.
+constexpr long kPastRefresh = 1;
 
 bool tile_at(const GatePlan& p, int tx, int ty) {
   return p.tiles[static_cast<std::size_t>(ty) * p.tile_cols + tx] != 0;
 }
 
 TEST(RoiGatePlan, NullOrMismatchedMetadataFallsBackToFullFrame) {
-  EdgeServer gate({}, 1, quiet_config());
-  EXPECT_FALSE(gate.plan(nullptr, kW, kH).gated);
-  const RoiMetadata wrong = quiet_meta();
-  EXPECT_FALSE(gate.plan(&wrong, kW * 2, kH).gated);  // dimension mismatch
-  EXPECT_EQ(gate.plan(nullptr, kW, kH).work, 1.0);
+  const RoiGateConfig cfg = quiet_config();
+  const codec::DecodedFrame d = quiet_frame();
+  const RoiMetadata m = grid_meta();
+  ASSERT_TRUE(plan_gate(cfg, &m, d, kPastRefresh).gated);
+  EXPECT_FALSE(plan_gate(cfg, nullptr, d, kPastRefresh).gated);
+  EXPECT_EQ(plan_gate(cfg, nullptr, d, kPastRefresh).work, 1.0);
+  RoiMetadata wrong = grid_meta();
+  wrong.mb_cols *= 2;  // dimension mismatch
+  EXPECT_FALSE(plan_gate(cfg, &wrong, d, kPastRefresh).gated);
+  // An intra frame carries no motion: a grid-only sidecar has no signal.
+  codec::DecodedFrame intra = quiet_frame();
+  intra.type = codec::FrameType::kIntra;
+  intra.motion = {};
+  intra.skip.clear();
+  EXPECT_FALSE(plan_gate(cfg, &m, intra, kPastRefresh).gated);
 }
 
 TEST(RoiGatePlan, FullRefreshCadence) {
+  // Through EdgeServer on real uploads: a static scene codes every MB as
+  // SKIP, so past the refresh only the horizon band lights and gates.
+  codec::Encoder enc({.width = kW, .height = kH});
   EdgeServer gate({}, 1, quiet_config());
-  const RoiMetadata m = quiet_meta();  // the horizon band gates between
+  const RoiMetadata m = grid_meta();
   static_assert(kFullRefreshInterval == 12);
   for (int k = 0; k < 30; ++k) {
-    const GatePlan p = gate.plan(&m, kW, kH);
-    EXPECT_EQ(p.gated, k % 12 != 0) << "frame " << k;
+    const PlannedFrame p =
+        gate.plan(enc.encode(video::Frame(kW, kH), 20).data, &m);
+    EXPECT_EQ(p.plan.gated, k % 12 != 0) << "frame " << k;
   }
   EXPECT_EQ(gate.gate_stats().planned, 30);
 }
 
 TEST(RoiGatePlan, HorizonBandStaysLit) {
   const RoiGateConfig cfg = quiet_config();
-  EdgeServer gate({}, 1, cfg);
-  skip_refresh(gate);
-  const RoiMetadata m = quiet_meta();
-  const GatePlan p = gate.plan(&m, kW, kH);
+  const RoiMetadata m = grid_meta();
+  const GatePlan p = plan_gate(cfg, &m, quiet_frame(), kPastRefresh);
   ASSERT_TRUE(p.gated);
   static_assert(kHorizonRows == 1);
   const int horizon_ty = (kH / 2) / cfg.tile_px;
@@ -91,11 +110,10 @@ TEST(RoiGatePlan, HorizonBandStaysLit) {
 TEST(RoiGatePlan, ScanStripesRotate) {
   RoiGateConfig cfg = quiet_config();
   cfg.scan_stripes = 4;
-  EdgeServer gate({}, 1, cfg);
-  skip_refresh(gate);
-  const RoiMetadata m = quiet_meta();
+  const RoiMetadata m = grid_meta();
+  const codec::DecodedFrame d = quiet_frame();
   for (int k = 1; k < 9; ++k) {
-    const GatePlan p = gate.plan(&m, kW, kH);
+    const GatePlan p = plan_gate(cfg, &m, d, k);
     ASSERT_TRUE(p.gated) << "frame " << k;
     for (int tx = 0; tx < p.tile_cols; ++tx) {
       const bool expect_lit = tx % 4 == k % 4;
@@ -107,38 +125,41 @@ TEST(RoiGatePlan, ScanStripesRotate) {
 TEST(RoiGatePlan, MotionDeviationLightsOutliersNotEgoMotion) {
   RoiGateConfig cfg = quiet_config();
   cfg.motion_deviation = 4;
-  EdgeServer gate({}, 1, cfg);
-  skip_refresh(gate);
-  // Uniform pan (pure ego motion) + one deviating macroblock.
-  RoiMetadata m = quiet_meta();
-  for (auto& mv : m.mvs) mv = {10, -6};
-  m.mvs[static_cast<std::size_t>(2) * m.mb_cols + 3] = {30, -6};
-  const GatePlan p = gate.plan(&m, kW, kH);
+  // Uniform pan (pure ego motion) + one deviating macroblock, and one
+  // deviating macroblock the bitstream codes as SKIP.
+  codec::DecodedFrame d = quiet_frame();
+  for (auto& mv : d.motion.mvs) mv = {10, -6};
+  d.motion.at(3, 2) = {30, -6};
+  d.motion.at(5, 4) = {30, -6};
+  d.skip[static_cast<std::size_t>(4) * d.motion.mb_cols + 5] = 1;
+  const RoiMetadata m = grid_meta();
+  const GatePlan p = plan_gate(cfg, &m, d, kPastRefresh);
   ASSERT_TRUE(p.gated);
   EXPECT_TRUE(tile_at(p, 3, 2));
+  EXPECT_FALSE(tile_at(p, 5, 4));
   // The pan itself lights nothing — median-MV compensation absorbs it.
   EXPECT_FALSE(tile_at(p, 0, 0));
   EXPECT_FALSE(tile_at(p, p.tile_cols - 1, p.tile_rows - 1));
 }
 
 TEST(RoiGatePlan, CoverageThresholdForcesFullFrame) {
-  EdgeServer gate({}, 1, quiet_config());
-  skip_refresh(gate);
+  const RoiGateConfig cfg = quiet_config();
   // Tile rows 0-2 pan against a still majority (the median MV stays 0),
   // so each deviating MB lights its tile; the band adds row 3. 32 of 48
   // tiles reach the threshold, 31 stay under it.
   static_assert(31.0 / 48.0 < kMaxCoverage && kMaxCoverage <= 32.0 / 48.0);
-  RoiMetadata m = quiet_meta();
-  for (int mb = 0; mb < 3 * m.mb_cols; ++mb)
-    m.mvs[static_cast<std::size_t>(mb)] = {-30, 0};
-  const GatePlan over = gate.plan(&m, kW, kH);
+  const RoiMetadata m = grid_meta();
+  codec::DecodedFrame d = quiet_frame();
+  for (int mb = 0; mb < 3 * d.motion.mb_cols; ++mb)
+    d.motion.mvs[static_cast<std::size_t>(mb)] = {-30, 0};
+  const GatePlan over = plan_gate(cfg, &m, d, kPastRefresh);
   EXPECT_FALSE(over.gated);
   EXPECT_EQ(over.coverage, 1.0);
   EXPECT_EQ(over.work, 1.0);
   EXPECT_EQ(over.pixel_fraction, 1.0);
 
-  m.mvs[0] = {0, 0};
-  const GatePlan under = gate.plan(&m, kW, kH);
+  d.motion.mvs[0] = {0, 0};
+  const GatePlan under = plan_gate(cfg, &m, d, kPastRefresh);
   EXPECT_TRUE(under.gated);
   EXPECT_DOUBLE_EQ(under.coverage, 31.0 / 48.0);
 }
@@ -153,8 +174,9 @@ TEST(RoiGateRun, FullFramePlanSeedsHeldBoxes) {
     }
   const auto encoded = enc.encode(frame, 8);
   EdgeServer gate({}, 1, quiet_config());
-  const GatePlan full = gate.plan(nullptr, kW, kH);
-  const GatedDetections out = gate.run(encoded.data, nullptr, full);
+  const PlannedFrame full = gate.plan(encoded.data, nullptr);
+  ASSERT_FALSE(full.plan.gated);
+  const GatedDetections out = gate.run(full);
   EXPECT_FALSE(out.gated);
   EXPECT_EQ(out.pixel_fraction, 1.0);
   ASSERT_GE(out.fresh, 1);
@@ -166,30 +188,23 @@ TEST(RoiGateRun, FullFramePlanSeedsHeldBoxes) {
 TEST(RoiGateRun, MismatchedSidecarInfersFullFrame) {
   // A sidecar claiming twice the bitstream's MB grid must never drive
   // gating: on its own grid it lights tiles past the frame, whose clipped
-  // area is negative.
+  // area is negative. Both entry points plan on the decoded frame.
   codec::Encoder enc({.width = kW, .height = kH});
   RoiMetadata wrong;
   wrong.mb_cols = 2 * kW / codec::kMacroblockSize;
   wrong.mb_rows = 2 * kH / codec::kMacroblockSize;
-  wrong.mvs.assign(static_cast<std::size_t>(wrong.mb_cols) * wrong.mb_rows,
-                   {0, 0});
-  wrong.skip.assign(wrong.mvs.size(), 0);
-  roi::add_region(wrong, {{180, 10}, {240, 10}, {240, 80}, {180, 80}},
-                  {0.0, 0.0});
+  roi::add_region(wrong, {{180, 10}, {240, 10}, {240, 80}, {180, 80}});
   EdgeServer server({}, 1, quiet_config());
-  // process() plans for the decoded frame, past the first-frame refresh.
   for (int k = 0; k < 2; ++k) {
     GatePlan used;
     (void)server.process(enc.encode(video::Frame(kW, kH), 20).data, 0,
                          &wrong, &used);
     EXPECT_FALSE(used.gated) << "frame " << k;
   }
-  // run() gets a plan made on the sidecar's own grid, which gates...
-  const GatePlan p = server.plan(&wrong, 2 * kW, 2 * kH);
-  ASSERT_TRUE(p.gated);
-  // ...and still infers the decoded frame whole.
-  const GatedDetections out =
-      server.run(enc.encode(video::Frame(kW, kH), 20).data, &wrong, p);
+  const PlannedFrame p =
+      server.plan(enc.encode(video::Frame(kW, kH), 20).data, &wrong);
+  EXPECT_FALSE(p.plan.gated);
+  const GatedDetections out = server.run(p);
   EXPECT_FALSE(out.gated);
   EXPECT_EQ(out.pixel_fraction, 1.0);
   EXPECT_EQ(server.gate_stats().gated, 0);

@@ -99,12 +99,12 @@ TEST(EdgeServer, InferRawBypassesCodec) {
 }
 
 TEST(EdgeServer, DecodeAndDetectSkipsLatencyModel) {
-  // run() with no sidecar and a default plan is the serving layer's bare
+  // plan() then run() with no sidecar is the serving layer's bare
   // decode + detect: it advances decoder state but not the jitter stream.
   codec::Encoder enc({.width = 128, .height = 64});
   EdgeServer server(ServerConfig{}, 12);
   const GatedDetections ran = server.run(
-      enc.encode(frame_with_car(128, 64), 8).data, nullptr, GatePlan{});
+      server.plan(enc.encode(frame_with_car(128, 64), 8).data, nullptr));
   ASSERT_EQ(ran.detections.size(), 1u);
   EXPECT_FALSE(ran.gated);
   EXPECT_EQ(server.frames_processed(), 0u);
@@ -112,8 +112,8 @@ TEST(EdgeServer, DecodeAndDetectSkipsLatencyModel) {
 }
 
 TEST(EdgeServer, ProcessAndSplitPathConsumeJitterIdentically) {
-  // The serving layer splits process() into plan() at admission and run()
-  // at dispatch, and pairs the k-th frame with inference_jitter(k). Drive
+  // The serving layer splits process() into plan() (decode + gate plan)
+  // at admission and run() at dispatch, and pairs the k-th frame with inference_jitter(k). Drive
   // two same-seeded servers down the two paths over a mixed I/P sequence
   // of full-frame and gated frames: plans and detections must agree,
   // process() must charge its one latency formula on that plan, and run()
@@ -135,22 +135,21 @@ TEST(EdgeServer, ProcessAndSplitPathConsumeJitterIdentically) {
     ASSERT_EQ(encoded.data, bytes_b);
     // Odd frames carry a sidecar with the car's hull, even frames none.
     roi::RoiMetadata meta = roi::from_encoded(encoded, kW, kH);
-    roi::add_region(meta, {{20, 20}, {80, 20}, {80, 50}, {20, 50}},
-                    {0.0, 0.0});
+    roi::add_region(meta, {{20, 20}, {80, 20}, {80, 50}, {20, 50}});
     const roi::RoiMetadata* m = k % 2 == 1 ? &meta : nullptr;
 
     const util::SimTime arrival = util::from_millis(40.0 * static_cast<double>(k));
     GatePlan used;
     const InferenceResult result = whole.process(encoded.data, arrival, m, &used);
-    const GatePlan planned = split.plan(m, kW, kH);
-    const GatedDetections ran = split.run(bytes_b, m, planned);
+    const PlannedFrame planned = split.plan(bytes_b, m);
+    const GatedDetections ran = split.run(planned);
 
-    EXPECT_EQ(planned.gated, used.gated) << "frame " << k;
-    EXPECT_EQ(planned.tiles, used.tiles) << "frame " << k;
-    EXPECT_EQ(planned.work, used.work) << "frame " << k;
+    EXPECT_EQ(planned.plan.gated, used.gated) << "frame " << k;
+    EXPECT_EQ(planned.plan.tiles, used.tiles) << "frame " << k;
+    EXPECT_EQ(planned.plan.work, used.work) << "frame " << k;
     EXPECT_EQ(ran.gated, used.gated) << "frame " << k;
     const auto inference = static_cast<util::SimTime>(std::llround(
-        static_cast<double>(cfg.inference_latency) * planned.work));
+        static_cast<double>(cfg.inference_latency) * planned.plan.work));
     EXPECT_EQ(result.result_at_agent,
               arrival + cfg.decode_latency + inference +
                   split.inference_jitter(k) + kDownlinkDelay)

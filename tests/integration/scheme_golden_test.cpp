@@ -119,7 +119,7 @@ std::vector<SchemeRun> check(const NetworkScenario& net,
 TEST(SchemeGolden, Constant2Mbps) {
   check(constant(2.0), {
       {SchemeKind::kDive, false, 0x972337de3e7d428ULL},
-      {SchemeKind::kDive, true, 0x69ab7da51246e3ccULL},
+      {SchemeKind::kDive, true, 0x1f67fbb588aeb1a9ULL},
       {SchemeKind::kO3, false, 0xfd79e61880a30a2aULL},
       {SchemeKind::kEaar, false, 0xdecc7621dd258709ULL},
       {SchemeKind::kDds, false, 0x57289c675f3697c7ULL},
@@ -130,7 +130,7 @@ TEST(SchemeGolden, Constant2Mbps) {
 TEST(SchemeGolden, Constant04Mbps) {
   check(constant(0.4), {
       {SchemeKind::kDive, false, 0x20af99feb374dc2bULL},
-      {SchemeKind::kDive, true, 0xa936723f611068b2ULL},
+      {SchemeKind::kDive, true, 0x62a085740553aa83ULL},
       {SchemeKind::kO3, false, 0xee6e596b905d31deULL},
       {SchemeKind::kEaar, false, 0xea249110d0025023ULL},
       {SchemeKind::kDds, false, 0xcbebf9c5cf13bdc3ULL},
@@ -141,7 +141,7 @@ TEST(SchemeGolden, Constant04Mbps) {
 TEST(SchemeGolden, PeriodicOutages) {
   const std::vector<Golden> goldens = {
       {SchemeKind::kDive, false, 0x5c2c11bcd7e4d64ULL},
-      {SchemeKind::kDive, true, 0xcfaa525d66f79495ULL},
+      {SchemeKind::kDive, true, 0x425584589bd8447fULL},
       {SchemeKind::kO3, false, 0xd5fd02df1d6a9a66ULL},
       {SchemeKind::kEaar, false, 0x85bdab95fa7662d8ULL},
       {SchemeKind::kDds, false, 0x4fce14330b84846ULL},

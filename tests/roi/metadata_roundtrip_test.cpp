@@ -1,17 +1,18 @@
 // Differential verification of the RoiMetadata wire format
 // (roi/metadata.h): parse(serialize(m)) == m must hold BIT-EXACTLY for
-// everything the agent can produce — random motion fields, SKIP-heavy
-// frames, empty and degenerate hulls — and serialize must be a pure
-// function of the value (re-serializing the parse yields identical
-// bytes). The sidecar rides the uplink next to the golden-checksummed
-// bitstream; a single unstable byte here would silently change
-// bandwidth accounting between runs.
+// everything the agent can produce — random hull regions, empty and
+// degenerate hulls — and serialize must be a pure function of the value
+// (re-serializing the parse yields identical bytes). The sidecar rides
+// the uplink next to the golden-checksummed bitstream; a single unstable
+// byte here would silently change bandwidth accounting between runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "codec/encoder.h"
+#include "edge/server.h"
 #include "roi/metadata.h"
 #include "util/rng.h"
 #include "video/frame.h"
@@ -19,24 +20,14 @@
 namespace dive::roi {
 namespace {
 
-RoiMetadata random_metadata(std::uint64_t seed, bool skip_heavy) {
+RoiMetadata random_metadata(std::uint64_t seed) {
   util::Rng rng(seed);
   RoiMetadata m;
   m.mb_cols = rng.uniform_int(1, 14);
   m.mb_rows = rng.uniform_int(1, 9);
-  const std::size_t mbs =
-      static_cast<std::size_t>(m.mb_cols) * static_cast<std::size_t>(m.mb_rows);
-  m.mvs.resize(mbs);
-  m.skip.resize(mbs);
-  for (std::size_t i = 0; i < mbs; ++i) {
-    m.mvs[i] = {rng.uniform_int(-64, 64), rng.uniform_int(-64, 64)};
-    m.skip[i] = static_cast<std::uint8_t>(
-        skip_heavy ? (rng.uniform_int(0, 9) > 0) : rng.uniform_int(0, 1));
-  }
   const int regions = rng.uniform_int(0, 4);
   for (int r = 0; r < regions; ++r) {
     RoiRegion region;
-    region.mean_mv = {rng.uniform_int(-32, 32), rng.uniform_int(-32, 32)};
     const int verts = rng.uniform_int(3, 9);
     for (int v = 0; v < verts; ++v)
       region.hull.push_back({rng.uniform_int(-100, 4000),
@@ -55,31 +46,26 @@ void expect_roundtrip(const RoiMetadata& m) {
   EXPECT_EQ(parsed->serialize(), bytes);
 }
 
-TEST(RoiMetadataRoundtrip, RandomMotionFields) {
+TEST(RoiMetadataRoundtrip, RandomRegions) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed)
-    expect_roundtrip(random_metadata(seed, false));
-}
-
-TEST(RoiMetadataRoundtrip, SkipHeavyFrames) {
-  for (std::uint64_t seed = 100; seed <= 120; ++seed)
-    expect_roundtrip(random_metadata(seed, true));
+    expect_roundtrip(random_metadata(seed));
 }
 
 TEST(RoiMetadataRoundtrip, EmptyAndDegenerateShapes) {
-  // Intra sidecar: grid only, no field, no skips, no regions.
-  RoiMetadata intra;
-  intra.mb_cols = 12;
-  intra.mb_rows = 7;
-  expect_roundtrip(intra);
+  // Grid only, no regions.
+  RoiMetadata bare;
+  bare.mb_cols = 12;
+  bare.mb_rows = 7;
+  expect_roundtrip(bare);
 
   // Degenerate hulls (0 / 1 / 2 vertices) must survive verbatim — the
   // gate ignores them, but the wire format carries what it is given.
   RoiMetadata degenerate;
   degenerate.mb_cols = 2;
   degenerate.mb_rows = 2;
-  degenerate.regions.push_back({{}, {3, -1}});
-  degenerate.regions.push_back({{{160, 320}}, {0, 0}});
-  degenerate.regions.push_back({{{0, 0}, {-16, 512}}, {-7, 7}});
+  degenerate.regions.push_back({{}});
+  degenerate.regions.push_back({{{160, 320}}});
+  degenerate.regions.push_back({{{0, 0}, {-16, 512}}});
   expect_roundtrip(degenerate);
 
   // Zero-size grid (nothing to ship) still round-trips.
@@ -87,9 +73,9 @@ TEST(RoiMetadataRoundtrip, EmptyAndDegenerateShapes) {
 }
 
 TEST(RoiMetadataRoundtrip, FromEncodedFrames) {
-  // Real encoder output: the intra frame ships an empty field; the inter
-  // frame ships the coded MVs and skip flags, which must round-trip and
-  // match what the encoder reported.
+  // Real encoder output, intra then inter: the sidecar carries the MB
+  // grid and nothing of the codec's (the edge decodes motion and SKIP),
+  // so both frames seed the same value.
   codec::Encoder enc({.width = 96, .height = 48});
   video::Frame a(96, 48);
   util::Rng rng(7);
@@ -97,20 +83,18 @@ TEST(RoiMetadataRoundtrip, FromEncodedFrames) {
     px = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
   const codec::EncodedFrame intra = enc.encode(a, 20);
   const RoiMetadata mi = from_encoded(intra, 96, 48);
-  EXPECT_FALSE(mi.has_motion());
   EXPECT_EQ(mi.width(), 96);
+  EXPECT_EQ(mi.height(), 48);
+  EXPECT_TRUE(mi.regions.empty());
   expect_roundtrip(mi);
 
   const codec::EncodedFrame inter = enc.encode(a, 20);
-  const RoiMetadata mp = from_encoded(inter, 96, 48);
-  ASSERT_TRUE(mp.has_motion());
-  EXPECT_EQ(mp.mvs.size(), inter.motion.mvs.size());
-  EXPECT_EQ(mp.skip, inter.skip);
-  expect_roundtrip(mp);
+  ASSERT_EQ(inter.type, codec::FrameType::kInter);
+  EXPECT_EQ(from_encoded(inter, 96, 48), mi);
 }
 
 TEST(RoiMetadataRoundtrip, TruncatedBytesRejected) {
-  const RoiMetadata m = random_metadata(42, false);
+  const RoiMetadata m = random_metadata(42);
   const std::vector<std::uint8_t> bytes = m.serialize();
   // Every proper prefix either fails to parse or (if it happens to be
   // self-delimiting) parses to something that is NOT m — no silent
@@ -130,21 +114,59 @@ TEST(RoiMetadataRoundtrip, TruncatedBytesRejected) {
 
 std::vector<std::uint8_t> header_plus(std::vector<std::uint8_t> tail) {
   // Magic + version, then caller-provided bytes.
-  tail.insert(tail.begin(), {0x52, 0x01});
+  tail.insert(tail.begin(), {0x52, 0x02});
   return tail;
+}
+
+TEST(RoiMetadataHardening, Version1Rejected) {
+  // A version-1 sidecar (grid, a flags byte for the MV field and SKIP
+  // flags it could carry, then regions with their mean MV) is refused,
+  // and the edge plans its frame full-frame — the same hull in version 2
+  // gates.
+  constexpr int kW = 128;
+  constexpr int kH = 96;
+  RoiMetadata m = from_encoded({}, kW, kH);
+  add_region(m, {{20, 20}, {60, 20}, {60, 40}, {20, 40}});
+  const std::vector<std::uint8_t> v2 = m.serialize();
+  // v2: magic, version, mb_cols, mb_rows, region count 1, the hull.
+  ASSERT_EQ(v2[4], 0x01);
+  std::vector<std::uint8_t> v1 = header_plus({});
+  v1[1] = 0x01;
+  v1.insert(v1.end(), v2.begin() + 2, v2.begin() + 4);  // mb_cols, mb_rows
+  v1.push_back(0x00);                                  // flags: no field
+  v1.push_back(0x01);                                  // one region
+  v1.insert(v1.end(), {0x00, 0x00});                   // its mean MV
+  v1.insert(v1.end(), v2.begin() + 5, v2.end());       // its hull
+  EXPECT_FALSE(RoiMetadata::parse(v1).has_value());
+  ASSERT_TRUE(RoiMetadata::parse(v2).has_value());
+
+  const edge::RoiGateConfig gate{.tile_px = 16, .halo_tiles = 0,
+                                 .scan_stripes = 0};
+  codec::Encoder enc({.width = kW, .height = kH});
+  edge::EdgeServer old_wire({}, 1, gate);
+  edge::EdgeServer new_wire({}, 1, gate);
+  for (int k = 0; k < 3; ++k) {
+    const std::vector<std::uint8_t> bytes =
+        enc.encode(video::Frame(kW, kH), 20).data;
+    const std::optional<RoiMetadata> p1 = RoiMetadata::parse(v1);
+    const std::optional<RoiMetadata> p2 = RoiMetadata::parse(v2);
+    EXPECT_FALSE(old_wire.plan(bytes, p1 ? &*p1 : nullptr).plan.gated)
+        << "frame " << k;
+    EXPECT_EQ(new_wire.plan(bytes, p2 ? &*p2 : nullptr).plan.gated, k > 0)
+        << "frame " << k;
+  }
 }
 
 TEST(RoiMetadataHardening, OverlongVarintRejected) {
   // mb_cols = 1 encoded non-canonically as 81 00 ("1 + continuation,
   // then an empty terminator"). The value is representable in one byte,
   // so the two-byte spelling must be rejected, not silently accepted.
-  const auto bytes = header_plus({0x81, 0x00, /*rows*/ 0x01, /*flags*/ 0x00,
+  const auto bytes = header_plus({0x81, 0x00, /*rows*/ 0x01,
                                   /*regions*/ 0x00});
   EXPECT_FALSE(RoiMetadata::parse(bytes).has_value());
 
   // Same value, canonical spelling: accepted.
-  const auto canonical =
-      header_plus({0x01, 0x01, 0x00, 0x00});
+  const auto canonical = header_plus({0x01, 0x01, 0x00});
   EXPECT_TRUE(RoiMetadata::parse(canonical).has_value());
 }
 
@@ -153,7 +175,7 @@ TEST(RoiMetadataHardening, ElevenByteVarintRejected) {
   // legal (10-byte) encoding of a uint64.
   std::vector<std::uint8_t> tail(11, 0x80);
   tail.back() = 0x01;
-  tail.insert(tail.end(), {0x01, 0x00, 0x00});
+  tail.insert(tail.end(), {0x01, 0x00});
   EXPECT_FALSE(RoiMetadata::parse(header_plus(tail)).has_value());
 }
 
@@ -163,40 +185,8 @@ TEST(RoiMetadataHardening, TenByteOverflowRejected) {
   // truncate (and two spellings would collide).
   std::vector<std::uint8_t> tail(9, 0xFF);
   tail.push_back(0x02);  // bit 65
-  tail.insert(tail.end(), {0x01, 0x00, 0x00});
+  tail.insert(tail.end(), {0x01, 0x00});
   EXPECT_FALSE(RoiMetadata::parse(header_plus(tail)).has_value());
-}
-
-TEST(RoiMetadataHardening, NonZeroSkipPaddingRejected) {
-  // 3x1 grid with skip flags: 3 payload bits leave 5 padding bits in the
-  // single skip byte. Nonzero padding parses to the same value as zero
-  // padding — a digest-colliding second spelling — so it must reject.
-  RoiMetadata m;
-  m.mb_cols = 3;
-  m.mb_rows = 1;
-  m.skip = {1, 0, 1};
-  std::vector<std::uint8_t> bytes = m.serialize();
-  const auto baseline = RoiMetadata::parse(bytes);
-  ASSERT_TRUE(baseline.has_value());
-
-  // The skip byte is the last-but-one (region count 0 trails it).
-  const std::size_t skip_byte = bytes.size() - 2;
-  ASSERT_EQ(bytes[skip_byte], 0x05u);  // LSB-first: 1,0,1
-  bytes[skip_byte] |= 0x20;            // flip a padding bit
-  EXPECT_FALSE(RoiMetadata::parse(bytes).has_value());
-}
-
-TEST(RoiMetadataHardening, OutOfInt32MotionRejected) {
-  // mean_mv.dx = 2^32 as a zigzag varint: in-range for the varint layer
-  // but wider than the int32 the wire schema stores — must reject, not
-  // truncate (truncation would re-serialize to different bytes and break
-  // the fix-point).
-  const auto bytes = header_plus({/*cols*/ 0x01, /*rows*/ 0x01,
-                                  /*flags*/ 0x00, /*regions*/ 0x01,
-                                  // zigzag(2^32) = 2^33 varint-encoded:
-                                  0x80, 0x80, 0x80, 0x80, 0x20,
-                                  /*dy*/ 0x00, /*points*/ 0x00});
-  EXPECT_FALSE(RoiMetadata::parse(bytes).has_value());
 }
 
 TEST(RoiMetadataHardening, HullAccumulationOverflowRejected) {
@@ -208,8 +198,7 @@ TEST(RoiMetadataHardening, HullAccumulationOverflowRejected) {
            static_cast<std::uint64_t>(v >> 63);
   };
   std::vector<std::uint8_t> tail = {/*cols*/ 0x01, /*rows*/ 0x01,
-                                    /*flags*/ 0x00, /*regions*/ 0x01,
-                                    /*mean_mv*/ 0x00, 0x00, /*points*/ 0x02};
+                                    /*regions*/ 0x01, /*points*/ 0x02};
   auto put = [&tail](std::uint64_t v) {
     while (v >= 0x80) {
       tail.push_back(static_cast<std::uint8_t>(v) | 0x80);
@@ -229,8 +218,7 @@ TEST(RoiMetadataHardening, AcceptedBytesAreAFixPoint) {
   // decode -> encode -> decode: for every accepted input in this suite's
   // random family, serialize(parse(b)) == b byte-for-byte.
   for (std::uint64_t seed = 300; seed < 320; ++seed) {
-    const std::vector<std::uint8_t> bytes =
-        random_metadata(seed, seed % 2 == 0).serialize();
+    const std::vector<std::uint8_t> bytes = random_metadata(seed).serialize();
     const auto parsed = RoiMetadata::parse(bytes);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->serialize(), bytes) << "seed=" << seed;

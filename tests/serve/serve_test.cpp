@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "codec/bitstream.h"
 #include "codec/encoder.h"
 #include "harness/serve_scenario.h"
 #include "net/bandwidth.h"
@@ -290,11 +291,37 @@ TEST(Session, DecodersAreIsolatedAcrossSessions) {
   EXPECT_GT(node.metrics().aggregate().batch_size.max(), 1.0);
 }
 
+TEST(ServeNode, UndecodableUploadLeavesAdmissionUntouched) {
+  // Admitted frames are decoded at submission. One that fails to decode
+  // throws before any counter, queue slot or payload is taken, so the
+  // session serves its next good frame as if the bad one never came.
+  ServeNode node(ServeNodeConfig{});
+  node.open_session(fast_uplink());
+  codec::Encoder enc({.width = 64, .height = 32});
+  FrameJob bad = encoded_job(enc, 0, 0, from_millis(1));
+  bad.data.resize(3);
+  EXPECT_THROW(node.submit(std::move(bad)), codec::BitstreamError);
+  const SessionCounters& c = node.metrics().session(0);
+  EXPECT_EQ(c.submitted, 0);
+  EXPECT_EQ(c.admitted, 0);
+  EXPECT_EQ(c.queue_depth.count(), 0u);
+  EXPECT_EQ(node.session(0).queue_depth(), 0u);
+  EXPECT_FALSE(node.session(0).server().has_reference());
+
+  enc.request_intra();
+  ASSERT_EQ(node.submit(encoded_job(enc, 0, 1, from_millis(90))),
+            AdmissionVerdict::kAdmit);
+  EXPECT_EQ(node.drain().size(), 1u);
+  EXPECT_EQ(c.submitted, 1);
+  EXPECT_EQ(c.admitted, 1);
+  EXPECT_EQ(c.completed, 1);
+}
+
 TEST(ServeNode, MismatchedSidecarInfersFullFrame) {
   // A sidecar claiming twice the bitstream's MB grid must never drive
-  // gating. Planned on its own grid, its hull lights tiles past the
-  // 64x32 frame, whose clipped area is negative: the frame would count
-  // as gated with a pixel fraction below 0.
+  // gating. On its own grid its hull would light tiles past the 64x32
+  // frame, whose clipped area is negative: the frame would count as
+  // gated with a pixel fraction below 0.
   ServeNodeConfig cfg;
   cfg.session.roi_gate = {.tile_px = 16, .halo_tiles = 0, .scan_stripes = 0};
   ServeNode node(cfg);
@@ -303,11 +330,7 @@ TEST(ServeNode, MismatchedSidecarInfersFullFrame) {
   roi::RoiMetadata wrong;
   wrong.mb_cols = 2 * 64 / codec::kMacroblockSize;
   wrong.mb_rows = 2 * 32 / codec::kMacroblockSize;
-  wrong.mvs.assign(static_cast<std::size_t>(wrong.mb_cols) * wrong.mb_rows,
-                   {0, 0});
-  wrong.skip.assign(wrong.mvs.size(), 0);
-  roi::add_region(wrong, {{100, 4}, {120, 4}, {120, 28}, {100, 28}},
-                  {0.0, 0.0});
+  roi::add_region(wrong, {{100, 4}, {120, 4}, {120, 28}, {100, 28}});
   for (std::uint64_t f = 0; f < 3; ++f) {
     FrameJob j = encoded_job(
         enc, 0, f, from_millis(1.0 + 100.0 * static_cast<double>(f)));
