@@ -94,29 +94,9 @@ void BM_InverseDct(benchmark::State& state) {
 }
 BENCHMARK(BM_InverseDct)->Arg(0)->Arg(1);
 
-// Args: {kernel arm, QP}.
-void BM_Quantize(benchmark::State& state) {
-  util::Rng rng(3);
-  codec::Block8x8 in;
-  codec::QuantBlock levels;
-  for (auto& v : in) v = rng.uniform(-512, 512);
-  const bool dispatched = state.range(0) != 0;
-  const auto fn = dispatched ? &codec::quantize : &codec::quantize_scalar;
-  const int qp = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fn(in, qp, levels));
-    benchmark::DoNotOptimize(levels);
-  }
-  state.SetLabel(block_kernel_label(dispatched));
-}
-BENCHMARK(BM_Quantize)
-    ->Args({0, 10})->Args({1, 10})
-    ->Args({0, 30})->Args({1, 30})
-    ->Args({0, 50})->Args({1, 50});
-
-// The rate-control trial's fused kernel on BM_Quantize's block, taken as
-// scan-order coefficients: quantize plus the block's Exp-Golomb length.
-// Args: {kernel arm, QP}.
+// The quantizer of every trial, intra and inter: one dense block (all 64
+// coefficients live) taken as scan-order coefficients, quantized and
+// sized to its Exp-Golomb length. Args: {kernel arm, QP}.
 void BM_QuantizeScanBits(benchmark::State& state) {
   util::Rng rng(3);
   codec::Block8x8 in;

@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -45,21 +46,6 @@ double max_abs(const Block8x8& coeffs) {
     for (std::size_t j = 0; j < 4; ++j)
       m[j] = std::max(m[j], std::abs(coeffs[i + j]));
   return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
-}
-
-/// Transform + quantize the (src - pred) residual of one 8x8 block into
-/// scan-order `levels`. Returns their nonzero mask by scan position
-/// (write_block's), so zero means the block is not coded. The intra path
-/// emits as it codes, so it takes quantize_scan_bits' quantizer without
-/// the sizing.
-std::uint64_t transform_block(const video::Plane& src, int bx, int by,
-                              const Block8x8& pred, int qp,
-                              QuantBlock& levels) {
-  Block8x8 coeffs;
-  residual_dct(src, bx, by, pred, coeffs);
-  Block8x8 scan_coeffs;
-  to_scan_order(coeffs, scan_coeffs);
-  return quantize(scan_coeffs, qp, levels);
 }
 
 int mb_qp(int base_qp, const QpOffsetMap* offsets, int col, int row) {
@@ -240,7 +226,7 @@ bool Encoder::prepare_inter_trial(const InterPlan& plan, int base_qp,
       static_cast<std::size_t>(mb_cols) * static_cast<std::size_t>(mb_rows);
 
   trial.base_qp = base_qp;
-  PreparedInter& prep = trial.prep;
+  PreparedTrial& prep = trial.prep;
   prep.base_qp = base_qp;
 
   // Parallel by row: quantize the precomputed residual coefficients at
@@ -308,7 +294,7 @@ bool Encoder::prepare_inter_trial(const InterPlan& plan, int base_qp,
 }
 
 video::Frame Encoder::reconstruct_inter(const InterPlan& plan,
-                                        const PreparedInter& prep) const {
+                                        const PreparedTrial& prep) const {
   const int mb_cols = config_.width / kMb;
   const int mb_rows = config_.height / kMb;
   video::Frame recon(config_.width, config_.height);
@@ -337,7 +323,7 @@ video::Frame Encoder::reconstruct_inter(const InterPlan& plan,
 }
 
 template <class Sink>
-void Encoder::code_inter_trial(Sink& sink, const PreparedInter& prep,
+void Encoder::code_inter_trial(Sink& sink, const PreparedTrial& prep,
                                const InterPlan& plan) const {
   // Serial raster-order pass. This is the only order-dependent state
   // (prev_qp chain, MV prediction), so running it serially keeps the
@@ -375,64 +361,134 @@ void Encoder::code_inter_trial(Sink& sink, const PreparedInter& prep,
   }
 }
 
-std::size_t Encoder::size_inter_trial(const PreparedInter& prep,
-                                      const InterPlan& plan) const {
+template <class Sink>
+void Encoder::code_intra_trial(Sink& sink, const PreparedTrial& prep) const {
+  // The same serial raster-order pass for an intra trial: the dQP chain
+  // and, per block, its coded flag and (when coded) its levels. A
+  // BitCounter adds the block sizes counted while quantizing.
+  const int mb_cols = config_.width / kMb;
+  const int mb_rows = config_.height / kMb;
+  write_frame_header(sink,
+                     {FrameType::kIntra, prep.base_qp, mb_cols, mb_rows});
+  int prev_qp = prep.base_qp;
+  const std::size_t mb_count =
+      static_cast<std::size_t>(mb_cols) * static_cast<std::size_t>(mb_rows);
+  for (std::size_t mb = 0; mb < mb_count; ++mb) {
+    sink.put_se(prep.qps[mb] - prev_qp);
+    prev_qp = prep.qps[mb];
+    const std::size_t base = mb * kBlocksPerMb;
+    for (int b = 0; b < kBlocksPerMb; ++b) {
+      const bool coded = (prep.cbp[mb] & (1 << b)) != 0;
+      sink.put_bit(coded);
+      if constexpr (!std::is_same_v<Sink, BitCounter>) {
+        if (coded)
+          write_block(sink, prep.levels[base + static_cast<std::size_t>(b)],
+                      prep.scans[base + static_cast<std::size_t>(b)]);
+      }
+    }
+    if constexpr (std::is_same_v<Sink, BitCounter>)
+      sink.add_bits(static_cast<std::size_t>(prep.block_bits[mb]));
+  }
+}
+
+std::size_t Encoder::size_trial(const PreparedTrial& prep,
+                                const InterPlan* plan) const {
   BitCounter counter;
-  code_inter_trial(counter, prep, plan);
+  if (plan != nullptr) code_inter_trial(counter, prep, *plan);
+  else code_intra_trial(counter, prep);
   return counter.byte_count();
 }
 
-std::vector<std::uint8_t> Encoder::emit_inter_trial(
-    const PreparedInter& prep, const InterPlan& plan) const {
+std::vector<std::uint8_t> Encoder::emit_trial(const PreparedTrial& prep,
+                                              const InterPlan* plan) const {
   BitWriter bw;
-  code_inter_trial(bw, prep, plan);
+  if (plan != nullptr) code_inter_trial(bw, prep, *plan);
+  else code_intra_trial(bw, prep);
   return bw.finish();
 }
 
-Encoder::Trial Encoder::run_intra_trial(const video::Frame& src, int base_qp,
-                                        const QpOffsetMap* offsets) const {
+void Encoder::run_intra_trial(const video::Frame& src, int base_qp,
+                              const QpOffsetMap* offsets,
+                              Trial& trial) const {
   base_qp = std::clamp(base_qp, kMinQp, kMaxQp);
   DIVE_OBS_SPAN(span, obs_, "codec.intra_trial", obs::kTrackCodec);
   span.flow(frame_ctx_);
   span.arg("qp", base_qp);
   const int mb_cols = config_.width / kMb;
   const int mb_rows = config_.height / kMb;
+  const std::size_t mb_count =
+      static_cast<std::size_t>(mb_cols) * static_cast<std::size_t>(mb_rows);
 
-  Trial trial;
   trial.base_qp = base_qp;
-  trial.recon = video::Frame(config_.width, config_.height);
+  PreparedTrial& prep = trial.prep;
+  prep.base_qp = base_qp;
+  prep.levels.resize(mb_count * kBlocksPerMb);
+  prep.scans.resize(mb_count * kBlocksPerMb);
+  prep.cbp.resize(mb_count);
+  prep.block_bits.resize(mb_count);
+  prep.qps.resize(mb_count);
+  // Every sample is reconstructed before it is read, so a previous
+  // trial's reconstruction is reused as is.
+  if (trial.recon.width() != config_.width ||
+      trial.recon.height() != config_.height)
+    trial.recon = video::Frame(config_.width, config_.height);
 
-  BitWriter bw;
-  write_frame_header(bw, {FrameType::kIntra, base_qp, mb_cols, mb_rows});
-
-  // Intra macroblocks DC-predict from the running reconstruction, so
-  // transform/emit/reconstruct proceed strictly in raster order.
-  int prev_qp = base_qp;
-  for (int row = 0; row < mb_rows; ++row) {
-    for (int col = 0; col < mb_cols; ++col) {
-      const int qp = mb_qp(base_qp, offsets, col, row);
-      bw.put_se(qp - prev_qp);
-      prev_qp = qp;
-      for (const MbBlock& blk : mb_blocks(col, row)) {
-        video::Plane& rp = plane_of(trial.recon, blk.plane);
-        const Block8x8 pred = dc_predict(rp, blk.bx, blk.by);
-        QuantBlock levels;
-        const std::uint64_t scan = transform_block(
-            plane_of(src, blk.plane), blk.bx, blk.by, pred, qp, levels);
-        bw.put_bit(scan != 0);
-        QuantBlock raster;
-        if (scan != 0) {
-          write_block(bw, levels, scan);
-          scan_levels_to_raster(levels, scan, raster);
+  // Intra macroblocks DC-predict from the reconstruction of their left
+  // and upper neighbours, never the upper-right one, so rows run as a
+  // wavefront: row r codes macroblock c once row r - 1 has published
+  // done[r - 1] > c (release after the macroblock is reconstructed,
+  // acquire before it is read). parallel_for claims rows in increasing
+  // order, so the row waited on is always claimed and running; a row
+  // that throws publishes the whole row before rethrowing, so no lane
+  // waits on it forever. Each macroblock writes only its own samples and
+  // per-mb entries, so the trial is the serial raster loop's, bit for
+  // bit, at every thread count.
+  std::vector<std::atomic<int>> done(static_cast<std::size_t>(mb_rows));
+  const auto code_row = [&](int row) {
+    std::atomic<int>& published = done[static_cast<std::size_t>(row)];
+    try {
+      for (int col = 0; col < mb_cols; ++col) {
+        if (row > 0)
+          while (done[static_cast<std::size_t>(row - 1)].load(
+                     std::memory_order_acquire) <= col)
+            std::this_thread::yield();
+        const std::size_t mb = static_cast<std::size_t>(row) * mb_cols + col;
+        const int qp = mb_qp(base_qp, offsets, col, row);
+        int cbp = 0;
+        int bits = 0;
+        const auto blocks = mb_blocks(col, row);
+        for (int b = 0; b < kBlocksPerMb; ++b) {
+          const MbBlock& blk = blocks[static_cast<std::size_t>(b)];
+          const std::size_t i = mb * kBlocksPerMb + static_cast<std::size_t>(b);
+          video::Plane& rp = plane_of(trial.recon, blk.plane);
+          const Block8x8 pred = dc_predict(rp, blk.bx, blk.by);
+          Block8x8 coeffs;
+          residual_dct(plane_of(src, blk.plane), blk.bx, blk.by, pred, coeffs);
+          Block8x8 scan_coeffs;
+          to_scan_order(coeffs, scan_coeffs);
+          const int coded_bits = quantize_scan_bits(
+              scan_coeffs, qp, prep.levels[i], prep.scans[i]);
+          QuantBlock raster;
+          if (coded_bits != 0) {
+            cbp |= 1 << b;
+            bits += coded_bits;
+            scan_levels_to_raster(prep.levels[i], prep.scans[i], raster);
+          }
+          reconstruct_block(rp, blk.bx, blk.by, pred,
+                            coded_bits != 0 ? &raster : nullptr, qp);
         }
-        reconstruct_block(rp, blk.bx, blk.by, pred,
-                          scan != 0 ? &raster : nullptr, qp);
+        prep.qps[mb] = qp;
+        prep.cbp[mb] = cbp;
+        prep.block_bits[mb] = bits;
+        published.store(col + 1, std::memory_order_release);
       }
+    } catch (...) {
+      published.store(mb_cols, std::memory_order_release);
+      throw;
     }
-  }
-
-  trial.data = bw.finish();
-  return trial;
+  };
+  if (pool_) pool_->parallel_for(0, mb_rows, code_row);
+  else for (int row = 0; row < mb_rows; ++row) code_row(row);
 }
 
 EncodedFrame Encoder::commit(Trial trial, const InterPlan* plan,
@@ -443,8 +499,7 @@ EncodedFrame Encoder::commit(Trial trial, const InterPlan* plan,
   reference_mean_luma_ = mean_luma(reference_.y);
 
   EncodedFrame out;
-  out.data = plan != nullptr ? emit_inter_trial(trial.prep, *plan)
-                             : std::move(trial.data);
+  out.data = emit_trial(trial.prep, plan);
   out.type = plan != nullptr ? FrameType::kInter : FrameType::kIntra;
   out.base_qp = trial.base_qp;
   out.psnr_y = video::psnr_y(src, reference_);
@@ -494,7 +549,7 @@ EncodedFrame Encoder::encode(const video::Frame& src, int base_qp,
   if (plan) {
     (void)prepare_inter_trial(*plan, base_qp, offsets, kNoBitLimit, trial);
   } else {
-    trial = run_intra_trial(src, base_qp, offsets);
+    run_intra_trial(src, base_qp, offsets, trial);
   }
   return commit(std::move(trial), plan ? &*plan : nullptr, src);
 }
@@ -522,9 +577,9 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
   // is the trial that would be committed if the search stopped now: the
   // smallest fitting QP, else the largest overshooting one. Later QPs lie
   // inside the narrowed range, so a fitting trial always replaces it and
-  // an overshooting one does until something fits. Inter trials are
-  // sized by counting bits; only the committed one is emitted. A trial
-  // that is not kept lends its storage to the next.
+  // an overshooting one does until something fits. Trials are sized by
+  // counting bits; only the committed one is emitted. A trial that is not
+  // kept lends its storage to the next.
   //
   // After a fit, an overshooting trial can never be committed, so an
   // inter trial stops once its block bits alone pass 8 * target_bytes
@@ -550,13 +605,13 @@ EncodedFrame Encoder::encode_to_target(const video::Frame& src,
     if (plan) {
       if (prepare_inter_trial(*plan, qp, offsets,
                               fitted ? fit_limit : kNoBitLimit, trial)) {
-        fits = size_inter_trial(trial.prep, *plan) <= target_bytes;
+        fits = size_trial(trial.prep, &*plan) <= target_bytes;
       } else {
         ++rc_stats_.trials_cut;
       }
     } else {
-      trial = run_intra_trial(src, qp, offsets);
-      fits = trial.data.size() <= target_bytes;
+      run_intra_trial(src, qp, offsets, trial);
+      fits = size_trial(trial.prep, nullptr) <= target_bytes;
     }
     if (fits) hi = trial.base_qp - 1;
     else lo = trial.base_qp + 1;

@@ -6,10 +6,12 @@
 //
 // Threading: motion search and the per-macroblock transform/quantize/
 // reconstruct loops of inter frames run on a fixed worker pool
-// (EncoderConfig::threads, DIVE_THREADS). Bitstream emission stays a
-// serial raster-order pass over precomputed per-macroblock levels, so the
-// encoded bytes are bit-identical for every thread count. Intra frames
-// are inherently serial (DC prediction reads the running reconstruction).
+// (EncoderConfig::threads, DIVE_THREADS). An intra trial runs its
+// macroblock rows on the same pool as a wavefront: DC prediction reads
+// only the left and upper neighbours, so a row codes macroblock c once
+// the row above has finished it. Bitstream sizing and emission stay a
+// serial raster-order pass over precomputed per-macroblock levels, so
+// the encoded bytes are bit-identical for every thread count.
 //
 // Rate control: encode_to_target binary-searches the base QP. The
 // QP-independent work of an inter frame — motion field, motion-
@@ -17,11 +19,13 @@
 // residual, stored in zigzag scan order — is computed once per frame; each
 // QP trial only re-quantizes and counts bits, one fused kernel per block
 // (quantize_scan_bits), and only the committed trial is emitted and
-// reconstructed. The search never revisits a QP. Once a trial has fitted,
-// a later trial stops as soon as its block bits alone pass the budget: it
-// can no longer be committed (RateControlStats::trials_cut). encode()
-// runs the same trial and commit steps at one fixed QP, with no sizing
-// pass.
+// reconstructed. An intra trial must reconstruct as it codes (DC
+// prediction reads the reconstruction at its QP), but it is sized the
+// same way, by counting, and only the committed one is emitted. The
+// search never revisits a QP. Once a trial has fitted, a later inter
+// trial stops as soon as its block bits alone pass the budget: it can no
+// longer be committed (RateControlStats::trials_cut). encode() runs the
+// same trial and commit steps at one fixed QP, with no sizing pass.
 //
 // Per-call scratch (the plan's predictions and coefficients, a trial's
 // levels and scan masks) is sized without zero-filling (codec/
@@ -29,7 +33,7 @@
 // lists buffer by buffer. Each coded block's levels stay in scan order:
 // emission reads them straight off the nonzero mask its quantizer pass
 // built, and reconstruction scatters them back to raster order. Intra
-// blocks take the same path.
+// blocks take the same path and fill the same prepared-trial buffers.
 //
 // Motion search reads the luma reference through padded RefPlanes
 // (codec/ref_planes.h), scratch of each search call. Every other read of
@@ -223,11 +227,12 @@ class Encoder {
     MotionField eff_motion;
   };
 
-  /// Output of the parallel half of an inter trial: quantized levels,
-  /// coded-block pattern, coded-block bits, QP and emitted SKIP bit per
-  /// macroblock. Enough to size the trial for rate control and, for the
-  /// committed trial only, to emit and reconstruct it.
-  struct PreparedInter {
+  /// One rate-control trial's coding decisions: quantized levels,
+  /// coded-block pattern, coded-block bits and QP per macroblock, plus
+  /// the emitted SKIP bit of an inter trial. Enough to size the trial
+  /// for rate control and, for the committed trial only, to emit it (and
+  /// to reconstruct an inter one).
+  struct PreparedTrial {
     /// mb_count * 6, block-major. Both are written for quantized blocks
     /// only and read only where the cbp bit is set; a block's levels are
     /// in scan order and read only at the set bits of its scan mask.
@@ -236,19 +241,17 @@ class Encoder {
     std::vector<int> cbp;            ///< coded-block pattern per mb
     std::vector<int> block_bits;     ///< bits of the coded blocks per mb
     std::vector<int> qps;            ///< resolved QP per mb
-    std::vector<std::uint8_t> skip;  ///< emitted SKIP bit per mb
+    std::vector<std::uint8_t> skip;  ///< emitted SKIP bit per mb (inter)
     int base_qp = 0;
   };
 
-  /// One rate-control trial. An intra trial carries its bytes and its
-  /// reconstruction (DC prediction needs it while coding); an inter trial
-  /// carries the levels its bytes and reconstruction are built from if it
-  /// is committed.
+  /// One rate-control trial. An intra trial also carries its
+  /// reconstruction, which DC prediction needs while it codes; an inter
+  /// trial is reconstructed from its levels only if it is committed.
   struct Trial {
-    std::vector<std::uint8_t> data;  ///< intra only
     int base_qp = 0;
     video::Frame recon;  ///< intra only
-    PreparedInter prep;  ///< inter only
+    PreparedTrial prep;
   };
 
   /// Frame-type decision for `src`: forced/GoP intra checks plus the
@@ -272,25 +275,31 @@ class Encoder {
   /// Reconstruction of an inter trial (row-parallel), run once per frame
   /// on the committed trial.
   [[nodiscard]] video::Frame reconstruct_inter(const InterPlan& plan,
-                                               const PreparedInter& prep)
+                                               const PreparedTrial& prep)
       const;
-  /// The serial bitstream syntax of an inter trial into a BitWriter or a
-  /// BitCounter, so sizing and emission cannot disagree.
+  /// An intra trial at `base_qp`, into `trial` (reusing its storage):
+  /// DC-predicts, transforms, quantizes and sizes every block and
+  /// reconstructs it into trial.recon, rows as a wavefront on the pool.
+  void run_intra_trial(const video::Frame& src, int base_qp,
+                       const QpOffsetMap* offsets, Trial& trial) const;
+  /// The serial bitstream syntax of a prepared trial into a BitWriter or
+  /// a BitCounter, so sizing and emission cannot disagree.
   template <class Sink>
-  void code_inter_trial(Sink& sink, const PreparedInter& prep,
+  void code_inter_trial(Sink& sink, const PreparedTrial& prep,
                         const InterPlan& plan) const;
-  /// Bytes the trial would emit, counted without emitting.
-  [[nodiscard]] std::size_t size_inter_trial(const PreparedInter& prep,
-                                             const InterPlan& plan) const;
-  [[nodiscard]] std::vector<std::uint8_t> emit_inter_trial(
-      const PreparedInter& prep, const InterPlan& plan) const;
-  [[nodiscard]] Trial run_intra_trial(const video::Frame& src, int base_qp,
-                                      const QpOffsetMap* offsets) const;
+  template <class Sink>
+  void code_intra_trial(Sink& sink, const PreparedTrial& prep) const;
+  /// Bytes the trial would emit, counted without emitting; `plan` is
+  /// null for an intra trial.
+  [[nodiscard]] std::size_t size_trial(const PreparedTrial& prep,
+                                       const InterPlan* plan) const;
+  [[nodiscard]] std::vector<std::uint8_t> emit_trial(
+      const PreparedTrial& prep, const InterPlan* plan) const;
 
-  /// Commits `trial` as the frame: its reconstruction becomes
-  /// reference_ (an inter trial is emitted and reconstructed from `plan`,
-  /// which is null for intra frames), then PSNR against `src`,
-  /// codec-state bookkeeping and obs.
+  /// Commits `trial` as the frame: emits it, makes its reconstruction
+  /// reference_ (an inter trial is reconstructed from `plan`, which is
+  /// null for intra frames), then PSNR against `src`, codec-state
+  /// bookkeeping and obs.
   EncodedFrame commit(Trial trial, const InterPlan* plan,
                       const video::Frame& src);
 

@@ -133,15 +133,6 @@ __attribute__((target("avx2"))) inline std::uint64_t nonzero4(__m128i level) {
   return static_cast<std::uint64_t>(~zero & 0xF);
 }
 
-__attribute__((target("avx2"))) std::uint64_t quantize_avx2(
-    const Block8x8& coeffs, int qp, QuantBlock& levels) {
-  const Lanes l = lanes_of(qp);
-  std::uint64_t nonzero = 0;
-  for (int i = 0; i < 64; i += 4)
-    nonzero |= nonzero4(quantize4(l, coeffs, levels, i)) << i;
-  return nonzero;
-}
-
 // The scan kernel sums each level's signed Exp-Golomb length in lanes.
 // For l != 0 that length is 2 * floor(log2 |l|) + 3, and floor(log2 |l|)
 // is the unbiased exponent of |l| as a double, which holds every int32
@@ -183,13 +174,6 @@ __attribute__((target("avx2"))) int quantize_scan_bits_avx2(
 #endif  // DIVE_SIMD_X86
 
 }  // namespace
-
-std::uint64_t quantize(const Block8x8& coeffs, int qp, QuantBlock& levels) {
-#if defined(DIVE_SIMD_X86)
-  if (util::simd_avx2()) return quantize_avx2(coeffs, qp, levels);
-#endif
-  return quantize_scalar(coeffs, qp, levels);
-}
 
 int quantize_scan_bits(const Block8x8& scan_coeffs, int qp,
                        QuantBlock& levels, std::uint64_t& scan) {

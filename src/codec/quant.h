@@ -38,22 +38,19 @@ inline double qp_step(int qp) { return quant_step(qp).step; }
 /// Coefficients -> levels: c / step rounded to nearest with ties away
 /// from zero, exactly std::lround(c / step) (|c / step| must be below
 /// 2^31). Returns the nonzero levels as a mask over the block's indices
-/// (bit i set when levels[i] != 0), so zero means nothing to code; on a
-/// block in scan order (the intra path's) that is the scan mask.
-/// Dispatches on the process's SIMD level (util/simd.h) to an AVX2
-/// kernel equal to the scalar one bit for bit.
-std::uint64_t quantize(const Block8x8& coeffs, int qp, QuantBlock& levels);
-
-/// Canonical scalar quantizer (the reference the SIMD kernel matches).
+/// (bit i set when levels[i] != 0), so zero means nothing to code. The
+/// canonical scalar quantizer: quantize_scan_bits' kernels equal it bit
+/// for bit.
 std::uint64_t quantize_scalar(const Block8x8& coeffs, int qp,
                               QuantBlock& levels);
 
-/// quantize() of a block whose coefficients are in zigzag scan order
-/// (to_scan_order), fused with sizing: fills `levels` (scan order) and
-/// `scan`, the mask of its nonzero levels by scan position, and returns
-/// the length in bits of write_block(levels, scan) (codec/block_io.h), or
-/// 0 when every level is zero (the block is not coded). Dispatches like
-/// quantize() to an AVX2 kernel equal to the scalar one bit for bit.
+/// quantize_scalar() of a block whose coefficients are in zigzag scan
+/// order (to_scan_order), fused with sizing: fills `levels` (scan order)
+/// and `scan`, the mask of its nonzero levels by scan position, and
+/// returns the length in bits of write_block(levels, scan) (codec/
+/// block_io.h), or 0 when every level is zero (the block is not coded).
+/// Dispatches on the process's SIMD level (util/simd.h) to an AVX2
+/// kernel equal to the scalar one bit for bit.
 int quantize_scan_bits(const Block8x8& scan_coeffs, int qp,
                        QuantBlock& levels, std::uint64_t& scan);
 

@@ -110,9 +110,11 @@ inline MotionVector chroma_mv(MotionVector mv) {
 
 /// DC intra prediction (H.264-style): every sample is the mean of the
 /// reconstructed samples above and left of the 8x8 block at (bx, by),
-/// 128 when it has neither.
+/// 128 when it has neither. The at most 16 samples are summed as an int
+/// and divided once as a double, which is exact: the sum is an exact
+/// double.
 inline Block8x8 dc_predict(const video::Plane& recon, int bx, int by) {
-  double acc = 0.0;
+  int acc = 0;
   int n = 0;
   if (by > 0) {
     for (int x = 0; x < kBlockSize; ++x) {
@@ -127,7 +129,7 @@ inline Block8x8 dc_predict(const video::Plane& recon, int bx, int by) {
     }
   }
   Block8x8 pred;
-  pred.fill(n > 0 ? acc / n : 128.0);
+  pred.fill(n > 0 ? static_cast<double>(acc) / n : 128.0);
   return pred;
 }
 

@@ -48,11 +48,15 @@ void ThreadPool::worker_loop() {
     start_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
     if (stop_) return;
     seen = epoch_;
+    // The call may already be over: the caller clears job_ once it has
+    // drained the range and no joined worker is left.
     const std::function<void(int)>* fn = job_;
+    if (fn == nullptr) continue;
+    ++in_flight_;
     lock.unlock();
     drain(*fn);
     lock.lock();
-    if (--acks_ == 0) done_cv_.notify_all();
+    if (--in_flight_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -69,7 +73,6 @@ void ThreadPool::parallel_for(int begin, int end,
   job_ = &fn;
   next_.store(begin, std::memory_order_relaxed);
   end_ = end;
-  acks_ = static_cast<int>(workers_.size());
   error_ = nullptr;
   failed_.store(false, std::memory_order_relaxed);
   ++epoch_;
@@ -79,9 +82,10 @@ void ThreadPool::parallel_for(int begin, int end,
   drain(fn);
 
   lock.lock();
-  // Every worker must acknowledge this epoch before the caller returns,
-  // otherwise a late-waking worker could touch a dead `fn`.
-  done_cv_.wait(lock, [&] { return acks_ == 0; });
+  // Wait only for the workers that joined; one that wakes after job_ is
+  // cleared below (under the same lock) skips the call without touching
+  // `fn`.
+  done_cv_.wait(lock, [&] { return in_flight_ == 0; });
   job_ = nullptr;
   if (error_) {
     std::exception_ptr err = error_;

@@ -38,7 +38,9 @@ class ThreadPool {
 
   /// Runs fn(i) for every i in [begin, end), distributing indices over
   /// the pool; blocks until all iterations finished. The calling thread
-  /// works too. The first exception thrown by any iteration is rethrown
+  /// works too, and waits only for the workers that joined this call: a
+  /// worker that wakes after the caller has drained every index and
+  /// returned finds no job and never touches `fn`. The first exception thrown by any iteration is rethrown
   /// on the caller; remaining indices are abandoned once an iteration
   /// has failed. NOT reentrant: fn must not call parallel_for on the
   /// same pool.
@@ -59,10 +61,12 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(int)>* job_ = nullptr;  // valid while acks_ > 0
+  /// The current call's body; a worker joins only while it is set, and
+  /// the caller clears it once no joined worker is left.
+  const std::function<void(int)>* job_ = nullptr;
   std::atomic<int> next_{0};
   int end_ = 0;
-  int acks_ = 0;            ///< workers yet to finish the current epoch
+  int in_flight_ = 0;       ///< workers that joined the call and still drain
   std::uint64_t epoch_ = 0; ///< bumped per parallel_for to wake workers
   bool stop_ = false;
   std::atomic<bool> failed_{false};

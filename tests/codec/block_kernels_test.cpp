@@ -126,7 +126,8 @@ TEST(BlockKernels, QuantizeMatchesScalarAtEveryQp) {
       QuantBlock want, got;
       const std::uint64_t want_nz = quantize_scalar(coeffs, qp, want);
       got.fill(-7);  // stale contents must be overwritten
-      const std::uint64_t got_nz = quantize(coeffs, qp, got);
+      std::uint64_t got_nz = 0;
+      quantize_scan_bits(coeffs, qp, got, got_nz);
       ASSERT_EQ(got, want) << "qp " << qp << " trial " << trial;
       ASSERT_EQ(got_nz, want_nz) << "qp " << qp << " trial " << trial;
     }

@@ -6,10 +6,12 @@
 // per-macroblock SKIP coding. Threads/kernel may only change speed,
 // never bytes; hme and skip DO change bytes, so each (hme, skip) pair
 // forms its own baseline group and every cell must match its group's
-// serial-scalar baseline exactly.
+// serial-scalar baseline exactly. An all-intra sequence checks the
+// wavefront intra trials at 1 to 4 lanes the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -204,6 +206,53 @@ TEST(DeterminismMatrix, DecoderAgreesInEveryGroup) {
           ASSERT_EQ(decoded.frame, enc.reference())
               << cell_name(c) << (targeted ? " targeted" : " fixed-qp")
               << " frame=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(DeterminismMatrix, AllIntraWavefrontIdentical) {
+  // Every frame intra (GoP 1), so every trial runs its macroblock rows as
+  // a wavefront on the pool. At 1 to 4 lanes and either SAD kernel (the
+  // block kernels follow the binary's dispatch leg), the bytes, QP and
+  // PSNR must equal the serial cell's, fixed-QP and rate-controlled, with
+  // QP offsets on the dQP chain, and the decoder must reproduce each
+  // frame's reference exactly.
+  constexpr int kW = 192;
+  constexpr int kH = 128;
+  const auto seq = matrix_sequence(kW, kH, 4);
+  QpOffsetMap offsets(kW / kMacroblockSize, kH / kMacroblockSize);
+  for (int row = 0; row < offsets.mb_rows; ++row)
+    for (int col = 0; col < offsets.mb_cols; ++col)
+      offsets.at(col, row) = static_cast<std::int8_t>((col + 2 * row) % 7 - 3);
+  for (bool targeted : {false, true}) {
+    std::vector<EncodedFrame> baseline;
+    for (int threads : {1, 2, 3, 4}) {
+      for (SadKernelPolicy sad :
+           {SadKernelPolicy::kScalar, SadKernelPolicy::kAuto}) {
+        const Cell c{threads, sad};
+        EncoderConfig cfg = cell_config(c, kW, kH);
+        cfg.gop_length = 1;
+        Encoder enc(cfg);
+        Decoder dec;
+        for (std::size_t i = 0; i < seq.size(); ++i) {
+          const auto encoded = targeted
+                                   ? enc.encode_to_target(seq[i], 2500, &offsets)
+                                   : enc.encode(seq[i], 24, &offsets);
+          ASSERT_EQ(encoded.type, FrameType::kIntra);
+          ASSERT_EQ(dec.decode(encoded.data).frame, enc.reference())
+              << cell_name(c) << (targeted ? " targeted" : " fixed-qp")
+              << " frame=" << i;
+          if (baseline.size() < seq.size()) {
+            baseline.push_back(encoded);
+            continue;
+          }
+          ASSERT_EQ(encoded.data, baseline[i].data)
+              << cell_name(c) << " frame=" << i;
+          ASSERT_EQ(encoded.base_qp, baseline[i].base_qp) << cell_name(c);
+          ASSERT_DOUBLE_EQ(encoded.psnr_y, baseline[i].psnr_y)
+              << cell_name(c);
         }
       }
     }

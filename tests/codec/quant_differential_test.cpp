@@ -79,7 +79,8 @@ TEST(QuantDifferential, QuantizeMatchesLroundReferenceAtEveryQp) {
       for (std::size_t i = 0; i < 64 && first + i < values.size(); ++i)
         coeffs[i] = values[first + i];
       QuantBlock levels;
-      const std::uint64_t nonzero = quantize(coeffs, qp, levels);
+      std::uint64_t nonzero = 0;
+      quantize_scan_bits(coeffs, qp, levels, nonzero);
       for (std::size_t i = 0; i < 64; ++i) {
         const std::int32_t want = reference_level(coeffs[i], qp);
         ASSERT_EQ(levels[i], want)
@@ -100,7 +101,8 @@ TEST(QuantDifferential, DeadZoneNeverDecidesALevel) {
       for (std::size_t i = 0; i < 64 && first + i < values.size(); ++i)
         coeffs[i] = values[first + i];
       QuantBlock levels;
-      quantize(coeffs, qp, levels);
+      std::uint64_t scan = 0;
+      quantize_scan_bits(coeffs, qp, levels, scan);
       for (std::size_t i = 0; i < 64; ++i) {
         const auto plain =
             static_cast<std::int32_t>(std::lround(coeffs[i] / step));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "util/rng.h"
@@ -27,7 +28,8 @@ TEST(Quant, RoundTripErrorBounded) {
     Block8x8 coeffs;
     for (auto& c : coeffs) c = rng.uniform(-500, 500);
     QuantBlock levels;
-    quantize(coeffs, qp, levels);
+    std::uint64_t scan = 0;
+    quantize_scan_bits(coeffs, qp, levels, scan);
     Block8x8 recon;
     dequantize(levels, qp, recon);
     const double step = qp_step(qp);
@@ -44,7 +46,9 @@ TEST(Quant, DeadZoneSuppressesSmallCoefficients) {
   Block8x8 coeffs{};
   coeffs[5] = qp_step(24) / 8.0;  // rounds to level 0
   QuantBlock levels;
-  EXPECT_EQ(quantize(coeffs, 24, levels), 0u);
+  std::uint64_t scan = 1;
+  EXPECT_EQ(quantize_scan_bits(coeffs, 24, levels, scan), 0);
+  EXPECT_EQ(scan, 0u);
   EXPECT_EQ(levels, QuantBlock{});
 }
 
@@ -53,8 +57,9 @@ TEST(Quant, HigherQpCoarserLevels) {
   util::Rng rng(7);
   for (auto& c : coeffs) c = rng.uniform(-200, 200);
   QuantBlock lo, hi;
-  quantize(coeffs, 10, lo);
-  quantize(coeffs, 40, hi);
+  std::uint64_t scan = 0;
+  quantize_scan_bits(coeffs, 10, lo, scan);
+  quantize_scan_bits(coeffs, 40, hi, scan);
   long lo_energy = 0, hi_energy = 0;
   for (int i = 0; i < 64; ++i) {
     lo_energy += std::abs(lo[static_cast<std::size_t>(i)]);

@@ -1,7 +1,7 @@
 // The rate-control search at 1, 2 and 4 encoder threads (ctest label
-// "tsan"): counted sizes decide every fit exactly, overshooting trials
-// are cut only where no commit can depend on them, and the cut limit
-// saturates instead of wrapping for huge targets.
+// "tsan"): counted sizes decide every fit exactly, inter and intra,
+// overshooting trials are cut only where no commit can depend on them,
+// and the cut limit saturates instead of wrapping for huge targets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "codec/encoder.h"
 #include "data/dataset.h"
@@ -16,12 +17,23 @@
 namespace dive::codec {
 namespace {
 
-/// A rendered 192x128 RobotCar-like clip: real motion and texture.
-data::Clip probe_clip() {
-  data::DatasetSpec spec = data::robotcar_like(1, 4, 4051);
+/// A rendered 192x128 clip of `spec`'s kind: real motion and texture.
+data::Clip probe_clip(data::DatasetSpec spec) {
   spec.width = 192;
   spec.height = 128;
   return data::generate_clip(spec, 0);
+}
+
+/// A rendered 192x128 RobotCar-like clip.
+data::Clip probe_clip() { return probe_clip(data::robotcar_like(1, 4, 4051)); }
+
+/// Per-macroblock offsets, so the counted dQP chain is not all zeros.
+QpOffsetMap probe_offsets(int mb_cols, int mb_rows) {
+  QpOffsetMap offsets(mb_cols, mb_rows);
+  for (int row = 0; row < mb_rows; ++row)
+    for (int col = 0; col < mb_cols; ++col)
+      offsets.at(col, row) = static_cast<std::int8_t>((col * 7 + row * 3) % 11 - 4);
+  return offsets;
 }
 
 TEST(RateControl, CountedSizeDecidesEveryFitExactly) {
@@ -42,11 +54,7 @@ TEST(RateControl, CountedSizeDecidesEveryFitExactly) {
   const int height = clip.frames.front().image.height();
   const int mb_cols = width / kMacroblockSize;
   const int mb_rows = height / kMacroblockSize;
-  // Per-macroblock offsets, so the counted dQP chain is not all zeros.
-  QpOffsetMap offsets(mb_cols, mb_rows);
-  for (int row = 0; row < mb_rows; ++row)
-    for (int col = 0; col < mb_cols; ++col)
-      offsets.at(col, row) = static_cast<std::int8_t>((col * 7 + row * 3) % 11 - 4);
+  const QpOffsetMap offsets = probe_offsets(mb_cols, mb_rows);
 
   std::map<std::string, int> cuts_at_one_thread;
   for (const int threads : {1, 2, 4}) {
@@ -109,6 +117,85 @@ TEST(RateControl, CountedSizeDecidesEveryFitExactly) {
           }
         }
     EXPECT_GT(cuts, 0) << "threads=" << threads;
+  }
+}
+
+TEST(RateControl, IntraCountedSizeEqualsEmitted) {
+  // Intra trials are sized by counting too, and only the committed one
+  // is emitted. With every frame intra (GoP 1), pin each trial's count
+  // to the bytes encode() emits at its QP: the target is exactly what a
+  // twin encoder emits at the history's QP q, or one byte less, so the
+  // first trial (q) must fit the first target and miss the second, and
+  // the whole search must follow the binary-search rule over the twins'
+  // sizes and commit the twin's bytes at the chosen QP. Intra trials
+  // run as a wavefront on the pool, so the search must not depend on the
+  // thread count either.
+  for (const data::DatasetSpec& spec :
+       {data::robotcar_like(1, 2, 4051), data::nuscenes_like(1, 2, 4052)}) {
+    const data::Clip clip = probe_clip(spec);
+    const video::Frame& history = clip.frames[0].image;
+    const video::Frame& probe = clip.frames[1].image;
+    const QpOffsetMap offsets =
+        probe_offsets(probe.width() / kMacroblockSize,
+                      probe.height() / kMacroblockSize);
+    for (const int threads : {1, 2, 4})
+      for (const bool with_offsets : {false, true})
+        for (const int q : {12, 27, 42}) {
+          const EncoderConfig cfg{.width = probe.width(),
+                                  .height = probe.height(),
+                                  .gop_length = 1,
+                                  .threads = threads};
+          const QpOffsetMap* map = with_offsets ? &offsets : nullptr;
+          const auto replay = [&] {
+            auto enc = std::make_unique<Encoder>(cfg);
+            enc->encode(history, q, map);
+            return enc;
+          };
+          std::map<int, std::vector<std::uint8_t>> emitted;
+          const auto emitted_at = [&](int qp) -> const std::vector<std::uint8_t>& {
+            if (!emitted.count(qp)) {
+              const EncodedFrame f = replay()->encode(probe, qp, map);
+              EXPECT_EQ(f.type, FrameType::kIntra);
+              emitted[qp] = f.data;
+            }
+            return emitted[qp];
+          };
+          const std::size_t exact = emitted_at(q).size();
+          for (const std::size_t target : {exact, exact - 1}) {
+            SCOPED_TRACE(std::string(data::to_string(spec.kind)) +
+                         " threads=" + std::to_string(threads) +
+                         " offsets=" + std::to_string(with_offsets) +
+                         " q=" + std::to_string(q) +
+                         " target=" + std::to_string(target));
+            const auto enc = replay();
+            const EncodedFrame got = enc->encode_to_target(probe, target, map);
+            ASSERT_EQ(got.type, FrameType::kIntra);
+
+            int lo = kMinQp;
+            int hi = kMaxQp;
+            int qp = q;
+            int chosen = -1;
+            bool fitted = false;
+            int trials = 0;
+            for (int iter = 0; iter < kRateIterations; ++iter) {
+              ++trials;
+              const bool fits = emitted_at(qp).size() <= target;
+              if (fits) hi = qp - 1;
+              else lo = qp + 1;
+              if (fits || !fitted) chosen = qp;
+              fitted = fitted || fits;
+              if (lo > hi) break;
+              qp = (lo + hi) / 2;
+            }
+            EXPECT_EQ(got.base_qp <= q, target == exact);
+            EXPECT_EQ(got.base_qp, chosen);
+            EXPECT_EQ(got.data, emitted_at(chosen));
+            const RateControlStats& rc = enc->rate_control_stats();
+            EXPECT_EQ(rc.trials_attempted, trials);
+            EXPECT_EQ(rc.full_transform_passes, trials);
+            EXPECT_EQ(rc.trials_cut, 0);
+          }
+        }
   }
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace dive::util {
@@ -56,6 +59,71 @@ TEST(ThreadPool, PropagatesFirstException) {
   std::atomic<int> count{0};
   pool.parallel_for(0, 10, [&](int) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10);
+}
+
+/// In a handoff round, index 0 waits until index 1 has started, so some
+/// worker surely joins the call; index 1 then works a little longer.
+void handoff(std::atomic<bool>& started, int i) {
+  if (i == 0) {
+    while (!started.load()) std::this_thread::yield();
+  } else if (i == 1) {
+    started.store(true);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+}
+
+TEST(ThreadPool, BackToBackTinyRangesRunEachIndexOnce) {
+  // Ranges of 2..4 indices, one call after another: the caller often
+  // drains a range before any worker wakes, and must return without
+  // waiting for them, but only after every worker that joined is done.
+  // The counters are plain ints (each index writes its own), so a call
+  // returning while a joined worker still writes is a race under
+  // ThreadSanitizer (and may read a missing count), and each call's body
+  // and counters die when it returns, so a late worker touching them is
+  // a use-after-scope. Odd rounds hand off (see handoff), so that a
+  // worker does join.
+  ThreadPool pool(4);
+  for (int round = 0; round < 4000; ++round) {
+    const int n = 2 + round % 3;
+    std::atomic<bool> started{false};
+    std::array<int, 4> hits{};
+    pool.parallel_for(0, n, [&](int i) {
+      if (round % 2 == 1) handoff(started, i);
+      ++hits[static_cast<std::size_t>(i)];
+    });
+    for (int i = 0; i < 4; ++i)
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)], i < n ? 1 : 0)
+          << "round " << round;
+  }
+}
+
+TEST(ThreadPool, ExceptionsInTinyRangesLeaveThePoolExact) {
+  // One index of each small range throws. In odd rounds it is index 1
+  // after a handoff, so it runs while another lane holds index 0: the
+  // call must still rethrow it, whichever lane threw. The next call must
+  // cover its whole range exactly once: no worker is left in the failed
+  // call.
+  ThreadPool pool(4);
+  for (int round = 0; round < 1000; ++round) {
+    const int n = 2 + round % 3;
+    const bool hand = round % 2 == 1;
+    const int bad = hand ? 1 : round % n;
+    std::atomic<bool> started{false};
+    EXPECT_THROW(pool.parallel_for(0, n,
+                                   [&](int i) {
+                                     if (hand) handoff(started, i);
+                                     if (i == bad)
+                                       throw std::runtime_error("boom");
+                                   }),
+                 std::runtime_error)
+        << "round " << round;
+    std::array<int, 4> hits{};
+    pool.parallel_for(0, n, [&](int i) {
+      ++hits[static_cast<std::size_t>(i)];
+    });
+    for (int i = 0; i < n; ++i)
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)], 1) << "round " << round;
+  }
 }
 
 TEST(ThreadPool, DisjointWritesNeedNoSynchronization) {
